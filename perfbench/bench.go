@@ -23,6 +23,10 @@ import (
 const (
 	// passTimeout bounds one pass; a hung pass counts as failed.
 	passTimeout = 60 * time.Second
+	// rounds is how many times a run cycles through its phases, so that
+	// each phase's passes sample the whole run rather than one stretch of
+	// it: on a shared VM the vCPU speed drifts within seconds.
+	rounds = 3
 	// keepRuns is how many recorded capacity runs the read phase cycles
 	// over; their snapshots are kept to check the replay against.
 	keepRuns = 8
@@ -44,16 +48,16 @@ type bench struct {
 	attempted, failed int64
 	counts            metrics.Counts
 	capacity, traced  phaseStats
-	// latP50 and latP99 hold each measured live pass's window latency
-	// percentiles in ms. A failed window counts as +Inf, over any limit.
-	// The run reports the median p50 and the lowest p99 over passes: on a
-	// shared 2-vCPU VM the host can stall the guest for milliseconds at a
-	// time, and there, on identical code, 3 of 8 passes' p99 read
-	// 3.4–6.7 ms against 1.5–1.9 ms for the rest, so a median p99 still
-	// moved 1.3–7 ms between runs.
-	latP50, latP99 []float64
-	latSamples     int
-	readRate       []float64
+	// lat and liveLat hold, per timed window (the streams' frames laid end
+	// to end), its latency in ms in each measured saturated or live pass; a
+	// failed window counts as +Inf, over any limit. The run reports
+	// percentiles over windows of each window's median over passes: a host
+	// stall delays the windows it hits in one pass, while a window slow in
+	// every pass stays slow. On a shared 2-vCPU VM, percentiles pooled over
+	// all passes moved with the host: ingest-eng's live p99 read 1.7–6.5 ms
+	// over five seeds.
+	lat, liveLat [][]float64
+	readRate     []float64
 	// replayNext and replayDrain are traced read-phase costs per record.
 	replayNext, replayDrain []float64
 	bytesPerRecord          float64
@@ -94,10 +98,12 @@ func newBench(cfg config, w *workload, i int) (*bench, time.Time, error) {
 		return nil, time.Time{}, err
 	}
 	inputsDone := time.Now()
-	for i, in := range b.streams {
-		if i > 0 && in == b.streams[i-1] {
+	done := map[*input]bool{}
+	for _, in := range b.streams {
+		if done[in] {
 			continue
 		}
+		done[in] = true
 		if err := reference(in); err != nil {
 			b.close()
 			return nil, time.Time{}, fmt.Errorf("reference run of %s: %w", in.name, err)
@@ -122,35 +128,45 @@ func (b *bench) close() {
 	os.RemoveAll(b.dir)
 }
 
-// measure runs the phases. An untraced run splits its time 30/55/15
-// among the capacity, live and read phases: short saturated passes
-// repeat hundreds of times in a few seconds, while a latency p99 needs
-// thousands of windows before it stops moving between runs. A traced run
-// first repeats a short untraced capacity phase, the base of
-// trace.overhead.
+// measure runs the phases, rounds times over. An untraced run splits its
+// time 80/20 between the capacity and read phases. A traced run first
+// repeats a short untraced capacity phase, the base of trace.overhead,
+// then a traced one, and on a workload with a live phase gives that the
+// largest share: a live pass lasts seconds.
 func (b *bench) measure() error {
-	total := b.cfg.seconds * float64(time.Second)
+	total := b.cfg.seconds * float64(time.Second) / rounds
 	part := func(f float64) time.Duration { return time.Duration(f * total) }
+	// Shares of the run: untraced capacity, traced capacity, live, read.
+	share := [4]float64{0.8, 0, 0, 0.2}
+	switch {
+	case b.cfg.trace && b.w.live:
+		share = [4]float64{0.1, 0.2, 0.5, 0.2}
+	case b.cfg.trace:
+		share = [4]float64{0.25, 0.5, 0, 0.25}
+	}
+	for r := 0; r < rounds; r++ {
+		// A phase's first round starts with a discarded warm-up pass; the
+		// set-up's last pass warms the untraced capacity phase.
+		warm := r == 0
+		if err := b.capacityPhase(&b.capacity, part(share[0]), false, false); err != nil {
+			return err
+		}
+		if share[1] > 0 {
+			if err := b.capacityPhase(&b.traced, part(share[1]), true, warm); err != nil {
+				return err
+			}
+		}
+		if share[2] > 0 {
+			if err := b.livePhase(part(share[2]), b.cfg.trace, warm); err != nil {
+				return err
+			}
+		}
+		if err := b.readPhase(part(share[3]), b.cfg.trace, warm); err != nil {
+			return err
+		}
+	}
 	if !b.cfg.trace {
-		if err := b.capacityPhase(&b.capacity, part(0.30), false, false); err != nil {
-			return err
-		}
-		if err := b.livePhase(part(0.55), false); err != nil {
-			return err
-		}
-		return b.readPhase(part(0.15), false)
-	}
-	if err := b.capacityPhase(&b.capacity, part(0.15), false, false); err != nil {
-		return err
-	}
-	if err := b.capacityPhase(&b.traced, part(0.25), true, true); err != nil {
-		return err
-	}
-	if err := b.livePhase(part(0.4), true); err != nil {
-		return err
-	}
-	if err := b.readPhase(part(0.2), true); err != nil {
-		return err
+		return nil
 	}
 	if b.lastTrace == nil {
 		return fmt.Errorf("no traced pass succeeded")
@@ -163,11 +179,11 @@ func (b *bench) measure() error {
 	return nil
 }
 
-// more reports whether a phase starts another pass: until it has least
-// measured passes after its warm-up, then while a pass as long as the
-// last one still ends before the deadline.
-func more(p, least int, last time.Duration, deadline time.Time) bool {
-	return p < least || time.Now().Add(last).Before(deadline)
+// more reports whether a phase starts another pass: until it has measured
+// one pass after its warm-up, then while a pass as long as the last one
+// still ends before the deadline.
+func more(p int, last time.Duration, deadline time.Time) bool {
+	return p < 1 || time.Now().Add(last).Before(deadline)
 }
 
 // logPhase notes on standard error how many passes a phase measured.
@@ -182,9 +198,10 @@ func (b *bench) capacityPhase(ps *phaseStats, budget time.Duration, traced, warm
 	if warm {
 		start = -1
 	}
-	defer func() { logPhase("capacity", len(ps.eventsPerS), t0) }()
+	n0 := len(ps.eventsPerS)
+	defer func() { logPhase("capacity", len(ps.eventsPerS)-n0, t0) }()
 	var last time.Duration
-	for p := start; more(p, 3, last, deadline); p++ {
+	for p := start; more(p, last, deadline); p++ {
 		t0 := time.Now()
 		var tr *tracer
 		if traced {
@@ -213,16 +230,20 @@ func (b *bench) capacityPhase(ps *phaseStats, budget time.Duration, traced, warm
 	return nil
 }
 
-func (b *bench) livePhase(budget time.Duration, traced bool) error {
+func (b *bench) livePhase(budget time.Duration, traced, warm bool) error {
 	start := time.Now()
 	deadline := start.Add(budget)
 	var last time.Duration
-	p := -1
+	p := 0
+	if warm {
+		p = -1
+	}
 	defer func() {
 		logPhase("live", p, start)
-		fmt.Fprintf(os.Stderr, "perfbench: live passes: p50 %.3f ms, p99 %.3f ms\n", b.latP50, b.latP99)
+		lat := medians(b.liveLat)
+		fmt.Fprintf(os.Stderr, "perfbench: live windows: %d, median over passes p50 %.3f ms, p99 %.3f ms\n", len(lat), quantile(lat, 0.5), quantile(lat, 0.99))
 	}()
-	for ; more(p, 2, last, deadline); p++ {
+	for ; more(p, last, deadline); p++ {
 		t0 := time.Now()
 		if _, err := b.runPass(true, nil, traced, p >= 0); err != nil {
 			return err
@@ -252,6 +273,15 @@ func (b *bench) runPass(live bool, tr *tracer, sample, measured bool) (passResul
 	srcs, err := b.w.open(b, ctx, live)
 	if err != nil {
 		return passResult{}, err
+	}
+	// Latency counts from each window's due time in a live pass and from
+	// its hand-over by the source in untraced saturated passes.
+	handovers := !live && tr == nil
+	if handovers {
+		for i, src := range srcs.srcs {
+			srcs.srcs[i] = keepSourceInterfaces(handover{src, &b.col.from[i]}, src)
+		}
+		srcs.due = func(i, frame int) int64 { return b.col.from[i][frame] }
 	}
 	n := len(b.streams)
 	systems := make([]*core.EBBIOT, n)
@@ -311,7 +341,7 @@ func (b *bench) runPass(live bool, tr *tracer, sample, measured bool) (passResul
 		return passResult{}, err
 	}
 	b.col.reset()
-	b.col.stamp = live
+	b.col.stamp = live || handovers
 
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -347,7 +377,7 @@ func (b *bench) runPass(live bool, tr *tracer, sample, measured bool) (passResul
 		alloc: m1.TotalAlloc - m0.TotalAlloc, mallocs: m1.Mallocs - m0.Mallocs, gcs: m1.NumGC - m0.NumGC,
 		windows: stats.Windows, events: stats.Events, workers: stats.Workers,
 	}
-	b.account(srcs, sample, measured, passErr, sw.RunID(), depth)
+	b.account(srcs, live, sample, measured, passErr, sw.RunID(), depth)
 	for _, s := range systems {
 		if measured {
 			b.stages = b.stages.Add(s.StageTimings())
@@ -364,12 +394,13 @@ func (b *bench) runPass(live bool, tr *tracer, sample, measured bool) (passResul
 }
 
 // account checks a finished pass against the reference, counts its
-// failures, scores it and, for live passes, turns arrivals into
+// failures, scores it and, for timed passes, turns arrivals into
 // latencies. It runs after the pass's timing has stopped.
-func (b *bench) account(srcs *sources, sample, measured bool, passErr error, runID uint64, depth []int64) {
-	live := b.col.stamp
-	var lat []float64
+func (b *bench) account(srcs *sources, live, sample, measured bool, passErr error, runID uint64, depth []int64) {
+	first := 0 // index in b.lat of the stream's first window
 	for i, in := range b.streams {
+		base := first
+		first += len(in.ref)
 		o := check(in.ref, b.col.snaps[i])
 		if passErr != nil {
 			o.attempted, o.failed = int64(len(in.ref)), int64(len(in.ref))
@@ -393,20 +424,22 @@ func (b *bench) account(srcs *sources, sample, measured bool, passErr error, run
 			continue
 		}
 		score(&b.counts, in.gt, b.col.snaps[i])
-		if live {
+		if b.col.stamp {
+			lat := &b.lat
+			if live {
+				lat = &b.liveLat
+			}
+			if len(*lat) < first {
+				*lat = append(*lat, make([][]float64, first-len(*lat))...)
+			}
 			for k := range in.ref {
 				l := math.Inf(1)
 				if o.ok[k] {
 					l = float64(b.col.at[i][o.arrival[k]]-srcs.due(i, k)) / 1e6
 				}
-				lat = append(lat, l)
+				(*lat)[base+k] = append((*lat)[base+k], l)
 			}
 		}
-	}
-	if measured && live {
-		b.latP50 = append(b.latP50, quantile(lat, 0.5))
-		b.latP99 = append(b.latP99, quantile(lat, 0.99))
-		b.latSamples += len(lat)
 	}
 	if measured && !live && passErr == nil {
 		rr := recordedRun{id: runID, snaps: make([][]pipeline.TrackSnapshot, len(b.col.snaps))}
@@ -420,12 +453,24 @@ func (b *bench) account(srcs *sources, sample, measured bool, passErr error, run
 	}
 }
 
+// medians returns each timed window's median latency over the measured
+// passes.
+func medians(lat [][]float64) []float64 {
+	m := make([]float64, len(lat))
+	for i, l := range lat {
+		m[i] = median(l)
+	}
+	return m
+}
+
 // readPhase replays recorded capacity runs by ID through
 // pipeline.ReplayStoreWith and checks every record against what was
-// appended. Traced, each pass is preceded by a sub-pass that drains
-// store.Reader.Replay directly, so the store's own cost per record can be
-// told apart from the pipeline's drain loop.
-func (b *bench) readPhase(budget time.Duration, traced bool) error {
+// appended. A pass replays each kept run once: one run alone lasts ~1 ms
+// on replay-eng, and the rates of such passes spread widely (quartiles
+// ~1.0M and ~1.5M records/s within one run). Traced, each replay is preceded by one that
+// drains store.Reader.Replay directly, so the store's own cost per record
+// can be told apart from the pipeline's drain loop.
+func (b *bench) readPhase(budget time.Duration, traced, warm bool) error {
 	if len(b.recorded) == 0 {
 		return fmt.Errorf("no recorded run to replay")
 	}
@@ -439,42 +484,55 @@ func (b *bench) readPhase(budget time.Duration, traced bool) error {
 	start := time.Now()
 	deadline := start.Add(budget)
 	var last time.Duration
-	p := -1
+	p := 0
+	if warm {
+		p = -1
+	}
 	defer func() { logPhase("read", p, start) }()
-	for ; more(p, 3, last, deadline); p++ {
+	for ; more(p, last, deadline); p++ {
 		t0 := time.Now()
-		rr := &b.recorded[(p+1)%len(b.recorded)]
-		var nextNS float64
-		if traced {
-			if nextNS, err = drainDirect(rd, rr.id); err != nil {
-				return err
+		var recs, nextNS, sinkNS float64
+		var wall time.Duration
+		ok := true
+		for i := range b.recorded {
+			rr := &b.recorded[i]
+			if traced {
+				ns, err := drainDirect(rd, rr.id)
+				if err != nil {
+					return err
+				}
+				nextNS += ns
+			}
+			b.col.reset()
+			b.col.stamp = false
+			var sink pipeline.Sink = b.col
+			var ts *timedSink
+			if traced {
+				ts = &timedSink{inner: b.col}
+				sink = ts
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), passTimeout)
+			t1 := time.Now()
+			_, rerr := pipeline.ReplayStoreWith(ctx, rd, sink, pipeline.ReplayOptions{Run: rr.id})
+			wall += time.Since(t1)
+			cancel()
+			att, failed := checkReplay(rr.snaps, b.col.snaps, rerr)
+			b.attempted += att
+			b.failed += failed
+			recs += float64(att)
+			ok = ok && rerr == nil
+			if traced {
+				sinkNS += float64(ts.ns)
 			}
 		}
-		b.col.reset()
-		b.col.stamp = false
-		var sink pipeline.Sink = b.col
-		var ts *timedSink
-		if traced {
-			ts = &timedSink{inner: b.col}
-			sink = ts
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), passTimeout)
-		t1 := time.Now()
-		_, rerr := pipeline.ReplayStoreWith(ctx, rd, sink, pipeline.ReplayOptions{Run: rr.id})
-		wall := time.Since(t1)
-		cancel()
-		att, failed := checkReplay(rr.snaps, b.col.snaps, rerr)
-		b.attempted += att
-		b.failed += failed
 		last = time.Since(t0)
-		if p < 0 || rerr != nil {
+		if p < 0 || !ok {
 			continue
 		}
-		recs := float64(att)
 		b.readRate = append(b.readRate, recs/wall.Seconds())
 		if traced {
 			b.replayNext = append(b.replayNext, nextNS/recs/1e3)
-			b.replayDrain = append(b.replayDrain, (float64(wall.Nanoseconds()-ts.ns)-nextNS)/recs/1e3)
+			b.replayDrain = append(b.replayDrain, (float64(wall.Nanoseconds())-sinkNS-nextNS)/recs/1e3)
 		}
 	}
 	return nil

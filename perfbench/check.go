@@ -59,11 +59,15 @@ func reference(in *input) error {
 type collector struct {
 	snaps [][]pipeline.TrackSnapshot
 	at    [][]int64 // arrival, Unix ns, parallel to snaps
+	// from holds, per stream and frame, when the source handed the window
+	// over (Unix ns), filled by handover wrappers in saturated timed passes.
+	from  [][]int64
 	stamp bool
 }
 
 func newCollector(streams int, stamp bool) *collector {
-	return &collector{snaps: make([][]pipeline.TrackSnapshot, streams), at: make([][]int64, streams), stamp: stamp}
+	return &collector{snaps: make([][]pipeline.TrackSnapshot, streams), at: make([][]int64, streams),
+		from: make([][]int64, streams), stamp: stamp}
 }
 
 // Consume implements pipeline.Sink.
@@ -80,6 +84,7 @@ func (c *collector) reset() {
 	for i := range c.snaps {
 		c.snaps[i] = c.snaps[i][:0]
 		c.at[i] = c.at[i][:0]
+		c.from[i] = c.from[i][:0]
 	}
 }
 

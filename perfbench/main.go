@@ -11,12 +11,15 @@
 //
 //	bash perfbench/run.sh --workload replay-eng --seed 1 --seconds 25 --trace 0
 //
-// Every run sets up several times (setup_s is their median), then measures
-// three phases, each after a discarded warm-up pass: a saturated capacity
-// phase (throughput, CPU and allocation per window), an open-loop live
-// phase at liveSpeed (latency) and a read phase replaying the recorded
-// store runs. Snapshots are collected in the sink and checked and scored
-// only after each pass's timing stops.
+// Every run sets up several times (setup_s is their median), then cycles
+// through its phases three times; the first pass a phase runs is a
+// discarded warm-up. The phases are a saturated capacity phase
+// (throughput, CPU and allocation per window, and latency from each
+// window's hand-over by its source to the sink) and a read phase
+// replaying the recorded store runs. A traced run adds traced capacity
+// passes and, on ingest-eng, an open-loop live phase at liveSpeed whose
+// latency counts from each input's due time. Snapshots are collected in
+// the sink and checked and scored only after each pass's timing stops.
 package main
 
 import (

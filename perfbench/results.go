@@ -38,13 +38,14 @@ func (b *bench) result() result {
 }
 
 func (b *bench) endToEnd() map[string]metric {
+	lat := medians(b.lat)
 	return map[string]metric{
 		"setup_s":                {b.setup[0], "s"},
 		"events_per_s":           {median(b.capacity.eventsPerS), "events/s"},
 		"cpu_us_per_window":      {median(b.capacity.cpuUSPerWin), "us/window"},
 		"alloc_bytes_per_window": {median(b.capacity.allocPerWin), "B/window"},
-		"latency_ms_p50":         {median(b.latP50), "ms"},
-		"latency_ms_p99":         {lowest(b.latP99), "ms"},
+		"latency_ms_p50":         {quantile(lat, 0.5), "ms"},
+		"latency_ms_p99":         {quantile(lat, 0.99), "ms"},
 		"replay_records_per_s":   {median(b.readRate), "records/s"},
 		"precision_iou0.5":       {b.counts.Precision(), "ratio"},
 		"recall_iou0.5":          {b.counts.Recall(), "ratio"},
@@ -78,6 +79,7 @@ func (b *bench) perLayer() map[string]metric {
 	if b.attempted > 0 {
 		failedRatio = float64(b.failed) / float64(b.attempted)
 	}
+	live := medians(b.liveLat)
 	var skipped float64
 	if b.stages.Windows > 0 {
 		skipped = float64(b.stages.Skipped) / float64(b.stages.Windows)
@@ -98,6 +100,8 @@ func (b *bench) perLayer() map[string]metric {
 		"pipeline.replay_drain_us_per_record": {median(b.replayDrain), "us/record"},
 		"ingest.send_us_per_batch":            {sendUS, "us/batch"},
 		"ingest.generator_late_ms_p99":        {quantile(b.lateMS, 0.99), "ms"},
+		"ingest.live_latency_ms_p50":          {quantile(live, 0.5), "ms"},
+		"ingest.live_latency_ms_p99":          {quantile(live, 0.99), "ms"},
 		"ingest.queue_depth_max":              {float64(b.queueMax), "batches"},
 		"ingest.dropped_events":               {float64(b.src.DroppedEvents), "count"},
 		"ingest.dup_batches":                  {float64(b.src.DupBatches), "count"},
@@ -109,7 +113,7 @@ func (b *bench) perLayer() map[string]metric {
 		"ebbi.active_fraction":                {b.stages.MeanActiveFraction(), "ratio"},
 		"core.skipped_fraction":               {skipped, "ratio"},
 		"store.bytes_per_record":              {b.bytesPerRecord, "B/record"},
-		"latency.samples":                     {float64(b.latSamples), "count"},
+		"latency.samples":                     {float64(len(b.lat)), "count"},
 		"setup.inputs_s":                      {b.setup[1], "s"},
 		"setup.system_s":                      {b.setup[2], "s"},
 		"trace.coverage":                      {coverage, "ratio"},

@@ -137,9 +137,9 @@ type timerBatchSystem struct{ batchSystem }
 
 func (timerBatchSystem) StageTimings() core.StageTimings { return core.StageTimings{Windows: 7} }
 
-// The traced run's wrappers must implement exactly the optional
-// interfaces the Runner type-asserts that the wrapped value implements,
-// and forward them.
+// The traced run's wrappers, and the hand-over stamps of saturated passes,
+// must implement exactly the optional interfaces the Runner type-asserts
+// that the wrapped value implements, and forward them.
 func TestWrappersKeepOptionalInterfaces(t *testing.T) {
 	tr := newTracer(1, "source")
 	eb, err := core.NewEBBIOT(core.DefaultConfig())
@@ -149,17 +149,26 @@ func TestWrappersKeepOptionalInterfaces(t *testing.T) {
 	defer eb.Close()
 	srcs := []pipeline.EventSource{plainSource{}, meterSource{}, restartSource{}, meterRestartSource{},
 		ingest.NewNetSource(ingest.NetSourceConfig{})}
-	for _, src := range srcs {
-		w := tr.traceSource(0, src)
-		m, wm := w.(pipeline.SourceMeter)
-		im, sm := src.(pipeline.SourceMeter)
-		_, wr := w.(pipeline.RestartableSource)
-		_, sr := src.(pipeline.RestartableSource)
-		if wm != sm || wr != sr {
-			t.Errorf("%T: wrapper meter=%v restartable=%v, want %v %v", src, wm, wr, sm, sr)
-		}
-		if wm && m.SourceStats() != im.SourceStats() {
-			t.Errorf("%T: SourceStats not forwarded", src)
+	var at []int64
+	wraps := map[string]func(pipeline.EventSource) pipeline.EventSource{
+		"trace": func(src pipeline.EventSource) pipeline.EventSource { return tr.traceSource(0, src) },
+		"handover": func(src pipeline.EventSource) pipeline.EventSource {
+			return keepSourceInterfaces(handover{src, &at}, src)
+		},
+	}
+	for name, wrap := range wraps {
+		for _, src := range srcs {
+			w := wrap(src)
+			m, wm := w.(pipeline.SourceMeter)
+			im, sm := src.(pipeline.SourceMeter)
+			_, wr := w.(pipeline.RestartableSource)
+			_, sr := src.(pipeline.RestartableSource)
+			if wm != sm || wr != sr {
+				t.Errorf("%s %T: wrapper meter=%v restartable=%v, want %v %v", name, src, wm, wr, sm, sr)
+			}
+			if wm && m.SourceStats() != im.SourceStats() {
+				t.Errorf("%s %T: SourceStats not forwarded", name, src)
+			}
 		}
 	}
 	for _, sys := range []core.System{plainSystem{}, timerSystem{}, batchSystem{}, timerBatchSystem{}, eb} {

@@ -33,11 +33,3 @@ func quantile(v []float64, q float64) float64 {
 	i := int(math.Ceil(q*float64(len(s)))) - 1
 	return s[max(0, min(i, len(s)-1))]
 }
-
-// lowest returns the smallest of v (0 for no values).
-func lowest(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	return slices.Min(v)
-}

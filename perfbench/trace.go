@@ -99,9 +99,7 @@ func (t *tracer) observer(stream int) pipeline.Observer {
 	}
 }
 
-// tracedSource times NextWindow. It is the base of the wrapper family
-// built by traceSource, which keeps every optional interface the Runner
-// type-asserts on a source.
+// tracedSource times NextWindow.
 type tracedSource struct {
 	inner  pipeline.EventSource
 	t      *tracer
@@ -121,22 +119,25 @@ func (s *tracedSource) NextWindow(buf []events.Event, start, end int64) ([]event
 	return out, err
 }
 
+// meteredSource, restartableSource and meteredRestartableSource add the
+// optional source interfaces the Runner type-asserts to a wrapper; see
+// keepSourceInterfaces.
 type meteredSource struct {
-	*tracedSource
+	pipeline.EventSource
 	m pipeline.SourceMeter
 }
 
 func (s meteredSource) SourceStats() pipeline.SourceStats { return s.m.SourceStats() }
 
 type restartableSource struct {
-	*tracedSource
+	pipeline.EventSource
 	r pipeline.RestartableSource
 }
 
 func (s restartableSource) Restart() error { return s.r.Restart() }
 
 type meteredRestartableSource struct {
-	*tracedSource
+	pipeline.EventSource
 	m pipeline.SourceMeter
 	r pipeline.RestartableSource
 }
@@ -144,22 +145,28 @@ type meteredRestartableSource struct {
 func (s meteredRestartableSource) SourceStats() pipeline.SourceStats { return s.m.SourceStats() }
 func (s meteredRestartableSource) Restart() error                    { return s.r.Restart() }
 
-// traceSource wraps src so that the wrapper implements exactly the
-// optional interfaces src does; otherwise the traced run would silently
-// stop publishing source stats or restarting, and measure another program.
-func (t *tracer) traceSource(stream int, src pipeline.EventSource) pipeline.EventSource {
-	base := &tracedSource{inner: src, t: t, stream: stream}
+// keepSourceInterfaces returns w, a wrapper around src, extended to
+// implement exactly the optional interfaces src does, forwarded to src;
+// otherwise a wrapped run would silently stop publishing source stats or
+// restarting, and measure another program.
+func keepSourceInterfaces(w, src pipeline.EventSource) pipeline.EventSource {
 	m, metered := src.(pipeline.SourceMeter)
 	r, restartable := src.(pipeline.RestartableSource)
 	switch {
 	case metered && restartable:
-		return meteredRestartableSource{base, m, r}
+		return meteredRestartableSource{w, m, r}
 	case metered:
-		return meteredSource{base, m}
+		return meteredSource{w, m}
 	case restartable:
-		return restartableSource{base, r}
+		return restartableSource{w, r}
 	}
-	return base
+	return w
+}
+
+// traceSource wraps src in a tracedSource that keeps its optional
+// interfaces.
+func (t *tracer) traceSource(stream int, src pipeline.EventSource) pipeline.EventSource {
+	return keepSourceInterfaces(&tracedSource{inner: src, t: t, stream: stream}, src)
 }
 
 // tracedSystem times ProcessWindow and turns the system's StageTimer
