@@ -264,7 +264,7 @@ type passResult struct {
 }
 
 // runPass runs every stream once through Runner → EBBIOT → StoreSink into
-// a new store run, then checks, scores and (for live passes) times the
+// a new store run, then checks, scores and (unless traced) times the
 // snapshots. Errors while the program runs fail the pass's windows; an
 // error returned here means the benchmark itself could not continue.
 func (b *bench) runPass(live bool, tr *tracer, sample, measured bool) (passResult, error) {
