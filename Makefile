@@ -39,15 +39,18 @@ bench-imgproc:
 
 # Machine-readable benchmark results for cross-PR perf tracking: the hot
 # packages' benchmarks (frame kernels, EBBI window chain, the fused core
-# window path, snapshot store) parsed into BENCH.json (name, ns/op, B/op,
-# allocs/op, custom metrics). CI runs this and uploads the artifact.
+# window path, snapshot store, AEDAT window decode, the Runner's whole
+# replay path) parsed into BENCH.json (name, ns/op, B/op, allocs/op,
+# custom metrics). CI runs this and uploads the artifact.
+BENCH_PKGS = ./internal/imgproc/ ./internal/ebbi/ ./internal/core/ ./internal/store/ \
+	./internal/aedat/ ./internal/pipeline/
 bench-json:
-	$(GO) test -run xxx -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) \
-		./internal/imgproc/ ./internal/ebbi/ ./internal/core/ ./internal/store/ \
+	$(GO) test -run xxx -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) $(BENCH_PKGS) \
 		| $(GO) run ./cmd/ebbiot-benchfmt -o BENCH.json -tee
 
 # Regression gate: measure ONLY the gated benchmarks (median, downsample,
-# histograms, popcount, the fused ProcessWindow path) de-noised, then diff
+# histograms, popcount, the fused ProcessWindow path, AEDAT window decode,
+# the Runner's whole replay path) de-noised, then diff
 # against BENCH_OLD
 # (default: the committed baseline snapshot). Any gated benchmark slowing
 # down more than BENCH_TOLERANCE percent on ns/op fails the target.
@@ -66,12 +69,11 @@ bench-json:
 # snapshot from another machine or day, expect drift — override
 # BENCH_TOLERANCE or refresh the baseline.
 BENCH_TOLERANCE ?= 15
-BENCH_MATCH ?= Median|Downsample|Histograms|Popcount|ProcessWindow
+BENCH_MATCH ?= Median|Downsample|Histograms|Popcount|ProcessWindow|DecodeWindows|WindowLoop_Runner
 BENCH_OLD ?= BENCH_baseline.json
 BENCH_MIN_NS ?= 2000
 bench-compare:
-	$(GO) test -run xxx -bench '$(BENCH_MATCH)' -benchmem -benchtime 300ms -count 5 \
-		./internal/imgproc/ ./internal/ebbi/ ./internal/core/ ./internal/store/ \
+	$(GO) test -run xxx -bench '$(BENCH_MATCH)' -benchmem -benchtime 300ms -count 5 $(BENCH_PKGS) \
 		| $(GO) run ./cmd/ebbiot-benchfmt -o BENCH.json -tee
 	$(GO) run ./cmd/ebbiot-benchfmt compare -tolerance $(BENCH_TOLERANCE) \
 		-min-ns $(BENCH_MIN_NS) -match '$(BENCH_MATCH)' $(BENCH_OLD) BENCH.json

@@ -16,6 +16,11 @@
 //
 // Delta-encoded timestamps keep 1-hour recordings within uint32 range per
 // event while preserving microsecond resolution.
+//
+// Errors: Reader.NextWindowInto returns a bare io.EOF only once the header's
+// count of events has been decoded, and Read then succeeds. A body shorter
+// than that count is an error wrapping io.ErrUnexpectedEOF from both, even
+// when it ends on an event boundary. Bytes past the count are ignored.
 package aedat
 
 import (
@@ -89,25 +94,41 @@ func Write(w io.Writer, res events.Resolution, evs []events.Event) error {
 	return nil
 }
 
-// Read decodes a full recording from r.
+// maxPrealloc caps how many events Read reserves from the header's count
+// before any event is decoded; a forged count then costs at most this much
+// up front, and append grows the slice for genuine longer recordings.
+const maxPrealloc = 1 << 20
+
+// Read decodes a full recording from r through the same loop as
+// Reader.NextWindowInto.
 func Read(r io.Reader) (events.Resolution, []events.Event, error) {
 	dec, err := NewReader(r)
 	if err != nil {
 		return events.Resolution{}, nil, err
 	}
-	evs := make([]events.Event, 0, dec.Remaining())
-	for {
-		e, err := dec.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return dec.Resolution(), nil, err
-		}
-		evs = append(evs, e)
+	evs := make([]events.Event, 0, min(dec.Remaining(), maxPrealloc))
+	evs, err = dec.decode(evs, 0, true)
+	if err != io.EOF {
+		return dec.Resolution(), nil, err
 	}
 	return dec.Resolution(), evs, nil
 }
+
+// readBufferSize is the Reader's buffer: large enough that a dense window
+// (~30 KB of records on the ENG scenes) costs at most one read call, where
+// bufio's 4 KiB default cost several.
+const readBufferSize = 64 << 10
+
+// polarity maps a record's polarity byte to the event polarity: 1 is ON,
+// every other value OFF. A table lookup instead of a branch, because ON and
+// OFF events interleave and a branch on them mispredicts often.
+var polarity = func() (t [256]events.Polarity) {
+	for i := range t {
+		t[i] = events.Off
+	}
+	t[1] = events.On
+	return t
+}()
 
 // Reader decodes a recording incrementally, so hour-long streams can be
 // processed frame by frame without holding every event in memory.
@@ -116,14 +137,11 @@ type Reader struct {
 	res       events.Resolution
 	remaining uint64
 	prevT     int64
-	// scratch is the per-event decode buffer; keeping it in the struct stops
-	// it escaping to the heap once per decoded event.
-	scratch [eventSize]byte
 }
 
 // NewReader parses the header and returns a streaming decoder.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
+	br := bufio.NewReaderSize(r, readBufferSize)
 	var h header
 	if err := binary.Read(br, binary.LittleEndian, &h); err != nil {
 		return nil, fmt.Errorf("aedat: reading header: %w", err)
@@ -144,62 +162,64 @@ func (r *Reader) Resolution() events.Resolution { return r.res }
 // Remaining returns how many events have not yet been decoded.
 func (r *Reader) Remaining() uint64 { return r.remaining }
 
-// Next decodes one event, returning io.EOF after the last one.
-func (r *Reader) Next() (events.Event, error) {
-	if r.remaining == 0 {
-		return events.Event{}, io.EOF
-	}
-	if _, err := io.ReadFull(r.br, r.scratch[:]); err != nil {
-		return events.Event{}, fmt.Errorf("aedat: reading event: %w", err)
-	}
-	r.remaining--
-	x := binary.LittleEndian.Uint16(r.scratch[0:2])
-	y := binary.LittleEndian.Uint16(r.scratch[2:4])
-	dt := binary.LittleEndian.Uint32(r.scratch[4:8])
-	r.prevT += int64(dt)
-	p := events.Off
-	if r.scratch[8] == 1 {
-		p = events.On
-	}
-	e := events.Event{X: int16(x), Y: int16(y), T: r.prevT, P: p}
-	if !r.res.Contains(int(e.X), int(e.Y)) {
-		return events.Event{}, fmt.Errorf("aedat: decoded event at (%d,%d) outside %dx%d", e.X, e.Y, r.res.A, r.res.B)
-	}
-	return e, nil
-}
-
-// NextWindow decodes all events with timestamps below end. It is the
-// streaming analogue of events.Windows for frame-driven pipelines: call it
-// once per frame interrupt with end = frame boundary. Returns io.EOF along
-// with any final events once the stream is exhausted.
-func (r *Reader) NextWindow(end int64) ([]events.Event, error) {
-	return r.NextWindowInto(nil, end)
-}
-
-// NextWindowInto is NextWindow appending into a caller-owned buffer, so
-// streaming pipelines can recycle one window buffer instead of allocating
-// per frame. The extended slice is returned.
+// NextWindowInto appends to buf all events with timestamps below end and
+// returns the extended slice, so streaming pipelines can recycle one window
+// buffer instead of allocating per frame. It is the streaming analogue of
+// events.Windows for frame-driven pipelines: call it once per frame
+// interrupt with end = frame boundary. It returns io.EOF along with any
+// final events once the header's count is exhausted.
 func (r *Reader) NextWindowInto(buf []events.Event, end int64) ([]events.Event, error) {
-	out := buf
-	for {
-		if r.remaining == 0 {
-			return out, io.EOF
+	return r.decode(buf, end, false)
+}
+
+// decode is the single decode loop behind NextWindowInto and Read. It
+// decodes every complete record the buffer holds in one pass, stopping
+// before the first event stamped at or after end or at the first outside
+// the resolution, then consumes what it decoded with one Discard and
+// refills. With all set there is no end: Read cannot express that as an
+// end value, since an event may be stamped math.MaxInt64.
+func (r *Reader) decode(out []events.Event, end int64, all bool) ([]events.Event, error) {
+	w, h := uint(r.res.A), uint(r.res.B)
+	for r.remaining > 0 {
+		if r.br.Buffered() < eventSize {
+			if _, err := r.br.Peek(eventSize); err != nil {
+				if err == io.EOF {
+					err = io.ErrUnexpectedEOF
+				}
+				return out, fmt.Errorf("aedat: reading event: %w", err)
+			}
 		}
-		// Peek at the next event's delta to see if it crosses the boundary.
-		hdr, err := r.br.Peek(eventSize)
-		if err != nil {
-			return out, fmt.Errorf("aedat: peeking event: %w", err)
+		b, _ := r.br.Peek(r.br.Buffered()) // already buffered: no read, no error
+		if n := uint64(len(b) / eventSize); n > r.remaining {
+			b = b[:r.remaining*eventSize]
 		}
-		dt := binary.LittleEndian.Uint32(hdr[4:8])
-		if r.prevT+int64(dt) >= end {
+		t := r.prevT
+		used := 0
+		for ; used+eventSize <= len(b); used += eventSize {
+			rec := b[used : used+eventSize : used+eventSize]
+			next := t + int64(binary.LittleEndian.Uint32(rec[4:8]))
+			x := int16(binary.LittleEndian.Uint16(rec[0:2]))
+			y := int16(binary.LittleEndian.Uint16(rec[2:4]))
+			if next >= end && !all || uint(int(x)) >= w || uint(int(y)) >= h {
+				break
+			}
+			out = append(out, events.Event{X: x, Y: y, T: next, P: polarity[rec[8]]})
+			t = next
+		}
+		r.br.Discard(used) // at most what is buffered, so it cannot fail
+		r.prevT = t
+		r.remaining -= uint64(used / eventSize)
+		if used+eventSize > len(b) {
+			continue // the buffer ran out, not the window
+		}
+		rec := b[used:]
+		if t+int64(binary.LittleEndian.Uint32(rec[4:8])) >= end && !all {
 			return out, nil
 		}
-		e, err := r.Next()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, e)
+		x, y := int16(binary.LittleEndian.Uint16(rec[0:2])), int16(binary.LittleEndian.Uint16(rec[2:4]))
+		return out, fmt.Errorf("aedat: decoded event at (%d,%d) outside %dx%d", x, y, r.res.A, r.res.B)
 	}
+	return out, io.EOF
 }
 
 // Writer encodes a recording incrementally. The caller must Close to flush

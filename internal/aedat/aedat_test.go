@@ -1,12 +1,19 @@
 package aedat
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"ebbiot/internal/events"
@@ -80,14 +87,61 @@ func TestReadRejectsBadMagic(t *testing.T) {
 	}
 }
 
+// readWindows drives NextWindowInto over 66 ms windows until it returns an
+// error, returning every event decoded and that error.
+func readWindows(data []byte) ([]events.Event, error) {
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	var evs []events.Event
+	for end := int64(66_000); ; end += 66_000 {
+		if evs, err = r.NextWindowInto(evs, end); err != nil {
+			return evs, err
+		}
+	}
+}
+
 func TestReadTruncated(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Write(&buf, events.DAVIS240, sample()); err != nil {
 		t.Fatal(err)
 	}
-	trunc := buf.Bytes()[:buf.Len()-5]
-	if _, _, err := Read(bytes.NewReader(trunc)); err == nil {
-		t.Error("truncated stream should error")
+	full := buf.Bytes()
+	// Every cut inside the body, event boundaries included, is a short body:
+	// fewer bytes than the header's count promises.
+	for n := headerSize; n < len(full); n++ {
+		if _, _, err := Read(bytes.NewReader(full[:n])); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("Read cut at byte %d: err = %v, want io.ErrUnexpectedEOF", n, err)
+		}
+		evs, err := readWindows(full[:n])
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("NextWindowInto cut at byte %d: err = %v, want io.ErrUnexpectedEOF", n, err)
+		}
+		if whole := (n - headerSize) / eventSize; len(evs) != whole {
+			t.Errorf("NextWindowInto cut at byte %d decoded %d events, want the %d whole records", n, len(evs), whole)
+		}
+	}
+}
+
+func TestReadForgedCount(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, events.DAVIS240, sample()); err != nil {
+		t.Fatal(err)
+	}
+	for _, count := range []uint64{1 << 62, 1<<64 - 1, maxPrealloc + 1} {
+		data := bytes.Clone(buf.Bytes())
+		binary.LittleEndian.PutUint64(data[countOffset:], count)
+		if _, _, err := Read(bytes.NewReader(data)); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("count %d: Read err = %v, want io.ErrUnexpectedEOF", count, err)
+		}
+		evs, err := readWindows(data)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("count %d: NextWindowInto err = %v, want io.ErrUnexpectedEOF", count, err)
+		}
+		if len(evs) != len(sample()) {
+			t.Errorf("count %d: NextWindowInto decoded %d events, want %d", count, len(evs), len(sample()))
+		}
 	}
 }
 
@@ -106,14 +160,14 @@ func TestStreamingReaderWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w1, err := r.NextWindow(100)
+	w1, err := r.NextWindowInto(nil, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(w1) != 2 {
 		t.Fatalf("window 1 has %d events, want 2", len(w1))
 	}
-	w2, err := r.NextWindow(200)
+	w2, err := r.NextWindowInto(nil, 200)
 	if !errors.Is(err, io.EOF) {
 		t.Fatalf("want EOF at stream end, got %v", err)
 	}
@@ -276,4 +330,371 @@ func BenchmarkRead(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkDecodeWindows replays a recording at the ENG replica's density
+// (~3k events per 66 ms window, random polarity) through NextWindowInto
+// with one recycled window buffer, as AEDATSource does. The recording is
+// read from a file, so the read calls the buffer size sets are counted.
+func BenchmarkDecodeWindows(b *testing.B) {
+	const (
+		frameUS = 66_000
+		windows = 30
+		perWin  = 3_000
+	)
+	rng := rand.New(rand.NewSource(1))
+	evs := make([]events.Event, 0, windows*perWin)
+	var t int64
+	for len(evs) < cap(evs) {
+		t += rng.Int63n(2 * frameUS / perWin) // mean dt 22 us
+		p := events.Off
+		if rng.Intn(2) == 1 {
+			p = events.On
+		}
+		evs = append(evs, events.Event{X: int16(rng.Intn(240)), Y: int16(rng.Intn(180)), T: t, P: p})
+	}
+	path := filepath.Join(b.TempDir(), "eng.aer")
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := Write(f, events.DAVIS240, evs); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(headerSize + len(evs)*eventSize))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var buf []events.Event
+	var decoded int
+	for i := 0; i < b.N; i++ {
+		f, err := os.Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := NewReader(f)
+		if err != nil {
+			b.Fatal(err)
+		}
+		decoded = 0
+		for end := int64(frameUS); ; end += frameUS {
+			buf, err = r.NextWindowInto(buf[:0], end)
+			decoded += len(buf)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		f.Close()
+	}
+	if decoded != len(evs) {
+		b.Fatalf("decoded %d events, want %d", decoded, len(evs))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
+}
+
+// headerSize is the encoded header length; countOffset is where its event
+// count sits (after the magic, width and height).
+const (
+	headerSize  = 20
+	countOffset = 12
+)
+
+// record encodes one raw event record; any polarity byte is allowed.
+func record(x, y uint16, dt uint32, p byte) []byte {
+	rec := make([]byte, eventSize)
+	binary.LittleEndian.PutUint16(rec[0:2], x)
+	binary.LittleEndian.PutUint16(rec[2:4], y)
+	binary.LittleEndian.PutUint32(rec[4:8], dt)
+	rec[8] = p
+	return rec
+}
+
+// withHeader prefixes body with a valid header for a width x height sensor
+// whose count field says count.
+func withHeader(width, height uint16, count uint64, body []byte) []byte {
+	data := make([]byte, headerSize, headerSize+len(body))
+	copy(data, magic[:])
+	binary.LittleEndian.PutUint16(data[8:10], width)
+	binary.LittleEndian.PutUint16(data[10:12], height)
+	binary.LittleEndian.PutUint64(data[countOffset:], count)
+	return append(data, body...)
+}
+
+// oracle is the per-event decoder the bulk loop replaced: a Peek of the
+// next record for each window-boundary test and an io.ReadFull for each
+// event. It is the differential reference for Read and NextWindowInto, and
+// follows the same error contract: io.EOF only after the header's count,
+// io.ErrUnexpectedEOF when the body ends first.
+type oracle struct {
+	br        *bufio.Reader
+	res       events.Resolution
+	remaining uint64
+	prevT     int64
+	scratch   [eventSize]byte
+}
+
+func newOracle(data []byte) (*oracle, error) {
+	br := bufio.NewReader(bytes.NewReader(data))
+	var h header
+	if err := binary.Read(br, binary.LittleEndian, &h); err != nil {
+		return nil, err
+	}
+	if h.Magic != magic {
+		return nil, ErrBadMagic
+	}
+	return &oracle{br: br, res: events.Resolution{A: int(h.Width), B: int(h.Height)}, remaining: h.Count}, nil
+}
+
+// next decodes one event.
+func (o *oracle) next() (events.Event, error) {
+	if o.remaining == 0 {
+		return events.Event{}, io.EOF
+	}
+	if _, err := io.ReadFull(o.br, o.scratch[:]); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return events.Event{}, fmt.Errorf("aedat: reading event: %w", err)
+	}
+	o.remaining--
+	x := binary.LittleEndian.Uint16(o.scratch[0:2])
+	y := binary.LittleEndian.Uint16(o.scratch[2:4])
+	dt := binary.LittleEndian.Uint32(o.scratch[4:8])
+	o.prevT += int64(dt)
+	p := events.Off
+	if o.scratch[8] == 1 {
+		p = events.On
+	}
+	e := events.Event{X: int16(x), Y: int16(y), T: o.prevT, P: p}
+	if !o.res.Contains(int(e.X), int(e.Y)) {
+		return events.Event{}, fmt.Errorf("aedat: decoded event at (%d,%d) outside %dx%d", e.X, e.Y, o.res.A, o.res.B)
+	}
+	return e, nil
+}
+
+// window decodes the events stamped below end.
+func (o *oracle) window(buf []events.Event, end int64) ([]events.Event, error) {
+	for {
+		if o.remaining == 0 {
+			return buf, io.EOF
+		}
+		rec, err := o.br.Peek(eventSize)
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return buf, fmt.Errorf("aedat: peeking event: %w", err)
+		}
+		if o.prevT+int64(binary.LittleEndian.Uint32(rec[4:8])) >= end {
+			return buf, nil
+		}
+		e, err := o.next()
+		if err != nil {
+			return buf, err
+		}
+		buf = append(buf, e)
+	}
+}
+
+// read decodes every remaining event, as Read does.
+func (o *oracle) read() ([]events.Event, error) {
+	var evs []events.Event
+	for {
+		e, err := o.next()
+		if err == io.EOF {
+			return evs, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		evs = append(evs, e)
+	}
+}
+
+// errClass names the part of the error contract err falls under.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "nil"
+	case err == io.EOF:
+		return "EOF"
+	case errors.Is(err, io.ErrUnexpectedEOF):
+		return "unexpected EOF"
+	default:
+		return "other"
+	}
+}
+
+// readers are the chunkings the decoder must be indifferent to.
+var readers = []func(io.Reader) io.Reader{
+	func(r io.Reader) io.Reader { return r },
+	iotest.OneByteReader,
+	iotest.HalfReader,
+	iotest.DataErrReader,
+}
+
+// windowEnds turns fuzzer bytes into window ends anchored on the
+// recording's own timestamps, so ends equal to an event's timestamp, empty
+// windows and ends below the previous end all occur: each byte advances
+// 0..63 distinct stamps and offsets the end by -1..+2 us from that stamp.
+func windowEnds(body []byte, count uint64, steps []byte) []int64 {
+	stamps := []int64{0}
+	var t int64
+	for b := body; len(b) >= eventSize && count > 0; b, count = b[eventSize:], count-1 {
+		t += int64(binary.LittleEndian.Uint32(b[4:8]))
+		if t != stamps[len(stamps)-1] {
+			stamps = append(stamps, t)
+		}
+	}
+	ends := make([]int64, 0, len(steps))
+	idx := 0
+	for _, s := range steps {
+		idx = min(idx+int(s>>2), len(stamps)-1)
+		ends = append(ends, stamps[idx]+int64(s&3)-1)
+	}
+	return ends
+}
+
+// checkAgainstOracle decodes data through Read and through NextWindowInto
+// at ends (then one drain to math.MaxInt64), with the reader chunked by
+// wrap, and requires the oracle's events and error class at every step.
+func checkAgainstOracle(t *testing.T, data []byte, ends []int64, wrap func(io.Reader) io.Reader) {
+	t.Helper()
+	_, got, gerr := Read(wrap(bytes.NewReader(data)))
+	o, oerr := newOracle(data)
+	if oerr != nil {
+		t.Fatalf("oracle header: %v", oerr)
+	}
+	want, werr := o.read()
+	if errClass(gerr) != errClass(werr) || !sameEvents(got, want) {
+		t.Fatalf("Read = %d events, %v; oracle %d events, %v", len(got), gerr, len(want), werr)
+	}
+
+	r, err := NewReader(wrap(bytes.NewReader(data)))
+	if err != nil {
+		t.Fatalf("header: %v", err)
+	}
+	if o, err = newOracle(data); err != nil {
+		t.Fatalf("oracle header: %v", err)
+	}
+	var buf []events.Event
+	for i, end := range append(ends, math.MaxInt64) {
+		buf, gerr = r.NextWindowInto(buf[:0], end)
+		want, werr := o.window(nil, end)
+		if errClass(gerr) != errClass(werr) || !sameEvents(buf, want) {
+			t.Fatalf("window %d (end %d) = %v, %v; oracle %v, %v", i, end, buf, gerr, want, werr)
+		}
+		if gerr != nil {
+			return
+		}
+	}
+}
+
+func sameEvents(a, b []events.Event) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
+// body encodes n events with in-range addresses, deltas below maxDT and
+// polarity bytes drawn from pol.
+func body(rng *rand.Rand, n int, maxDT int64, pol []byte) []byte {
+	out := make([]byte, 0, n*eventSize)
+	for i := 0; i < n; i++ {
+		out = append(out, record(uint16(rng.Intn(240)), uint16(rng.Intn(180)),
+			uint32(rng.Int63n(maxDT)), pol[rng.Intn(len(pol))])...)
+	}
+	return out
+}
+
+// steps returns n random window steps.
+func steps(rng *rand.Rand, n int) []byte {
+	out := make([]byte, n)
+	rng.Read(out)
+	return out
+}
+
+// oracleCase is one seed input: see oracleData.
+type oracleCase struct {
+	extra int8
+	pad   uint16
+	body  []byte
+	steps []byte
+}
+
+// edgePad is the filler that starts the body 26 bytes before the end of the
+// Reader's first 64 KiB fill (header included), so body records straddle
+// the buffer edge.
+const edgePad = (readBufferSize - headerSize - 26) / eventSize
+
+func oracleCases() []oracleCase {
+	rng := rand.New(rand.NewSource(3))
+	// Small bodies keep the fuzzer's minimization of inputs derived from
+	// them fast.
+	mixed := body(rng, 60, 50, []byte{0, 1})
+	odd := body(rng, 40, 50, []byte{0, 1, 2, 0x7F, 0x80, 0xFF})
+	zeroDT := body(rng, 30, 1, []byte{0, 1}) // every dt 0: one long run
+	runs := body(rng, 60, 3, []byte{0, 1})   // dt 0 runs broken by small steps
+	exact := make([]byte, 32)                // advance 0-3 stamps, offset 0: end = a stamp
+	for i := range exact {
+		exact[i] = 1 | byte(i%4)<<2
+	}
+	var maxDT []byte // the largest deltas: stamps far past any window end
+	for i := 0; i < 40; i++ {
+		maxDT = append(maxDT, record(uint16(i), uint16(i), math.MaxUint32, byte(i%2))...)
+	}
+	outside := append(body(rng, 10, 50, []byte{1}), record(240, 3, 5, 0)...)
+	outside = append(outside, body(rng, 10, 50, []byte{0})...)
+	return []oracleCase{
+		{0, 0, mixed, steps(rng, 12)},                // mixed ON/OFF
+		{0, 0, odd, steps(rng, 8)},                   // polarity bytes other than 0/1: OFF
+		{0, 0, zeroDT, steps(rng, 4)},                // every dt 0
+		{0, 0, runs, steps(rng, 12)},                 // dt 0 runs
+		{0, 0, runs, exact},                          // window ends equal to event stamps
+		{0, 0, maxDT, steps(rng, 8)},                 // the largest deltas
+		{0, 0, mixed, make([]byte, 6)},               // empty windows: the end never advances
+		{0, edgePad, mixed, steps(rng, 12)},          // records straddle the 64 KiB buffer edge
+		{3, edgePad, mixed, steps(rng, 12)},          // ... and the body ends short
+		{2, 0, mixed, steps(rng, 12)},                // body two records short of the count
+		{1, 0, mixed[:len(mixed)-4], steps(rng, 12)}, // body cut mid-record
+		{-5, 0, mixed, steps(rng, 12)},               // bytes past the count
+		{0, 0, outside, steps(rng, 8)},               // an address outside 240x180
+		{0, 0, nil, []byte{0, 4}},                    // no events
+	}
+}
+
+// maxPad bounds the filler a fuzz input may ask for: past the 64 KiB edge,
+// but small enough to keep executions fast.
+const maxPad = 8192
+
+// oracleData assembles a recording: a 240x180 header, then pad filler
+// records (origin, dt 0, OFF; at most maxPad), then body. The header's count
+// is the number of whole records plus extra.
+func oracleData(extra int8, pad uint16, body []byte) ([]byte, uint64) {
+	n := min(int(pad), maxPad) * eventSize
+	all := append(make([]byte, n, n+len(body)), body...)
+	count := max(int64(len(all)/eventSize)+int64(extra), 0)
+	return withHeader(240, 180, uint64(count), all), uint64(count)
+}
+
+// FuzzAEDATDecoder decodes a valid header plus fuzzer bytes at
+// fuzzer-chosen window ends, through fuzzer-chosen read chunking, and
+// requires the per-event oracle's events and error class at every window.
+// Its seed corpus, every case under every chunking, is the differential
+// test `go test` runs. The filler count lets a small body sit at the 64 KiB
+// buffer edge, which keeps minimizing an input cheap.
+func FuzzAEDATDecoder(f *testing.F) {
+	for _, c := range oracleCases() {
+		for chunking := range readers {
+			f.Add(c.extra, c.pad, c.body, c.steps, uint8(chunking))
+		}
+	}
+	f.Add(int8(0), uint16(0), []byte("arbitrary bytes, mostly out of range"), []byte{1, 2, 3}, uint8(1))
+	f.Fuzz(func(t *testing.T, extra int8, pad uint16, body, steps []byte, chunking uint8) {
+		data, count := oracleData(extra, pad, body)
+		checkAgainstOracle(t, data, windowEnds(data[headerSize:], count, steps), readers[int(chunking)%len(readers)])
+	})
 }

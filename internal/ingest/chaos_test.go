@@ -115,7 +115,7 @@ func TestChaosKillResumeBitIdentical(t *testing.T) {
 			seed, len(inproc), len(wire))
 	}
 	st := srv.Source("cam0").SourceStats()
-	if st.Faults != 0 || st.DroppedEvents != 0 || st.SeqGaps != 0 {
+	if st.Faults != 0 || st.DroppedEvents != 0 || st.DupBatches != 0 || st.SeqGaps != 0 {
 		t.Fatalf("seed %d: chaos run must end lossless and fault-free: %+v", seed, st)
 	}
 	if st.Resumes == 0 || st.Epoch != int64(st.Resumes)+1 {

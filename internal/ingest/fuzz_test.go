@@ -20,8 +20,8 @@ func FuzzWireDecoder(f *testing.F) {
 
 	f.Add([]byte{})
 	f.Add(batch)
-	f.Add(batch[:len(batch)/2])               // torn frame
-	f.Add(appendEOFFrame(nil, 7))             // clean EOF frame
+	f.Add(batch[:len(batch)/2])                         // torn frame
+	f.Add(appendEOFFrame(nil, 7))                       // clean EOF frame
 	f.Add(append(append([]byte{}, batch...), batch...)) // two frames back to back
 	f.Add(hs)
 	f.Add(hs[:5])

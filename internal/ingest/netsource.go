@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -105,6 +106,8 @@ type NetSource struct {
 	// lastT is the last accepted event timestamp, for cross-batch order
 	// enforcement.
 	lastT int64
+	// epoch is the session epoch whose connection may offer batches.
+	epoch uint64
 
 	stats pipeline.SourceStats
 }
@@ -136,11 +139,17 @@ func (n *NetSource) setResumable(v bool) {
 	n.mu.Unlock()
 }
 
-// setEpoch publishes the session epoch.
-func (n *NetSource) setEpoch(e uint64) {
+// claim hands the stream to the connection of session epoch e and returns
+// the resume point: the highest accepted sequence number. Both happen under
+// one lock, so a superseded connection's frame loop can no longer offer a
+// batch it decoded before the takeover; the client replays it instead, and
+// nothing is delivered twice.
+func (n *NetSource) claim(e uint64) uint64 {
 	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.epoch = e
 	n.stats.Epoch = int64(e)
-	n.mu.Unlock()
+	return n.lastSeq
 }
 
 // noteResume counts one accepted session resume.
@@ -170,18 +179,26 @@ func (n *NetSource) primeSeq(seq uint64) {
 	n.mu.Unlock()
 }
 
-// offer hands one decoded batch to the stream. It enforces the sequence
-// discipline (duplicates and reordered batches are dropped and counted,
-// gaps are counted) and cross-batch timestamp order, then queues the
-// batch under the configured policy. Block policy blocks the caller —
-// that is the backpressure path. The returned error is a protocol
-// violation the caller should treat as a stream fault; offer on a closed
-// source returns io.ErrClosedPipe.
-func (n *NetSource) offer(seq uint64, evs []events.Event) error {
+// errSuperseded is offer's refusal of a batch from a connection whose
+// session a resume has taken over.
+var errSuperseded = errors.New("ingest: connection superseded by a resumed session")
+
+// offer hands one decoded batch from the connection of session epoch to
+// the stream. It enforces the sequence discipline (duplicates and
+// reordered batches are dropped and counted, gaps are counted) and
+// cross-batch timestamp order, then queues the batch under the configured
+// policy. Block policy blocks the caller — that is the backpressure path.
+// The returned error is a protocol violation the caller should treat as a
+// stream fault; offer on a closed source returns io.ErrClosedPipe, and
+// from a superseded epoch errSuperseded.
+func (n *NetSource) offer(epoch, seq uint64, evs []events.Event) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
 		return io.ErrClosedPipe
+	}
+	if epoch != n.epoch {
+		return errSuperseded
 	}
 	if seq <= n.lastSeq {
 		// Duplicate or reordered batch: already delivered (or superseded)

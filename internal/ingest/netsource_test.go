@@ -28,7 +28,7 @@ func TestNetSourceDeliversInOrder(t *testing.T) {
 	// Push as three batches of 100, cut at awkward offsets vs the 77us
 	// consumer windows.
 	for i := 0; i < 3; i++ {
-		if err := src.offer(uint64(i+1), want[i*100:(i+1)*100]); err != nil {
+		if err := src.offer(0, uint64(i+1), want[i*100:(i+1)*100]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,7 +61,7 @@ func TestNetSourceBlockPolicyLosesNothing(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < batches; i++ {
 			evs := testEvents(50, int64(i*1000))
-			if err := src.offer(uint64(i+1), evs); err != nil {
+			if err := src.offer(0, uint64(i+1), evs); err != nil {
 				producerErr = err
 				return
 			}
@@ -90,7 +90,7 @@ func TestNetSourceDropOldest(t *testing.T) {
 	// Four batches into a depth-2 queue with no consumer: batches 1 and 2
 	// must be evicted, 3 and 4 survive.
 	for i := 0; i < 4; i++ {
-		if err := src.offer(uint64(i+1), testEvents(10, int64(i*1000))); err != nil {
+		if err := src.offer(0, uint64(i+1), testEvents(10, int64(i*1000))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,7 +114,7 @@ func TestNetSourceDropOldest(t *testing.T) {
 func TestNetSourceDropNewest(t *testing.T) {
 	src := NewNetSource(NetSourceConfig{QueueBatches: 2, Policy: DropNewest})
 	for i := 0; i < 4; i++ {
-		if err := src.offer(uint64(i+1), testEvents(10, int64(i*1000))); err != nil {
+		if err := src.offer(0, uint64(i+1), testEvents(10, int64(i*1000))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,19 +137,19 @@ func TestNetSourceDropNewest(t *testing.T) {
 
 func TestNetSourceSeqDiscipline(t *testing.T) {
 	src := NewNetSource(NetSourceConfig{})
-	if err := src.offer(1, testEvents(5, 0)); err != nil {
+	if err := src.offer(0, 1, testEvents(5, 0)); err != nil {
 		t.Fatal(err)
 	}
 	// Exact duplicate of batch 1.
-	if err := src.offer(1, testEvents(5, 0)); err != nil {
+	if err := src.offer(0, 1, testEvents(5, 0)); err != nil {
 		t.Fatal(err)
 	}
 	// Gap: 2 and 3 never arrive.
-	if err := src.offer(4, testEvents(5, 100)); err != nil {
+	if err := src.offer(0, 4, testEvents(5, 100)); err != nil {
 		t.Fatal(err)
 	}
 	// Reordered: an old sequence number after a newer one.
-	if err := src.offer(2, testEvents(5, 50)); err != nil {
+	if err := src.offer(0, 2, testEvents(5, 50)); err != nil {
 		t.Fatal(err)
 	}
 	src.finish()
@@ -172,12 +172,45 @@ func TestNetSourceSeqDiscipline(t *testing.T) {
 	}
 }
 
-func TestNetSourceHeartbeat(t *testing.T) {
+// A resume takes the stream over at the high-water mark claim returns; a
+// batch the superseded connection decodes afterwards is refused uncounted,
+// so the replayed copy is the only one delivered.
+func TestNetSourceClaimFencesSupersededEpoch(t *testing.T) {
 	src := NewNetSource(NetSourceConfig{})
-	if err := src.offer(1, nil); err != nil {
+	if from := src.claim(1); from != 0 {
+		t.Fatalf("first claim resumes from %d, want 0", from)
+	}
+	if err := src.offer(1, 1, testEvents(5, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := src.offer(2, testEvents(3, 0)); err != nil {
+	if from := src.claim(2); from != 1 {
+		t.Fatalf("takeover resumes from %d, want 1", from)
+	}
+	if err := src.offer(1, 2, testEvents(5, 100)); !errors.Is(err, errSuperseded) {
+		t.Fatalf("offer from the superseded epoch: err = %v, want errSuperseded", err)
+	}
+	if err := src.offer(2, 2, testEvents(5, 100)); err != nil {
+		t.Fatal(err)
+	}
+	src.finish()
+	got, err := drain(src, 1000)
+	if err != io.EOF {
+		t.Fatal(err)
+	}
+	if len(got) != 10 {
+		t.Fatalf("delivered %d events, want 10", len(got))
+	}
+	if st := src.SourceStats(); st.DupBatches != 0 || st.DroppedEvents != 0 || st.Epoch != 2 {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
+func TestNetSourceHeartbeat(t *testing.T) {
+	src := NewNetSource(NetSourceConfig{})
+	if err := src.offer(0, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.offer(0, 2, testEvents(3, 0)); err != nil {
 		t.Fatal(err)
 	}
 	src.finish()
@@ -193,10 +226,10 @@ func TestNetSourceHeartbeat(t *testing.T) {
 
 func TestNetSourceRejectsTimeRegression(t *testing.T) {
 	src := NewNetSource(NetSourceConfig{})
-	if err := src.offer(1, testEvents(5, 1000)); err != nil {
+	if err := src.offer(0, 1, testEvents(5, 1000)); err != nil {
 		t.Fatal(err)
 	}
-	err := src.offer(2, testEvents(5, 0))
+	err := src.offer(0, 2, testEvents(5, 0))
 	if !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("time-regressing batch: got %v, want ErrBadFrame", err)
 	}
@@ -205,14 +238,14 @@ func TestNetSourceRejectsTimeRegression(t *testing.T) {
 func TestNetSourceOfferAfterClose(t *testing.T) {
 	src := NewNetSource(NetSourceConfig{})
 	src.finish()
-	if err := src.offer(1, testEvents(1, 0)); err != io.ErrClosedPipe {
+	if err := src.offer(0, 1, testEvents(1, 0)); err != io.ErrClosedPipe {
 		t.Fatalf("offer after close: got %v, want io.ErrClosedPipe", err)
 	}
 }
 
 func TestNetSourceFaultTolerantByDefault(t *testing.T) {
 	src := NewNetSource(NetSourceConfig{})
-	if err := src.offer(1, testEvents(5, 0)); err != nil {
+	if err := src.offer(0, 1, testEvents(5, 0)); err != nil {
 		t.Fatal(err)
 	}
 	src.fail(io.ErrUnexpectedEOF)
@@ -236,7 +269,7 @@ func TestNetSourceFaultTolerantByDefault(t *testing.T) {
 
 func TestNetSourceFailFastSurfacesFault(t *testing.T) {
 	src := NewNetSource(NetSourceConfig{FailFast: true})
-	if err := src.offer(1, testEvents(5, 0)); err != nil {
+	if err := src.offer(0, 1, testEvents(5, 0)); err != nil {
 		t.Fatal(err)
 	}
 	src.fail(io.ErrUnexpectedEOF)

@@ -309,7 +309,7 @@ func (s *Server) claim(hello Hello, conn net.Conn) (*session, helloReply, uint8)
 	// The resume point is the server's high-water mark, floored by what
 	// the client has already seen acknowledged (a fresh server must not
 	// make a long-lived client replay its whole ring into a new run).
-	resumeFrom := sess.src.LastSeq()
+	resumeFrom := sess.src.claim(sess.epoch)
 	if hello.LastAck > resumeFrom {
 		resumeFrom = hello.LastAck
 		sess.src.primeSeq(resumeFrom)
@@ -414,7 +414,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	} else {
 		s.logf("ingest: %s: stream %q connected", conn.RemoteAddr(), hello.StreamID)
 	}
-	src.setEpoch(rep.Epoch)
 	src.setResumable(false)
 	src.setConnected(true)
 
@@ -459,10 +458,17 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.release(sess, conn, fmt.Errorf("ingest: stream %q: %w", hello.StreamID, err), v2)
 			s.logf("ingest: stream %q: %v", hello.StreamID, err)
 			return
-		default:
+		case errors.Is(err, ErrBadFrame), errors.Is(err, ErrFrameTooBig):
 			// Protocol violations are sender bugs; resuming would replay
 			// the same garbage, so the fault commits immediately.
 			s.release(sess, conn, fmt.Errorf("ingest: stream %q: %w", hello.StreamID, err), false)
+			s.logf("ingest: stream %q: %v", hello.StreamID, err)
+			return
+		default:
+			// A transport failure, such as a connection reset when the
+			// sensor closed its end with an ACK unread: a disconnect, so a
+			// v2 sensor may resume.
+			s.release(sess, conn, fmt.Errorf("ingest: stream %q: %w", hello.StreamID, err), v2)
 			s.logf("ingest: stream %q: %v", hello.StreamID, err)
 			return
 		}
@@ -483,8 +489,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.logf("ingest: stream %q: %v", hello.StreamID, err)
 			return
 		}
-		if err := src.offer(f.seq, f.evs); err != nil {
-			if !errors.Is(err, io.ErrClosedPipe) {
+		if err := src.offer(rep.Epoch, f.seq, f.evs); err != nil {
+			if !errors.Is(err, io.ErrClosedPipe) && !errors.Is(err, errSuperseded) {
 				s.release(sess, conn, err, false)
 			}
 			s.logf("ingest: stream %q: %v", hello.StreamID, err)

@@ -69,7 +69,7 @@ func trackDirect(t *testing.T, evs []events.Event) [][]geometry.Box {
 }
 
 // trackViaAEDAT serialises the stream to the AEDAT container and replays it
-// through the streaming reader's NextWindow, as cmd/ebbiot-run does.
+// through the streaming reader's NextWindowInto, as cmd/ebbiot-run does.
 func trackViaAEDAT(t *testing.T, evs []events.Event) [][]geometry.Box {
 	t.Helper()
 	var buf bytes.Buffer
@@ -88,7 +88,7 @@ func trackViaAEDAT(t *testing.T, evs []events.Event) [][]geometry.Box {
 	frame := 0
 	for {
 		end := int64(frame+1) * frameUS
-		wevs, werr := r.NextWindow(end)
+		wevs, werr := r.NextWindowInto(nil, end)
 		boxes, perr := sys.ProcessWindow(wevs)
 		if perr != nil {
 			t.Fatal(perr)

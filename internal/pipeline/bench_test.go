@@ -66,7 +66,7 @@ func BenchmarkWindowLoop_Naive(b *testing.B) {
 		windows = 0
 		for frame := 0; ; frame++ {
 			end := int64(frame+1) * 66_000
-			evs, werr := r.NextWindow(end)
+			evs, werr := r.NextWindowInto(nil, end)
 			boxes, perr := sys.ProcessWindow(evs)
 			if perr != nil {
 				b.Fatal(perr)
