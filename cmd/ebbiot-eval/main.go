@@ -4,14 +4,11 @@
 //
 // The 3 systems x 2 recordings grid is sharded across pipeline workers;
 // scores are identical for any -workers value. The EBBI-based systems run
-// the packed word-parallel frame kernels; -reference selects the
-// byte-per-pixel cost-model path instead — the scores are bit-identical
-// either way, so the flag exists for timing comparisons and for
-// distrust-but-verify reruns of the fast path.
+// the packed word-parallel frame kernels.
 //
 // Usage:
 //
-//	ebbiot-eval [-seconds 25] [-seed 11] [-workers 0] [-reference]
+//	ebbiot-eval [-seconds 25] [-seed 11] [-workers 0]
 package main
 
 import (
@@ -38,7 +35,6 @@ func run() error {
 	seconds := flag.Float64("seconds", 25, "replica length per recording in seconds")
 	seed := flag.Uint64("seed", 11, "generator seed")
 	workers := flag.Int("workers", 0, "worker goroutines sharding the system x recording grid (0 = one per CPU)")
-	reference := flag.Bool("reference", false, "use the byte-per-pixel reference frame chain instead of the packed word-parallel fast path")
 	flag.Parse()
 	if *seconds <= 0 {
 		return fmt.Errorf("-seconds must be positive")
@@ -47,14 +43,11 @@ func run() error {
 	mask := roe.New(dataset.TreeROEENG())
 	factories := map[string]eval.SystemFactory{
 		"EBBIOT": func() (core.System, error) {
-			cfg := core.DefaultConfig().WithROE(mask)
-			cfg.Reference = *reference
-			return core.NewEBBIOT(cfg)
+			return core.NewEBBIOT(core.DefaultConfig().WithROE(mask))
 		},
 		"EBBI+KF": func() (core.System, error) {
 			cfg := core.DefaultKFConfig()
 			cfg.ROE = mask
-			cfg.Reference = *reference
 			return core.NewEBBIKF(cfg)
 		},
 		"EBMS": func() (core.System, error) {

@@ -33,11 +33,10 @@
 // size and age, expiring whole old segments into tamper-evident manifest
 // tombstones (see docs/STORE.md).
 //
-// The EBBI-based systems run the packed word-parallel frame kernels by
-// default; -reference selects the byte-per-pixel cost-model path instead
-// (identical tracking output, slower). The summary includes a per-stage
-// timing breakdown (ebbi / filter / rpn / track / sink) so kernel
-// before/after numbers are visible straight from the CLI.
+// The EBBI-based systems run the packed word-parallel frame kernels. The
+// summary includes a per-stage timing breakdown (ebbi / filter / rpn /
+// track / sink) so kernel before/after numbers are visible straight from
+// the CLI.
 //
 // Two window-loop knobs ride on top: -skip-threshold arms the near-empty
 // window fast path (windows with fewer in-array events bypass the median /
@@ -75,7 +74,7 @@
 //	           [-sensors N] [-workers M] [-stats stats.csv] [-json]
 //	           [-store dir] [-store-segment-mb 64] [-store-sync 0]
 //	           [-store-retain-mb 0] [-store-retain-age-h 0]
-//	           [-http :8080] [-pace] [-speed 1.0] [-reference]
+//	           [-http :8080] [-pace] [-speed 1.0]
 //	           [-batch 1] [-skip-threshold -1]
 //	           [-ingest-token T] [-ingest-queue 64] [-ingest-policy block]
 //	           [-ingest-idle-ms 30000] [-ingest-failfast]
@@ -116,19 +115,13 @@ func main() {
 
 // newSystem builds one fresh pipeline instance (each sensor stream needs its
 // own: systems are stateful) from the live parameter set, so the /params
-// endpoint reports exactly what the systems run. reference selects the
-// byte-per-pixel frame chain for the EBBI-based systems instead of the
-// packed fast path.
-func newSystem(name string, res events.Resolution, reference bool, ps control.ParamSet) (core.System, error) {
+// endpoint reports exactly what the systems run.
+func newSystem(name string, res events.Resolution, ps control.ParamSet) (core.System, error) {
 	switch strings.ToUpper(name) {
 	case "EBBIOT":
-		cfg := ps.Apply(core.DefaultConfig())
-		cfg.Reference = reference
-		return core.NewEBBIOT(cfg)
+		return core.NewEBBIOT(ps.Apply(core.DefaultConfig()))
 	case "KF", "EBBI+KF":
-		cfg := ps.ApplyKF(core.DefaultKFConfig())
-		cfg.Reference = reference
-		return core.NewEBBIKF(cfg)
+		return core.NewEBBIKF(ps.ApplyKF(core.DefaultKFConfig()))
 	case "EBMS":
 		cfg := core.DefaultEBMSConfig()
 		cfg.Res = res
@@ -178,7 +171,6 @@ func run() error {
 	httpAddr := flag.String("http", "", "serve the control plane (healthz/stats/streams/params/metrics) on this address")
 	pace := flag.Bool("pace", false, "release windows at recorded wall-clock speed instead of as fast as possible")
 	speed := flag.Float64("speed", 1.0, "pacing speed multiplier with -pace (1 = recorded speed)")
-	reference := flag.Bool("reference", false, "use the byte-per-pixel reference frame chain instead of the packed word-parallel fast path")
 	batch := flag.Int("batch", 1, "windows pulled and processed per stream iteration; >1 amortizes per-window dispatch but coarsens live retunes and snapshot latency to batch boundaries")
 	skipThresh := flag.Int("skip-threshold", -1, "skip windows with fewer in-array events than this (0 disables, -1 keeps the lossless default floor(p^2/2)+1)")
 	listen := flag.String("listen", "", "ingest server mode: accept framed-TCP sensor connections on this address instead of reading -in/-scene")
@@ -341,7 +333,7 @@ func run() error {
 		}
 	}
 	for i := range streams {
-		sys, err := newSystem(*sysName, res, *reference, ps)
+		sys, err := newSystem(*sysName, res, ps)
 		if err != nil {
 			return err
 		}
@@ -479,12 +471,8 @@ func run() error {
 		if stats.Windows > 0 {
 			sinkUS = float64(stats.SinkTime.Microseconds()) / float64(stats.Windows)
 		}
-		path := "packed"
-		if *reference {
-			path = "reference"
-		}
-		fmt.Fprintf(os.Stderr, "stage breakdown (%s path, batch %d, mean µs/window over %d windows): ebbi %.1f, filter %.1f, rpn %.1f, track %.1f, sink %.1f, skipped %d (%.1f%%), active px %.1f%%\n",
-			path, *batch, agg.Windows, perUS(agg.EBBI), perUS(agg.Filter), perUS(agg.RPN), perUS(agg.Track), sinkUS,
+		fmt.Fprintf(os.Stderr, "stage breakdown (batch %d, mean µs/window over %d windows): ebbi %.1f, filter %.1f, rpn %.1f, track %.1f, sink %.1f, skipped %d (%.1f%%), active px %.1f%%\n",
+			*batch, agg.Windows, perUS(agg.EBBI), perUS(agg.Filter), perUS(agg.RPN), perUS(agg.Track), sinkUS,
 			agg.Skipped, 100*float64(agg.Skipped)/float64(agg.Windows),
 			100*agg.MeanActiveFraction())
 	}
@@ -498,8 +486,8 @@ func run() error {
 					continue
 				}
 				src := ss.Source
-				line := fmt.Sprintf("ingest %s: accepted %d batches / %d events; dropped %d batches / %d events; dup %d, gaps %d, faults %d",
-					ss.Name, src.Batches, src.Events, src.DroppedBatches, src.DroppedEvents, src.DupBatches, src.SeqGaps, src.Faults)
+				line := fmt.Sprintf("ingest %s: accepted %d batches / %d events; dropped %d batches / %d events; dup %d batches / %d events; gaps %d, faults %d",
+					ss.Name, src.Batches, src.Events, src.DroppedBatches, src.DroppedEvents, src.DupBatches, src.DupEvents, src.SeqGaps, src.Faults)
 				if src.LastError != "" {
 					line += " (last: " + src.LastError + ")"
 				}

@@ -317,10 +317,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		func(ss pipeline.StreamSnapshot) string { return strconv.FormatInt(src(ss).Events, 10) })
 	emit("ebbiot_ingest_dropped_batches_total", "Batches shed by the queue drop policy per stream.", "counter",
 		func(ss pipeline.StreamSnapshot) string { return strconv.FormatInt(src(ss).DroppedBatches, 10) })
-	emit("ebbiot_ingest_dropped_events_total", "Events shed by the drop policy or duplicate batches per stream.", "counter",
+	emit("ebbiot_ingest_dropped_events_total", "Events shed by the queue drop policy per stream.", "counter",
 		func(ss pipeline.StreamSnapshot) string { return strconv.FormatInt(src(ss).DroppedEvents, 10) })
 	emit("ebbiot_ingest_dup_batches_total", "Duplicate/reordered batches rejected per stream.", "counter",
 		func(ss pipeline.StreamSnapshot) string { return strconv.FormatInt(src(ss).DupBatches, 10) })
+	emit("ebbiot_ingest_dup_events_total", "Events of duplicate/reordered batches rejected per stream.", "counter",
+		func(ss pipeline.StreamSnapshot) string { return strconv.FormatInt(src(ss).DupEvents, 10) })
 	emit("ebbiot_ingest_seq_gaps_total", "Skipped batch sequence numbers per stream.", "counter",
 		func(ss pipeline.StreamSnapshot) string { return strconv.FormatInt(src(ss).SeqGaps, 10) })
 	emit("ebbiot_ingest_queued_batches", "Batches waiting in the stream's ingest queue.", "gauge",

@@ -12,14 +12,13 @@
 // III-B). EBMS processes events within the window event-by-event — its
 // per-event nature is preserved; only the reporting is frame-aligned.
 //
-// The EBBI-based systems run their frame chain in one of two
-// representations. The default is the packed fast path: events accumulate
+// The EBBI-based systems run one packed frame chain: events accumulate
 // straight into a 64-pixel-per-word EBBI and the median, histograms and
 // validity checks are word-parallel popcount kernels (imgproc.PackedBitmap),
-// with no byte-per-pixel frame ever materialized. Setting Reference selects
-// the byte-per-pixel path instead, which matches the paper's cost-model
-// accounting (Eq. 1) and serves as the differential-test oracle; the two
-// paths are bit-identical by construction and by test.
+// with no byte-per-pixel frame ever materialized. The byte-per-pixel
+// kernels, which match the paper's cost-model accounting (Eq. 1), are not
+// selectable at runtime: this package's tests run them as the oracle the
+// packed chain is held bit-identical to.
 package core
 
 import (
@@ -93,9 +92,7 @@ type StageTimings struct {
 	// ActiveWords and FrameWords accumulate, per window, how much of the
 	// packed frame the active region marked dirty versus the frame's total
 	// word count. Their ratio is the mean active-pixel fraction — the
-	// sparsity the activity-bounded kernels exploit. On the byte reference
-	// path (which has no region tracking) every window counts as fully
-	// active.
+	// sparsity the activity-bounded kernels exploit.
 	ActiveWords int64
 	FrameWords  int64
 }
@@ -135,10 +132,6 @@ type Config struct {
 	EBBI    ebbi.Config
 	RPN     rpn.Config
 	Tracker tracker.Config
-	// Reference selects the byte-per-pixel frame chain — the paper's
-	// cost-model accounting path — instead of the packed word-parallel
-	// fast path. Tracking output is bit-identical either way.
-	Reference bool
 	// SkipEventsBelow enables the near-empty window fast path: a window
 	// whose in-array event count is below this threshold bypasses the
 	// median / downsample / proposal stages entirely and reports no
@@ -146,9 +139,7 @@ type Config struct {
 	// disables. Thresholds up to LosslessSkipThreshold(MedianP) are
 	// provably lossless — the skipped stages could not have produced any
 	// proposal — while larger values trade recall on faint objects for
-	// per-window cost. The decision uses the same count on both frame
-	// representations, so the packed/byte differential contract holds at
-	// any threshold.
+	// per-window cost.
 	SkipEventsBelow int
 }
 
@@ -159,10 +150,9 @@ type Config struct {
 // empty regardless.
 func LosslessSkipThreshold(p int) int { return (p*p)/2 + 1 }
 
-// DefaultConfig returns the paper's full parameter set on the packed fast
-// path. The near-empty fast path is on at its lossless threshold for the
-// default patch size; callers lowering MedianP below the default should
-// re-derive SkipEventsBelow.
+// DefaultConfig returns the paper's full parameter set. The near-empty fast
+// path is on at its lossless threshold for the default patch size; callers
+// lowering MedianP below the default should re-derive SkipEventsBelow.
 func DefaultConfig() Config {
 	e := ebbi.DefaultConfig()
 	return Config{
@@ -180,11 +170,9 @@ func (c Config) WithROE(mask *roe.Mask) Config {
 }
 
 // frontend is the EBBI + RPN front end shared by the EBBIOT and EBBI+KF
-// systems, in either frame representation. Exactly one of builder/pbuilder
-// is non-nil.
+// systems.
 type frontend struct {
-	builder  *ebbi.Builder       // reference byte-per-pixel path
-	pbuilder *ebbi.PackedBuilder // packed word-parallel fast path
+	builder  *ebbi.PackedBuilder
 	proposer *rpn.Proposer
 	mask     *roe.Mask
 	// skipBelow is the near-empty window threshold (0 = disabled); see
@@ -192,17 +180,16 @@ type frontend struct {
 	skipBelow int
 	timings   StageTimings
 
-	// lastFrame / lastPacked retain the most recent frame for
-	// visualisation; valid when lastValid.
-	lastFrame  ebbi.Frame
-	lastPacked ebbi.PackedFrame
-	lastValid  bool
-	// rawScratch/filtScratch hold the lazily unpacked byte frames handed
-	// out by frame() on the fast path.
+	// lastPacked retains the most recent frame for visualisation; valid
+	// when lastValid. lastFrame and rawScratch/filtScratch hold its byte
+	// form, unpacked on demand by frame().
+	lastPacked              ebbi.PackedFrame
+	lastValid               bool
+	lastFrame               ebbi.Frame
 	rawScratch, filtScratch *imgproc.Bitmap
 }
 
-func newFrontend(ecfg ebbi.Config, rcfg rpn.Config, mask *roe.Mask, reference bool, skipBelow int) (*frontend, error) {
+func newFrontend(ecfg ebbi.Config, rcfg rpn.Config, mask *roe.Mask, skipBelow int) (*frontend, error) {
 	if skipBelow < 0 {
 		return nil, fmt.Errorf("core: skip-events-below must be non-negative, got %d", skipBelow)
 	}
@@ -210,16 +197,11 @@ func newFrontend(ecfg ebbi.Config, rcfg rpn.Config, mask *roe.Mask, reference bo
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	f := &frontend{proposer: p, mask: mask, skipBelow: skipBelow}
-	if reference {
-		f.builder, err = ebbi.NewBuilder(ecfg)
-	} else {
-		f.pbuilder, err = ebbi.NewPackedBuilder(ecfg)
-	}
+	b, err := ebbi.NewPackedBuilder(ecfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return f, nil
+	return &frontend{builder: b, proposer: p, mask: mask, skipBelow: skipBelow}, nil
 }
 
 // process runs accumulate + filter + mask + propose for one window,
@@ -227,80 +209,43 @@ func newFrontend(ecfg ebbi.Config, rcfg rpn.Config, mask *roe.Mask, reference bo
 // via trackTime.
 func (f *frontend) process(evs []events.Event) (rpn.Result, error) {
 	t0 := time.Now()
-	var res rpn.Result
-	if f.pbuilder != nil {
-		f.pbuilder.Accumulate(evs)
-		t1 := time.Now()
-		if f.skipBelow > 0 && f.pbuilder.Pending() < f.skipBelow {
-			// Near-empty window: drop the frame without filtering. The
-			// window still counts (and the caller still steps the
-			// tracker); the activity accounting only covers processed
-			// windows. The skip decision reads the same in-array count as
-			// the byte path below, keeping the representations aligned.
-			f.pbuilder.SkipWindow()
-			f.timings.EBBI += t1.Sub(t0)
-			f.timings.Windows++
-			f.timings.Skipped++
-			return rpn.Result{}, nil
-		}
-		frame, err := f.pbuilder.Finish()
-		if err != nil {
-			return rpn.Result{}, fmt.Errorf("core: ebbi: %w", err)
-		}
-		t2 := time.Now()
-		// Exclusion zones are blanked in the image before region proposal:
-		// the histograms project over full rows/columns, so distractor
-		// pixels anywhere in a column would otherwise contaminate every
-		// proposal. The frame's active region bounds the masking and the
-		// RPN, so no stage rescans dead frame area.
-		if f.mask != nil {
-			f.mask.MaskPackedRegion(frame.Filtered, frame.Active)
-		}
-		res, err = f.proposer.ProposePackedRegion(frame.Filtered, frame.Active)
-		if err != nil {
-			return rpn.Result{}, fmt.Errorf("core: rpn: %w", err)
-		}
-		t3 := time.Now()
-		f.lastPacked = frame
+	f.builder.Accumulate(evs)
+	t1 := time.Now()
+	if f.skipBelow > 0 && f.builder.Pending() < f.skipBelow {
+		// Near-empty window: drop the frame without filtering. The window
+		// still counts (and the caller still steps the tracker); the
+		// activity accounting only covers processed windows.
+		f.builder.SkipWindow()
 		f.timings.EBBI += t1.Sub(t0)
-		f.timings.Filter += t2.Sub(t1)
-		f.timings.RPN += t3.Sub(t2)
-		f.timings.ActiveWords += int64(frame.Active.CoverageWords())
-		f.timings.FrameWords += int64(frame.Active.FrameWords())
-	} else {
-		f.builder.Accumulate(evs)
-		t1 := time.Now()
-		if f.skipBelow > 0 && f.builder.Pending() < f.skipBelow {
-			f.builder.SkipWindow()
-			f.timings.EBBI += t1.Sub(t0)
-			f.timings.Windows++
-			f.timings.Skipped++
-			return rpn.Result{}, nil
-		}
-		frame, err := f.builder.Finish()
-		if err != nil {
-			return rpn.Result{}, fmt.Errorf("core: ebbi: %w", err)
-		}
-		t2 := time.Now()
-		if f.mask != nil {
-			f.mask.MaskBitmap(frame.Filtered)
-		}
-		res, err = f.proposer.Propose(frame.Filtered)
-		if err != nil {
-			return rpn.Result{}, fmt.Errorf("core: rpn: %w", err)
-		}
-		t3 := time.Now()
-		f.lastFrame = frame
-		f.timings.EBBI += t1.Sub(t0)
-		f.timings.Filter += t2.Sub(t1)
-		f.timings.RPN += t3.Sub(t2)
-		// The byte path scans full frames; count it as fully active so the
-		// fraction stays comparable across representations.
-		words := int64((frame.Raw.W + 63) / 64 * frame.Raw.H)
-		f.timings.ActiveWords += words
-		f.timings.FrameWords += words
+		f.timings.Windows++
+		f.timings.Skipped++
+		return rpn.Result{}, nil
 	}
+	frame, err := f.builder.Finish()
+	if err != nil {
+		return rpn.Result{}, fmt.Errorf("core: ebbi: %w", err)
+	}
+	t2 := time.Now()
+	// Exclusion zones are blanked in the image before region proposal: the
+	// histograms project over full rows/columns, so distractor pixels
+	// anywhere in a column would otherwise contaminate every proposal. The
+	// frame's active region bounds the masking and the RPN, so no stage
+	// rescans dead frame area.
+	if f.mask != nil {
+		f.mask.MaskPackedRegion(frame.Filtered, frame.Active)
+	}
+	res, err := f.proposer.ProposePackedRegion(frame.Filtered, frame.Active)
+	if err != nil {
+		return rpn.Result{}, fmt.Errorf("core: rpn: %w", err)
+	}
+	t3 := time.Now()
+	f.lastPacked = frame
 	f.lastValid = true
+	f.timings.EBBI += t1.Sub(t0)
+	f.timings.Filter += t2.Sub(t1)
+	f.timings.RPN += t3.Sub(t2)
+	f.timings.ActiveWords += int64(frame.Active.CoverageWords())
+	f.timings.FrameWords += int64(frame.Active.FrameWords())
 	f.timings.Windows++
 	return res, nil
 }
@@ -308,12 +253,12 @@ func (f *frontend) process(evs []events.Event) (rpn.Result, error) {
 func (f *frontend) trackTime(d time.Duration) { f.timings.Track += d }
 
 // reconfigure rebuilds the front end in place for new parameters: the
-// builder is reconfigured (or swapped when the representation changes), the
-// proposer takes the new RPN config, and frame state resets — afterwards the
-// front end is indistinguishable from a freshly built one. Cumulative stage
-// timings deliberately survive so monitoring reads continuous totals across
-// reconfigurations. On error nothing is mutated.
-func (f *frontend) reconfigure(ecfg ebbi.Config, rcfg rpn.Config, mask *roe.Mask, reference bool, skipBelow int) error {
+// builder is reconfigured, the proposer takes the new RPN config, and frame
+// state resets — afterwards the front end is indistinguishable from a
+// freshly built one. Cumulative stage timings deliberately survive so
+// monitoring reads continuous totals across reconfigurations. On error
+// nothing is mutated.
+func (f *frontend) reconfigure(ecfg ebbi.Config, rcfg rpn.Config, mask *roe.Mask, skipBelow int) error {
 	if skipBelow < 0 {
 		return fmt.Errorf("core: skip-events-below must be non-negative, got %d", skipBelow)
 	}
@@ -323,33 +268,8 @@ func (f *frontend) reconfigure(ecfg ebbi.Config, rcfg rpn.Config, mask *roe.Mask
 	if err := rcfg.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	switch {
-	case reference && f.builder != nil:
-		if err := f.builder.Reconfigure(ecfg); err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-	case !reference && f.pbuilder != nil:
-		if err := f.pbuilder.Reconfigure(ecfg); err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-	case reference:
-		// Fast path -> reference: swap the builder representation.
-		b, err := ebbi.NewBuilder(ecfg)
-		if err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-		f.pbuilder.Release()
-		f.pbuilder = nil
-		f.builder = b
-	default:
-		// Reference -> fast path.
-		pb, err := ebbi.NewPackedBuilder(ecfg)
-		if err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-		f.builder.Release()
-		f.builder = nil
-		f.pbuilder = pb
+	if err := f.builder.Reconfigure(ecfg); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	if err := f.proposer.Reconfigure(rcfg); err != nil {
 		return fmt.Errorf("core: %w", err)
@@ -360,17 +280,13 @@ func (f *frontend) reconfigure(ecfg ebbi.Config, rcfg rpn.Config, mask *roe.Mask
 	return nil
 }
 
-// frame returns the most recent EBBI frame in byte form. On the reference
-// path it aliases the builder's double buffer directly; on the fast path the
-// packed frame is unpacked into scratch bitmaps on demand (visualisation is
-// off the hot path, so the conversion cost lands only on callers that ask).
-// Valid until the next process call; nil before the first window.
+// frame returns the most recent EBBI frame in byte form, unpacked into
+// scratch bitmaps on demand (visualisation is off the hot path, so the
+// conversion cost lands only on callers that ask). Valid until the next
+// process call; nil before the first window.
 func (f *frontend) frame() *ebbi.Frame {
 	if !f.lastValid {
 		return nil
-	}
-	if f.builder != nil {
-		return &f.lastFrame
 	}
 	pf := f.lastPacked
 	f.rawScratch = pf.Raw.Unpack(f.rawScratch)
@@ -391,10 +307,6 @@ func (f *frontend) close() {
 	if f.builder != nil {
 		f.builder.Release()
 		f.builder = nil
-	}
-	if f.pbuilder != nil {
-		f.pbuilder.Release()
-		f.pbuilder = nil
 	}
 	f.lastValid = false
 }
@@ -417,7 +329,7 @@ func NewEBBIOT(cfg Config) (*EBBIOT, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	front, err := newFrontend(cfg.EBBI, cfg.RPN, cfg.Tracker.ROE, cfg.Reference, cfg.SkipEventsBelow)
+	front, err := newFrontend(cfg.EBBI, cfg.RPN, cfg.Tracker.ROE, cfg.SkipEventsBelow)
 	if err != nil {
 		return nil, err
 	}
@@ -445,7 +357,7 @@ func (e *EBBIOT) ApplyParams(cfg Config) error {
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if err := e.front.reconfigure(cfg.EBBI, cfg.RPN, cfg.Tracker.ROE, cfg.Reference, cfg.SkipEventsBelow); err != nil {
+	if err := e.front.reconfigure(cfg.EBBI, cfg.RPN, cfg.Tracker.ROE, cfg.SkipEventsBelow); err != nil {
 		return err
 	}
 	e.tracker = tr
@@ -499,9 +411,9 @@ func (e *EBBIOT) Close() { e.front.close() }
 func (e *EBBIOT) Tracker() *tracker.Tracker { return e.tracker }
 
 // LastFrame returns the most recent EBBI frame in byte form (aliases
-// internal buffers; valid until the next ProcessWindow). On the packed fast
-// path the frame is unpacked on demand, so callers only pay for conversion
-// on the frames they actually inspect.
+// internal buffers; valid until the next ProcessWindow). The frame is
+// unpacked on demand, so callers only pay for conversion on the frames they
+// actually inspect.
 func (e *EBBIOT) LastFrame() *ebbi.Frame { return e.front.frame() }
 
 // LastRPN returns the most recent region-proposal result.
@@ -532,8 +444,6 @@ type KFConfig struct {
 	// comparison.
 	ROE         *roe.Mask
 	ROEMaxCover float64
-	// Reference selects the byte-per-pixel frame chain (see Config).
-	Reference bool
 	// SkipEventsBelow enables the near-empty window fast path (see
 	// Config.SkipEventsBelow).
 	SkipEventsBelow int
@@ -557,7 +467,7 @@ func NewEBBIKF(cfg KFConfig) (*EBBIKF, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	front, err := newFrontend(cfg.EBBI, cfg.RPN, cfg.ROE, cfg.Reference, cfg.SkipEventsBelow)
+	front, err := newFrontend(cfg.EBBI, cfg.RPN, cfg.ROE, cfg.SkipEventsBelow)
 	if err != nil {
 		return nil, err
 	}
@@ -579,7 +489,7 @@ func (e *EBBIKF) ApplyParams(cfg KFConfig) error {
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if err := e.front.reconfigure(cfg.EBBI, cfg.RPN, cfg.ROE, cfg.Reference, cfg.SkipEventsBelow); err != nil {
+	if err := e.front.reconfigure(cfg.EBBI, cfg.RPN, cfg.ROE, cfg.SkipEventsBelow); err != nil {
 		return err
 	}
 	e.tracker = tr

@@ -11,8 +11,8 @@ import (
 	"ebbiot/internal/sensor"
 )
 
-// runBoth replays the same simulated recording through a fast-path and a
-// reference-path system and returns the per-window box sequences.
+// runBoth replays the same simulated recording through a packed system and
+// its byte-per-pixel oracle and returns the per-window box sequences.
 func runBoth(t *testing.T, fast, ref System, sc *scene.Scene, seed uint64) (fastBoxes, refBoxes [][]geometry.Box) {
 	t.Helper()
 	cfg := sensor.DefaultConfig(seed)
@@ -42,22 +42,19 @@ func runBoth(t *testing.T, fast, ref System, sc *scene.Scene, seed uint64) (fast
 
 // TestEBBIOTPackedMatchesReference replays a two-object crossing scene (with
 // an ROE zone installed, so the packed masking path runs too) through the
-// default packed pipeline and the byte reference pipeline: every window's
+// default packed pipeline and the byte-per-pixel oracle: every window's
 // reported tracks must be identical, and so must the lazily unpacked frames.
 func TestEBBIOTPackedMatchesReference(t *testing.T) {
-	mask := roe.New(geometry.NewBox(0, 160, 60, 20))
-	fast, err := NewEBBIOT(DefaultConfig().WithROE(mask))
+	cfg := DefaultConfig().WithROE(roe.New(geometry.NewBox(0, 160, 60, 20)))
+	fast, err := NewEBBIOT(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fast.Close()
-	refCfg := DefaultConfig().WithROE(mask)
-	refCfg.Reference = true
-	ref, err := NewEBBIOT(refCfg)
+	ref, err := newEBBIOTOracle(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ref.Close()
 
 	sc := scene.CrossingScene(events.DAVIS240, 3_000_000)
 	fastBoxes, refBoxes := runBoth(t, fast, ref, sc, 21)
@@ -65,9 +62,9 @@ func TestEBBIOTPackedMatchesReference(t *testing.T) {
 		t.Fatalf("packed and reference EBBIOT diverged:\nfast %v\nref  %v", fastBoxes, refBoxes)
 	}
 
-	ff, rf := fast.LastFrame(), ref.LastFrame()
-	if ff == nil || rf == nil {
-		t.Fatal("LastFrame nil after processing")
+	ff, rf := fast.LastFrame(), &ref.frame
+	if ff == nil || !ref.framed {
+		t.Fatal("no frame after processing")
 	}
 	if ff.Index != rf.Index || ff.EventCount != rf.EventCount {
 		t.Fatalf("frame metadata mismatch: %d/%d vs %d/%d", ff.Index, ff.EventCount, rf.Index, rf.EventCount)
@@ -75,7 +72,7 @@ func TestEBBIOTPackedMatchesReference(t *testing.T) {
 	if !ff.Raw.Equal(rf.Raw) || !ff.Filtered.Equal(rf.Filtered) {
 		t.Fatal("unpacked LastFrame differs from reference frame")
 	}
-	if !reflect.DeepEqual(fast.LastRPN().Proposals, ref.LastRPN().Proposals) {
+	if !reflect.DeepEqual(fast.LastRPN().Proposals, ref.lastRPN.Proposals) {
 		t.Fatal("LastRPN proposals differ between paths")
 	}
 
@@ -86,20 +83,19 @@ func TestEBBIOTPackedMatchesReference(t *testing.T) {
 }
 
 // TestEBBIKFPackedMatchesReference does the same for the Kalman comparison
-// system.
+// system, with an ROE zone so its box filter runs too.
 func TestEBBIKFPackedMatchesReference(t *testing.T) {
-	fast, err := NewEBBIKF(DefaultKFConfig())
+	cfg := DefaultKFConfig()
+	cfg.ROE = roe.New(geometry.NewBox(0, 160, 60, 20))
+	fast, err := NewEBBIKF(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fast.Close()
-	refCfg := DefaultKFConfig()
-	refCfg.Reference = true
-	ref, err := NewEBBIKF(refCfg)
+	ref, err := newEBBIKFOracle(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ref.Close()
 
 	sc := scene.SingleObjectScene(events.DAVIS240, 2_000_000)
 	fastBoxes, refBoxes := runBoth(t, fast, ref, sc, 33)
@@ -112,22 +108,14 @@ func TestEBBIKFPackedMatchesReference(t *testing.T) {
 }
 
 // TestActiveFractionAccounting pins the sparsity stat the monitoring
-// surface reports: the packed path accumulates the active-region coverage
-// per window (well under full frame for a single-object scene), while the
-// byte reference path counts every window as fully dense.
+// surface reports: the frame chain accumulates the active-region coverage
+// per window, well under full frame for a single-object scene.
 func TestActiveFractionAccounting(t *testing.T) {
 	fast, err := NewEBBIOT(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fast.Close()
-	refCfg := DefaultConfig()
-	refCfg.Reference = true
-	ref, err := NewEBBIOT(refCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
 
 	// A localized object patch: deterministic, clearly sparse (scene-level
 	// noise would dirty most words and hide the fraction under test).
@@ -141,9 +129,6 @@ func TestActiveFractionAccounting(t *testing.T) {
 		if _, err := fast.ProcessWindow(evs); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ref.ProcessWindow(evs); err != nil {
-			t.Fatal(err)
-		}
 	}
 
 	ft := fast.StageTimings()
@@ -153,12 +138,8 @@ func TestActiveFractionAccounting(t *testing.T) {
 	if frac := ft.MeanActiveFraction(); frac <= 0 || frac >= 0.5 {
 		t.Fatalf("single-object scene active fraction = %.3f, want sparse (0, 0.5)", frac)
 	}
-	rt := ref.StageTimings()
-	if rt.MeanActiveFraction() != 1 {
-		t.Fatalf("reference path active fraction = %.3f, want 1", rt.MeanActiveFraction())
-	}
-	sum := ft.Add(rt)
-	if sum.ActiveWords != ft.ActiveWords+rt.ActiveWords || sum.FrameWords != ft.FrameWords+rt.FrameWords {
+	sum := ft.Add(ft)
+	if sum.ActiveWords != 2*ft.ActiveWords || sum.FrameWords != 2*ft.FrameWords {
 		t.Fatal("StageTimings.Add drops the coverage counters")
 	}
 }

@@ -80,8 +80,8 @@ func boxesEqual(a, b [][]geometry.Box) bool {
 // TestApplyParamsEquivalentToFreshRun is the control plane's core
 // guarantee: applying new parameters mid-run at a window boundary yields
 // bit-identical tracks to a brand-new system launched with those parameters
-// at the same boundary — across RPN retunes, a tF change, a median/geometry
-// change and a representation flip.
+// at the same boundary — across RPN retunes, a tF change and a
+// median/geometry change.
 func TestApplyParamsEquivalentToFreshRun(t *testing.T) {
 	const tF1 = 66_000
 	evs := sceneEvents(t, 4_000_000)
@@ -107,12 +107,6 @@ func TestApplyParamsEquivalentToFreshRun(t *testing.T) {
 			c := base
 			c.EBBI.MedianP = 5
 			c.RPN.S1, c.RPN.S2 = 8, 4
-			return c
-		}()},
-		{"representation-flip", func() Config {
-			c := base
-			c.Reference = true
-			c.RPN.Threshold = 2
 			return c
 		}()},
 	}

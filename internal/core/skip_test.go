@@ -51,48 +51,86 @@ func runWindows(t *testing.T, sys System, wins [][]events.Event) [][]geometry.Bo
 // lossless threshold, enabling window skipping changes nothing about the
 // reported tracks while actually skipping the near-empty windows.
 func TestSkipLosslessIdentical(t *testing.T) {
-	for _, reference := range []bool{false, true} {
-		cfg := DefaultConfig()
-		cfg.Reference = reference
-		cfg.SkipEventsBelow = LosslessSkipThreshold(cfg.EBBI.MedianP)
-		skipSys, err := NewEBBIOT(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer skipSys.Close()
-		cfg2 := cfg
-		cfg2.SkipEventsBelow = 0
-		plainSys, err := NewEBBIOT(cfg2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer plainSys.Close()
+	cfg := DefaultConfig()
+	cfg.SkipEventsBelow = LosslessSkipThreshold(cfg.EBBI.MedianP)
+	skipSys, err := NewEBBIOT(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer skipSys.Close()
+	cfg2 := cfg
+	cfg2.SkipEventsBelow = 0
+	plainSys, err := NewEBBIOT(cfg2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plainSys.Close()
 
-		wins := skipWindows(cfg.EBBI.FrameUS, 12, 4) // 4 strays < threshold 5
-		got := runWindows(t, skipSys, wins)
-		want := runWindows(t, plainSys, wins)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("reference=%v: skip-enabled boxes diverge: got %v want %v", reference, got, want)
+	wins := skipWindows(cfg.EBBI.FrameUS, 12, 4) // 4 strays < threshold 5
+	got := runWindows(t, skipSys, wins)
+	want := runWindows(t, plainSys, wins)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("skip-enabled boxes diverge: got %v want %v", got, want)
+	}
+	st := skipSys.StageTimings()
+	if st.Skipped != 6 {
+		t.Errorf("skipped = %d, want 6", st.Skipped)
+	}
+	if st.Windows != 12 {
+		t.Errorf("windows = %d, want 12", st.Windows)
+	}
+	if plain := plainSys.StageTimings(); plain.Skipped != 0 {
+		t.Errorf("plain system skipped %d windows", plain.Skipped)
+	}
+	if len(got[len(got)-1]) == 0 {
+		t.Error("expected a live track at the end")
+	}
+}
+
+// TestSkipLosslessBoundary pins the lossless threshold from both sides: a
+// window of exactly LosslessSkipThreshold(p) events packed into one p x p
+// patch sets the patch centre in the filtered frame, so it must not be
+// skipped; one event fewer can set no filtered pixel and is skipped.
+func TestSkipLosslessBoundary(t *testing.T) {
+	const x0, y0 = 100, 60
+	for _, p := range []int{3, 5} {
+		n := LosslessSkipThreshold(p)
+		patch := make([]events.Event, n)
+		for i := range patch {
+			patch[i] = events.Event{X: int16(x0 + i%p), Y: int16(y0 + i/p)}
 		}
-		st := skipSys.StageTimings()
-		if st.Skipped != 6 {
-			t.Errorf("reference=%v: skipped = %d, want 6", reference, st.Skipped)
+		cfg := DefaultConfig()
+		cfg.EBBI.MedianP = p
+		cfg.SkipEventsBelow = n
+		sys, err := NewEBBIOT(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if st.Windows != 12 {
-			t.Errorf("reference=%v: windows = %d, want 12", reference, st.Windows)
+		defer sys.Close()
+
+		if _, err := sys.ProcessWindow(patch); err != nil {
+			t.Fatal(err)
 		}
-		if plain := plainSys.StageTimings(); plain.Skipped != 0 {
-			t.Errorf("reference=%v: plain system skipped %d windows", reference, plain.Skipped)
+		if st := sys.StageTimings(); st.Skipped != 0 {
+			t.Fatalf("p=%d: window of %d events in one patch skipped", p, n)
 		}
-		if len(got[len(got)-1]) == 0 {
-			t.Errorf("reference=%v: expected a live track at the end", reference)
+		f := sys.LastFrame()
+		if f == nil || f.Filtered.Get(x0+p/2, y0+p/2) != 1 {
+			t.Fatalf("p=%d: patch centre not set in the filtered frame", p)
+		}
+		if _, err := sys.ProcessWindow(patch[:n-1]); err != nil {
+			t.Fatal(err)
+		}
+		if st := sys.StageTimings(); st.Skipped != 1 {
+			t.Fatalf("p=%d: window of %d events not skipped (skipped = %d)", p, n-1, st.Skipped)
 		}
 	}
 }
 
 // TestSkipLossyPathsAgree verifies the differential contract at a lossy
-// threshold: packed and byte paths must still report identical tracks,
-// because the skip decision reads the same in-array count on both.
+// threshold: the packed system and the byte-per-pixel oracle must still
+// report identical tracks, because the skip decision reads the same
+// in-array count on both.
 func TestSkipLossyPathsAgree(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SkipEventsBelow = 50 // above the lossless bound, drops faint windows
@@ -101,12 +139,10 @@ func TestSkipLossyPathsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fast.Close()
-	cfg.Reference = true
-	ref, err := NewEBBIOT(cfg)
+	ref, err := newEBBIOTOracle(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ref.Close()
 
 	wins := skipWindows(cfg.EBBI.FrameUS, 12, 30) // 30 strays: skipped only at 50
 	got := runWindows(t, fast, wins)
@@ -114,9 +150,9 @@ func TestSkipLossyPathsAgree(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("packed and reference diverge under lossy skip: got %v want %v", got, want)
 	}
-	if fast.StageTimings().Skipped != ref.StageTimings().Skipped {
+	if fast.StageTimings().Skipped != ref.skipped {
 		t.Errorf("skip counts diverge: packed %d reference %d",
-			fast.StageTimings().Skipped, ref.StageTimings().Skipped)
+			fast.StageTimings().Skipped, ref.skipped)
 	}
 	if fast.StageTimings().Skipped != 6 {
 		t.Errorf("skipped = %d, want 6", fast.StageTimings().Skipped)

@@ -64,9 +64,11 @@ type Frame struct {
 	EventCount int
 }
 
-// Builder accumulates events into frames. It owns a double buffer (raw +
-// filtered) that is reused across frames, so per-frame allocation is zero —
-// the embedded discipline the paper's memory model assumes.
+// Builder accumulates events into byte-per-pixel frames. It owns a double
+// buffer (raw + filtered) that is reused across frames, so per-frame
+// allocation is zero — the embedded discipline the paper's memory model
+// assumes. The runtime frame chain uses PackedBuilder; Builder is the
+// plain-loop oracle the packed chain is tested against.
 type Builder struct {
 	cfg      Config
 	raw      *imgproc.Bitmap
@@ -80,58 +82,20 @@ type Builder struct {
 	needsClear bool
 }
 
-// NewBuilder returns a Builder for the given configuration. The double
-// buffer comes from the shared bitmap pool, so sensor streams that build and
-// discard whole pipelines recycle their EBBI frames; call Release when the
-// builder is no longer needed.
+// NewBuilder returns a Builder for the given configuration.
 func NewBuilder(cfg Config) (*Builder, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return &Builder{
 		cfg:      cfg,
-		raw:      imgproc.GetBitmap(cfg.Res.A, cfg.Res.B),
-		filtered: imgproc.GetBitmap(cfg.Res.A, cfg.Res.B),
+		raw:      imgproc.NewBitmap(cfg.Res.A, cfg.Res.B),
+		filtered: imgproc.NewBitmap(cfg.Res.A, cfg.Res.B),
 	}, nil
-}
-
-// Release returns the builder's double buffer to the bitmap pool. The
-// builder — and any Frame it has returned, which aliases those buffers —
-// must not be used afterwards.
-func (b *Builder) Release() {
-	imgproc.PutBitmap(b.raw)
-	imgproc.PutBitmap(b.filtered)
-	b.raw, b.filtered = nil, nil
 }
 
 // Config returns the builder's configuration.
 func (b *Builder) Config() Config { return b.cfg }
-
-// Reconfigure rebuilds the builder in place for a new configuration — the
-// live-reconfiguration hook behind core's ApplyParams. The double buffer is
-// reused when the sensor resolution is unchanged (re-pooled otherwise) and
-// all accumulation state resets, so the builder afterwards is
-// indistinguishable from a fresh NewBuilder(cfg). On error the builder is
-// left untouched.
-func (b *Builder) Reconfigure(cfg Config) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if cfg.Res != b.cfg.Res {
-		imgproc.PutBitmap(b.raw)
-		imgproc.PutBitmap(b.filtered)
-		b.raw = imgproc.GetBitmap(cfg.Res.A, cfg.Res.B)
-		b.filtered = imgproc.GetBitmap(cfg.Res.A, cfg.Res.B)
-	} else {
-		b.raw.Clear()
-		b.filtered.Clear()
-	}
-	b.cfg = cfg
-	b.frameIdx = 0
-	b.count = 0
-	b.needsClear = false
-	return nil
-}
 
 // Accumulate latches a batch of events into the current frame. Events
 // outside the sensor array are ignored; polarity is ignored (the EBBI is
@@ -192,32 +156,6 @@ func (b *Builder) SkipWindow() {
 	b.frameIdx++
 	b.count = 0
 	b.needsClear = true
-}
-
-// BuildAll converts a sorted event stream into frames, invoking yield for
-// each. The frame passed to yield aliases internal buffers; copy if kept.
-// This is the whole-recording convenience path; streaming pipelines drive
-// Accumulate/Finish themselves.
-func BuildAll(cfg Config, evs []events.Event, yield func(Frame) error) error {
-	b, err := NewBuilder(cfg)
-	if err != nil {
-		return err
-	}
-	ws, err := events.Windows(evs, cfg.FrameUS)
-	if err != nil {
-		return err
-	}
-	for _, w := range ws {
-		b.Accumulate(w.Events)
-		f, err := b.Finish()
-		if err != nil {
-			return err
-		}
-		if err := yield(f); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // DutyCycle models the interrupt-driven operation of Fig. 2: the sensor is

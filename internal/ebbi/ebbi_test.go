@@ -125,46 +125,6 @@ func TestMedianFilterApplied(t *testing.T) {
 	}
 }
 
-func TestBuildAll(t *testing.T) {
-	evs := []events.Event{
-		{X: 1, Y: 1, T: 0, P: events.On},
-		{X: 2, Y: 2, T: 66_000, P: events.On},  // second frame
-		{X: 3, Y: 3, T: 150_000, P: events.On}, // third frame
-	}
-	var frames []int
-	var counts []int
-	err := BuildAll(DefaultConfig(), evs, func(f Frame) error {
-		frames = append(frames, f.Index)
-		counts = append(counts, f.EventCount)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frames) != 3 {
-		t.Fatalf("got %d frames, want 3", len(frames))
-	}
-	for i, idx := range frames {
-		if idx != i {
-			t.Errorf("frame %d has index %d", i, idx)
-		}
-	}
-	wantCounts := []int{1, 1, 1}
-	for i, c := range counts {
-		if c != wantCounts[i] {
-			t.Errorf("frame %d count = %d", i, c)
-		}
-	}
-}
-
-func TestBuildAllUnsorted(t *testing.T) {
-	evs := []events.Event{{T: 100}, {T: 50}}
-	err := BuildAll(DefaultConfig(), evs, func(Frame) error { return nil })
-	if err == nil {
-		t.Error("unsorted stream should error")
-	}
-}
-
 func TestDutyCycleAnalyze(t *testing.T) {
 	d := DutyCycle{FrameUS: 66_000, ActivePowerMW: 100, SleepPowerMW: 1}
 	// 6.6 ms active per 66 ms frame: 90% sleep.

@@ -87,12 +87,11 @@ func (b *PackedBuilder) Release() {
 // Config returns the builder's configuration.
 func (b *PackedBuilder) Config() Config { return b.cfg }
 
-// Reconfigure rebuilds the builder in place for a new configuration,
-// mirroring Builder.Reconfigure: the packed double buffer is reused when
-// the sensor resolution is unchanged, all accumulation state — including
-// the active-region tracking — resets, and the result is indistinguishable
-// from a fresh NewPackedBuilder(cfg). On error the builder is left
-// untouched.
+// Reconfigure rebuilds the builder in place for a new configuration: the
+// packed double buffer is reused when the sensor resolution is unchanged,
+// all accumulation state — including the active-region tracking — resets,
+// and the result is indistinguishable from a fresh NewPackedBuilder(cfg).
+// On error the builder is left untouched.
 func (b *PackedBuilder) Reconfigure(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err

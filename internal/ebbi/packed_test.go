@@ -17,7 +17,6 @@ func TestPackedBuilderParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ref.Release()
 	fast, err := NewPackedBuilder(cfg)
 	if err != nil {
 		t.Fatal(err)

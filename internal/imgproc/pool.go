@@ -2,38 +2,10 @@ package imgproc
 
 import "sync"
 
-// bitmapPool recycles Bitmap backing arrays across short-lived pipelines.
-// Streaming runners build and discard whole tracking systems per sensor
-// stream (and evaluation sweeps build one per recording); pooling their EBBI
-// double buffers keeps that churn off the garbage collector.
-var bitmapPool = sync.Pool{New: func() any { return new(Bitmap) }}
-
-// GetBitmap returns a cleared w x h bitmap, reusing a pooled backing array
-// when one of sufficient capacity is available. Release it with PutBitmap
-// once no references to it (or its Pix slice) remain.
-func GetBitmap(w, h int) *Bitmap {
-	b := bitmapPool.Get().(*Bitmap)
-	b.W, b.H = w, h
-	if cap(b.Pix) < w*h {
-		b.Pix = make([]uint8, w*h)
-		return b
-	}
-	b.Pix = b.Pix[:w*h]
-	b.Clear()
-	return b
-}
-
-// PutBitmap returns a bitmap to the pool. The caller must not use b (or
-// retain its Pix slice) afterwards.
-func PutBitmap(b *Bitmap) {
-	if b == nil {
-		return
-	}
-	bitmapPool.Put(b)
-}
-
-// packedPool recycles PackedBitmap backing arrays, mirroring bitmapPool for
-// the word-parallel fast path's EBBI double buffers.
+// packedPool recycles PackedBitmap backing arrays across short-lived
+// pipelines. Streaming runners build and discard whole tracking systems per
+// sensor stream (and evaluation sweeps build one per recording); pooling
+// their EBBI double buffers keeps that churn off the garbage collector.
 var packedPool = sync.Pool{New: func() any { return new(PackedBitmap) }}
 
 // GetPacked returns a cleared w x h packed bitmap, reusing a pooled backing

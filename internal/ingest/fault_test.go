@@ -247,8 +247,8 @@ func TestFaultDuplicateAndReorderedSeq(t *testing.T) {
 	if st.SeqGaps != 2 {
 		t.Fatalf("SeqGaps = %d, want 2", st.SeqGaps)
 	}
-	if st.Events != 20 || st.DroppedEvents != 20 {
-		t.Fatalf("accepted/dropped events: %+v", st)
+	if st.Events != 20 || st.DupEvents != 20 || st.DroppedEvents != 0 {
+		t.Fatalf("accepted/dup/dropped events: %+v", st)
 	}
 
 	total, runErr := runStreams(t, srv, []string{"cam0"})

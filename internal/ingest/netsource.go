@@ -204,7 +204,7 @@ func (n *NetSource) offer(epoch, seq uint64, evs []events.Event) error {
 		// Duplicate or reordered batch: already delivered (or superseded)
 		// territory. Dropping it keeps the consumed stream time-sorted.
 		n.stats.DupBatches++
-		n.stats.DroppedEvents += int64(len(evs))
+		n.stats.DupEvents += int64(len(evs))
 		return nil
 	}
 	if seq > n.lastSeq+1 {

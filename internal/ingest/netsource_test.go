@@ -167,8 +167,11 @@ func TestNetSourceSeqDiscipline(t *testing.T) {
 	if st.SeqGaps != 2 {
 		t.Fatalf("SeqGaps = %d, want 2", st.SeqGaps)
 	}
-	if st.DroppedEvents != 10 {
-		t.Fatalf("DroppedEvents = %d, want 10", st.DroppedEvents)
+	if st.DupEvents != 10 {
+		t.Fatalf("DupEvents = %d, want 10", st.DupEvents)
+	}
+	if st.DroppedEvents != 0 {
+		t.Fatalf("DroppedEvents = %d, want 0 (duplicates are not policy drops)", st.DroppedEvents)
 	}
 }
 

@@ -13,26 +13,28 @@ import (
 )
 
 // lockWindowUS is the frame window the behaviour lock cuts its recordings
-// into (the paper's tF).
-const lockWindowUS = 66_000
+// into (the paper's tF); a 10 s replica gives lockWindows whole windows.
+const (
+	lockWindowUS = 66_000
+	lockWindows  = 151
+)
 
 // lockRecordings are the behaviour lock's inputs: 10 s replicas of both
 // presets at the seeds ebbiot-eval uses by default. want holds the SHA-256
 // of each system's tracker output (see trackDigest), keyed by system name.
 var lockRecordings = []struct {
-	name    string
-	preset  dataset.Preset
-	fullS   float64 // full-length recording duration in seconds
-	seed    uint64
-	windows int
-	want    map[string]string
+	name   string
+	preset dataset.Preset
+	fullS  float64 // full-length recording duration in seconds
+	seed   uint64
+	want   map[string]string
 }{
-	{"ENG", dataset.ENG, 2998.4, 11, 151, map[string]string{
+	{"ENG", dataset.ENG, 2998.4, 11, map[string]string{
 		"EBBIOT":  "486ec0741ddc78aa58fa771634b681beff3e0b29f5fa49184768ae59d7f992cc",
 		"EBBI+KF": "a59c9f096b81800767ecd2d11579115f82d0a52c20521954a415b499b41c00f8",
 		"EBMS":    "6c9df7c420e7106aaa68c92915769680ec4a468e02eea889cedf0fa164359151",
 	}},
-	{"LT4", dataset.LT4, 999.5, 13, 151, map[string]string{
+	{"LT4", dataset.LT4, 999.5, 13, map[string]string{
 		"EBBIOT":  "463f604236b0addaef98a262bacf0eab90849fc337c4571938d0cec58ab23762",
 		"EBBI+KF": "88e3c3f1d8d864a52df34e74c7de085249fa6ce459f974ee118a9ef91faab2a2",
 		"EBMS":    "96e37d117ba3c8e00c5d6146f10dc67baf3264ad94c8fe44eca23f4242598fd0",
@@ -110,8 +112,8 @@ func TestBehaviourLock(t *testing.T) {
 	mask := roe.New(dataset.TreeROEENG())
 	for _, rec := range lockRecordings {
 		wins := lockInput(t, rec.preset, rec.fullS, rec.seed)
-		if len(wins) != rec.windows {
-			t.Fatalf("%s: %d windows, want %d", rec.name, len(wins), rec.windows)
+		if len(wins) != lockWindows {
+			t.Fatalf("%s: %d windows, want %d", rec.name, len(wins), lockWindows)
 		}
 		for _, s := range lockSystems {
 			t.Run(rec.name+"/"+s.name, func(t *testing.T) {

@@ -14,7 +14,7 @@
 //
 // The hot per-window path recycles buffers: window event slices come from a
 // sync.Pool shared across streams, and the Systems' EBBI frames are pooled
-// underneath (see ebbi.NewBuilder). Snapshots deep-copy the reported track
+// underneath (see ebbi.NewPackedBuilder). Snapshots deep-copy the reported track
 // boxes at the window boundary, so sinks may retain them indefinitely while
 // workers race ahead.
 //

@@ -34,14 +34,16 @@ type SourceStats struct {
 	// (before any queue-policy drop).
 	Batches int64 `json:"batches"`
 	Events  int64 `json:"events"`
-	// DroppedBatches/DroppedEvents count queue-policy evictions plus the
-	// events of discarded duplicate/reordered batches.
+	// DroppedBatches/DroppedEvents count queue-policy evictions only:
+	// data the source accepted and then shed.
 	DroppedBatches int64 `json:"dropped_batches"`
 	DroppedEvents  int64 `json:"dropped_events"`
-	// DupBatches counts batches dropped for arriving with an
-	// already-delivered (duplicate or reordered) sequence number; SeqGaps
-	// counts sequence numbers skipped over.
+	// DupBatches/DupEvents count batches discarded for arriving with an
+	// already-delivered (duplicate or reordered) sequence number, and
+	// their events: redeliveries, not losses. SeqGaps counts sequence
+	// numbers skipped over.
 	DupBatches int64 `json:"dup_batches"`
+	DupEvents  int64 `json:"dup_events"`
 	SeqGaps    int64 `json:"seq_gaps"`
 	// QueuedBatches is the queue depth at sampling time.
 	QueuedBatches int64 `json:"queued_batches"`

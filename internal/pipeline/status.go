@@ -153,9 +153,8 @@ type StageSnapshot struct {
 	TrackUS        int64 `json:"track_us"`
 	// ActivePixelFraction is the mean fraction of the packed frame the
 	// active region marked dirty — the sparsity the activity-bounded
-	// kernels skipped past (1 on the byte reference path). Distinct from
-	// the stream-level ActiveFraction, which is the duty cycle's
-	// processing-time share.
+	// kernels skipped past. Distinct from the stream-level ActiveFraction,
+	// which is the duty cycle's processing-time share.
 	ActivePixelFraction float64 `json:"active_pixel_fraction"`
 }
 

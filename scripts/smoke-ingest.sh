@@ -45,6 +45,7 @@ METRICS=$(curl -fsS "http://$HTTP/metrics")
 echo "$METRICS" | grep -q '^ebbiot_ingest_batches_total{stream="cam0"}'
 echo "$METRICS" | grep -q '^ebbiot_ingest_faults_total{stream="cam0"} 0'
 echo "$METRICS" | grep -q '^ebbiot_ingest_dropped_events_total{stream="cam0"} 0'
+echo "$METRICS" | grep -q '^ebbiot_ingest_dup_events_total{stream="cam0"} 0'
 echo "$METRICS" | grep -q '^ebbiot_source_errors_total{stream="cam0"} 0'
 
 echo "--- stream cam1, then clean exit"
@@ -53,8 +54,8 @@ wait $PID
 trap - EXIT
 
 echo "--- lossless per-stream summaries"
-grep -q 'ingest cam0: accepted .* batches .* dropped 0 batches / 0 events; dup 0, gaps 0, faults 0' smoke-ingest.log
-grep -q 'ingest cam1: accepted .* batches .* dropped 0 batches / 0 events; dup 0, gaps 0, faults 0' smoke-ingest.log
+grep -q 'ingest cam0: accepted .* batches .* dropped 0 batches / 0 events; dup 0 batches / 0 events; gaps 0, faults 0' smoke-ingest.log
+grep -q 'ingest cam1: accepted .* batches .* dropped 0 batches / 0 events; dup 0 batches / 0 events; gaps 0, faults 0' smoke-ingest.log
 
 echo "--- tracking output produced"
 ROWS=$(tail -n +2 smoke-ingest.csv | wc -l)
