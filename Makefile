@@ -31,8 +31,8 @@ bench:
 bench-store:
 	$(GO) test -run xxx -bench . -benchmem ./internal/store/
 
-# Frame-kernel benchmarks: byte reference vs packed word-parallel median,
-# downsample, histograms and CCA, plus the fused EBBI window chain
+# Frame-kernel benchmarks: byte reference vs packed word-parallel median and
+# downsample+histograms, the byte CCA, plus the fused EBBI window chain
 # (before/after numbers recorded in docs/EXPERIMENTS.md).
 bench-imgproc:
 	$(GO) test -run xxx -bench . -benchmem ./internal/imgproc/ ./internal/ebbi/

@@ -27,15 +27,16 @@ import (
 // ParamSet is one versioned snapshot of every live-tunable per-stream
 // parameter: the frame clock, the RPN thresholds and geometry, the overlap
 // tracker's gating, and the duty-cycle power model. Fields map onto the
-// ebbi/rpn/tracker configs via Apply; sensor resolution, ROE masks and the
-// frame representation are deployment-fixed and deliberately absent.
+// ebbi/rpn/tracker configs via Apply; sensor resolution and ROE masks are
+// deployment-fixed and deliberately absent.
 type ParamSet struct {
 	// Version orders sets; the store assigns it monotonically on update.
 	Version int64 `json:"version"`
 
 	// FrameUS is the frame period tF in microseconds.
 	FrameUS int64 `json:"frame_us"`
-	// MedianP is the binary median patch size (odd).
+	// MedianP is the binary median patch size (odd, at most
+	// imgproc.MaxMedianP = 63).
 	MedianP int `json:"median_p"`
 	// SkipEventsBelow is the near-empty window fast-path threshold: windows
 	// with fewer in-array events bypass the filter/proposal stages (0
@@ -97,8 +98,8 @@ func FromCore(cfg core.Config, version int64) ParamSet {
 }
 
 // Apply overlays the tunable fields onto a base core configuration,
-// preserving its deployment-fixed parts (resolution, ROE, representation,
-// the tracker's blend weights).
+// preserving its deployment-fixed parts (resolution, ROE, the tracker's
+// blend weights).
 func (p ParamSet) Apply(base core.Config) core.Config {
 	base.EBBI.FrameUS = p.FrameUS
 	base.EBBI.MedianP = p.MedianP

@@ -43,6 +43,7 @@ func TestParamSetValidateRejects(t *testing.T) {
 	}{
 		{"zero-frame", func(p *ParamSet) { p.FrameUS = 0 }},
 		{"even-median", func(p *ParamSet) { p.MedianP = 4 }},
+		{"median-above-cap", func(p *ParamSet) { p.MedianP = 65 }},
 		{"zero-scale", func(p *ParamSet) { p.S1 = 0 }},
 		{"negative-threshold", func(p *ParamSet) { p.Threshold = -1 }},
 		{"zero-trackers", func(p *ParamSet) { p.MaxTrackers = 0 }},

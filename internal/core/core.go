@@ -232,9 +232,9 @@ func (f *frontend) process(evs []events.Event) (rpn.Result, error) {
 	// frame's active region bounds the masking and the RPN, so no stage
 	// rescans dead frame area.
 	if f.mask != nil {
-		f.mask.MaskPackedRegion(frame.Filtered, frame.Active)
+		f.mask.MaskPacked(frame.Filtered, frame.Active)
 	}
-	res, err := f.proposer.ProposePackedRegion(frame.Filtered, frame.Active)
+	res, err := f.proposer.ProposePacked(frame.Filtered, frame.Active)
 	if err != nil {
 		return rpn.Result{}, fmt.Errorf("core: rpn: %w", err)
 	}

@@ -26,7 +26,8 @@ type Config struct {
 	// FrameUS is the frame duration tF in microseconds; the paper uses
 	// 66000 (about 15 Hz).
 	FrameUS int64
-	// MedianP is the median-filter patch size p; the paper uses 3.
+	// MedianP is the median-filter patch size p, odd and at most
+	// imgproc.MaxMedianP; the paper uses 3.
 	MedianP int
 }
 
@@ -43,8 +44,8 @@ func (c Config) Validate() error {
 	if c.FrameUS <= 0 {
 		return fmt.Errorf("ebbi: frame duration must be positive, got %d", c.FrameUS)
 	}
-	if c.MedianP < 1 || c.MedianP%2 == 0 {
-		return fmt.Errorf("ebbi: median patch size must be odd and positive, got %d", c.MedianP)
+	if c.MedianP < 1 || c.MedianP%2 == 0 || c.MedianP > imgproc.MaxMedianP {
+		return fmt.Errorf("ebbi: median patch size must be odd and in [1, %d], got %d", imgproc.MaxMedianP, c.MedianP)
 	}
 	return nil
 }

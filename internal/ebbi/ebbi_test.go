@@ -18,6 +18,8 @@ func TestConfigValidate(t *testing.T) {
 		{"even median", Config{Res: events.DAVIS240, FrameUS: 66_000, MedianP: 2}, true},
 		{"bad res", Config{Res: events.Resolution{}, FrameUS: 66_000, MedianP: 3}, true},
 		{"p1 ok", Config{Res: events.DAVIS240, FrameUS: 66_000, MedianP: 1}, false},
+		{"p63 ok", Config{Res: events.DAVIS240, FrameUS: 66_000, MedianP: 63}, false},
+		{"p65 above cap", Config{Res: events.DAVIS240, FrameUS: 66_000, MedianP: 65}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -162,7 +162,7 @@ func (b *PackedBuilder) Finish() (PackedFrame, error) {
 		// frame's image and must be cleared before filtering.
 		b.clearFrame()
 	}
-	if err := imgproc.PackedMedianFilterRange(b.filtered, b.raw, b.cfg.MedianP, b.active); err != nil {
+	if err := imgproc.PackedMedianFilter(b.filtered, b.raw, b.cfg.MedianP, b.active); err != nil {
 		return PackedFrame{}, fmt.Errorf("ebbi: median filter: %w", err)
 	}
 	// The filtered image can only hold set pixels within p/2 of a raw set

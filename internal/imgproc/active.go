@@ -5,18 +5,17 @@ import "math/bits"
 // ActiveRegion summarises where a PackedBitmap may contain set pixels: a
 // dirty row span plus, per row, a bitmap of dirty storage words. It is the
 // sparsity side-channel of the packed frame chain — event accumulation
-// maintains it in O(1) per event (ebbi.PackedBuilder), and every ranged
-// kernel (PackedMedianFilterRange, PackedHistogramsIntoRange,
-// PackedConnectedComponentsRegion, PackedDilateRegion/PackedErodeRegion)
-// processes only the region plus its kernel halo and bulk-clears the rest.
+// maintains it in O(1) per event (ebbi.PackedBuilder), and the kernels
+// that take one (PackedMedianFilter, PackedHistograms, roe.Mask.MaskPacked)
+// touch only the region plus their kernel halo and skip the rest of the
+// frame.
 //
 // The contract is conservative in exactly one direction: the region is a
 // SUPERSET of the set pixels. Every marked word may still be all-zero
 // (clearing pixels — ROE masking, deferred frame clears — never unmarks),
 // but a set pixel outside the region is a caller bug and kernels will
 // silently miss it. Kernels accept a nil *ActiveRegion to mean "no
-// information": the full frame is processed, which keeps the ranged
-// variants drop-in supersets of the full-frame kernels.
+// information": the full frame is processed.
 //
 // Per-word tracking covers strides up to 64 words (4096-pixel-wide
 // frames); wider frames degrade gracefully to span-only tracking, where

@@ -29,76 +29,36 @@ func garbageFill(dst *PackedBitmap) {
 	dst.clearTail()
 }
 
-// rangedKernelCase checks every ranged kernel against its full-frame
-// counterpart for one bitmap and one (superset) region.
-func rangedKernelCase(t *testing.T, src *PackedBitmap, ar *ActiveRegion, p, s1, s2, r int) {
+// rangedKernelCase checks the region-bounded median and histograms against
+// their full-frame (nil region) runs for one bitmap and one (superset)
+// region.
+func rangedKernelCase(t *testing.T, src *PackedBitmap, ar *ActiveRegion, p, s1, s2 int) {
 	t.Helper()
 	w, h := src.W, src.H
 
 	want := NewPackedBitmap(w, h)
-	if err := PackedMedianFilter(want, src, p); err != nil {
+	if err := PackedMedianFilter(want, src, p, nil); err != nil {
 		t.Fatal(err)
 	}
 	got := NewPackedBitmap(w, h)
 	garbageFill(got)
-	if err := PackedMedianFilterRange(got, src, p, ar); err != nil {
+	if err := PackedMedianFilter(got, src, p, ar); err != nil {
 		t.Fatal(err)
 	}
 	if !got.Equal(want) {
 		t.Fatalf("ranged median != full (w=%d h=%d p=%d)\nfull:\n%s\nranged:\n%s", w, h, p, want, got)
 	}
-	// The sliding-column fallback no longer sits on any dispatch path for
-	// p <= 63, so pin it explicitly against the same oracle.
-	sld := NewPackedBitmap(w, h)
-	garbageFill(sld)
-	packedMedianSlidingRange(sld, src, p, ar)
-	if !sld.Equal(want) {
-		t.Fatalf("sliding median != full (w=%d h=%d p=%d)\nfull:\n%s\nsliding:\n%s", w, h, p, want, sld)
-	}
 
-	wantDS, err := PackedDownsampleInto(nil, src, s1, s2)
+	wantHX, wantHY, err := PackedHistograms(nil, nil, src, s1, s2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotDS, err := PackedDownsampleIntoRange(nil, src, s1, s2, ar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotDS.W != wantDS.W || gotDS.H != wantDS.H {
-		t.Fatalf("ranged downsample size (%d,%d) != (%d,%d)", gotDS.W, gotDS.H, wantDS.W, wantDS.H)
-	}
-	for i := range wantDS.Pix {
-		if gotDS.Pix[i] != wantDS.Pix[i] {
-			t.Fatalf("ranged downsample block %d: %d != %d (w=%d h=%d s1=%d s2=%d)",
-				i, gotDS.Pix[i], wantDS.Pix[i], w, h, s1, s2)
-		}
-	}
-
-	wantHX, wantHY, err := PackedHistogramsInto(nil, nil, src, s1, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotHX, gotHY, err := PackedHistogramsIntoRange(nil, nil, src, s1, s2, ar)
+	gotHX, gotHY, err := PackedHistograms(nil, nil, src, s1, s2, ar)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !intsEqual(gotHX, wantHX) || !intsEqual(gotHY, wantHY) {
 		t.Fatalf("ranged histograms mismatch (w=%d h=%d s1=%d s2=%d)", w, h, s1, s2)
-	}
-
-	if !componentsEqual(PackedConnectedComponentsRegion(src, ar), PackedConnectedComponents(src)) {
-		t.Fatalf("ranged CCA mismatch (w=%d h=%d)", w, h)
-	}
-
-	wantDil := PackedDilate(nil, src, r)
-	gotDil := PackedDilateRegion(nil, src, r, ar)
-	if !gotDil.Equal(wantDil) {
-		t.Fatalf("ranged dilate mismatch (w=%d h=%d r=%d)", w, h, r)
-	}
-	wantEro := PackedErode(nil, src, r)
-	gotEro := PackedErodeRegion(nil, src, r, ar)
-	if !gotEro.Equal(wantEro) {
-		t.Fatalf("ranged erode mismatch (w=%d h=%d r=%d)", w, h, r)
 	}
 }
 
@@ -208,7 +168,7 @@ func TestRangedKernelsSparsityLevels(t *testing.T) {
 						full := NewActiveRegion(w, h)
 						full.MarkAll()
 						for _, ar := range []*ActiveRegion{exact, loose, full} {
-							rangedKernelCase(t, src, ar, p, 6, 3, p/2)
+							rangedKernelCase(t, src, ar, p, 6, 3)
 						}
 					}
 				})
@@ -219,11 +179,11 @@ func TestRangedKernelsSparsityLevels(t *testing.T) {
 					dstG := NewPackedBitmap(w, h)
 					garbageFill(dstA)
 					garbageFill(dstG)
-					if err := PackedMedianFilterRange(dstA, src, p, ar); err != nil {
+					if err := PackedMedianFilter(dstA, src, p, ar); err != nil {
 						t.Fatal(err)
 					}
 					restore := ForceGeneric()
-					err := PackedMedianFilterRange(dstG, src, p, ar)
+					err := PackedMedianFilter(dstG, src, p, ar)
 					restore()
 					if err != nil {
 						t.Fatal(err)
@@ -252,7 +212,7 @@ func TestRangedKernelsRandom(t *testing.T) {
 		}
 		p := 2*rng.Intn(4) + 1
 		s1, s2 := rng.Intn(8)+1, rng.Intn(8)+1
-		rangedKernelCase(t, src, regionFor(src), p, s1, s2, rng.Intn(3))
+		rangedKernelCase(t, src, regionFor(src), p, s1, s2)
 	}
 }
 

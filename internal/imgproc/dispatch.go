@@ -190,24 +190,3 @@ func getMedianScratch(n int) *medianScratch {
 }
 
 func putMedianScratch(s *medianScratch) { medianScratchPool.Put(s) }
-
-// intRow is a pooled block-count accumulator row for the vectorized
-// downsample (the assembly accumulates int64 lanes; the uint16 output row
-// is folded from them per block row). s is all-zero on return from
-// getIntRow.
-type intRow struct{ s []int }
-
-var intRowPool = sync.Pool{New: func() any { return new(intRow) }}
-
-func getIntRow(n int) *intRow {
-	r := intRowPool.Get().(*intRow)
-	if cap(r.s) < n {
-		r.s = make([]int, n)
-	} else {
-		r.s = r.s[:n]
-		clear(r.s)
-	}
-	return r
-}
-
-func putIntRow(r *intRow) { intRowPool.Put(r) }

@@ -8,8 +8,8 @@ import "testing"
 // word-boundary straddles), the pixel contents, the median patch size and
 // the downsampling factors; the byte path is itself cross-checked against
 // the literal O(p^2) median so a shared bug in both fast paths cannot hide.
-// The ranged (activity-bounded) kernel variants are fuzzed against the
-// full-frame kernels with both the exact dirty region and a randomly
+// The activity-bounded runs (a non-nil region) are fuzzed against the
+// full-frame ones with both the exact dirty region and a randomly
 // over-approximated superset (the region contract allows marked words that
 // hold no pixels).
 func FuzzPackedKernels(f *testing.F) {
@@ -64,7 +64,7 @@ func FuzzPackedKernels(f *testing.F) {
 			t.Fatalf("byte median != naive (w=%d h=%d p=%d)", w, h, p)
 		}
 		pdst := NewPackedBitmap(w, h)
-		if err := PackedMedianFilter(pdst, psrc, p); err != nil {
+		if err := PackedMedianFilter(pdst, psrc, p, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !pdst.Unpack(nil).Equal(want) {
@@ -72,25 +72,14 @@ func FuzzPackedKernels(f *testing.F) {
 		}
 		checkTailInvariant(t, pdst)
 
-		// Downsample + histograms.
+		// Fused downsample + histograms against the byte Downsample +
+		// Histograms.
 		wantDS, err := Downsample(src, s1, s2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotDS, err := PackedDownsample(psrc, s1, s2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotDS.W != wantDS.W || gotDS.H != wantDS.H {
-			t.Fatalf("downsample size (%d,%d) != (%d,%d)", gotDS.W, gotDS.H, wantDS.W, wantDS.H)
-		}
-		for i := range wantDS.Pix {
-			if gotDS.Pix[i] != wantDS.Pix[i] {
-				t.Fatalf("downsample block %d: %d != %d (w=%d h=%d s1=%d s2=%d)", i, gotDS.Pix[i], wantDS.Pix[i], w, h, s1, s2)
-			}
-		}
 		wantHX, wantHY := Histograms(wantDS)
-		gotHX, gotHY, err := PackedHistograms(psrc, s1, s2)
+		gotHX, gotHY, err := PackedHistograms(nil, nil, psrc, s1, s2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,27 +87,14 @@ func FuzzPackedKernels(f *testing.F) {
 			t.Fatalf("histograms mismatch (w=%d h=%d s1=%d s2=%d)", w, h, s1, s2)
 		}
 
-		// CCA and whole-image popcount.
-		if !componentsEqual(PackedConnectedComponents(psrc), ConnectedComponents(src)) {
-			t.Fatalf("CCA mismatch (w=%d h=%d)", w, h)
-		}
+		// Whole-image popcount.
 		if psrc.CountOnes() != src.CountOnes() {
 			t.Fatalf("CountOnes mismatch (w=%d h=%d)", w, h)
 		}
 
-		// Morphology (radius reuses the median patch half-width so the
-		// fuzzer also drives r across word boundaries via p).
-		r := p / 2
-		if !PackedDilate(nil, psrc, r).Unpack(nil).Equal(Dilate(src, r)) {
-			t.Fatalf("packed dilate mismatch (w=%d h=%d r=%d)", w, h, r)
-		}
-		if !PackedErode(nil, psrc, r).Unpack(nil).Equal(Erode(src, r)) {
-			t.Fatalf("packed erode mismatch (w=%d h=%d r=%d)", w, h, r)
-		}
-
-		// Ranged variants: the exact region of the frame, plus a superset
-		// loosened by extra marks derived from the fuzz input. Both must
-		// reproduce the full-frame kernels bit for bit; the ranged median
+		// Region-bounded runs: the exact region of the frame, plus a
+		// superset loosened by extra marks derived from the fuzz input. Both
+		// must reproduce the full-frame results bit for bit; the median
 		// output buffer is pre-filled with garbage so a missing bulk clear
 		// cannot hide.
 		exact := regionFor(psrc)
@@ -131,46 +107,19 @@ func FuzzPackedKernels(f *testing.F) {
 		for _, ar := range []*ActiveRegion{exact, loose} {
 			pdstR := NewPackedBitmap(w, h)
 			garbageFill(pdstR)
-			if err := PackedMedianFilterRange(pdstR, psrc, p, ar); err != nil {
+			if err := PackedMedianFilter(pdstR, psrc, p, ar); err != nil {
 				t.Fatal(err)
 			}
 			if !pdstR.Equal(pdst) {
-				t.Fatalf("ranged median != full (w=%d h=%d p=%d)", w, h, p)
+				t.Fatalf("region median != full (w=%d h=%d p=%d)", w, h, p)
 			}
 			checkTailInvariant(t, pdstR)
-			// The sliding-column fallback is off every p <= 63 dispatch
-			// path now; fuzz it against the same oracle so it stays a
-			// trustworthy baseline.
-			garbageFill(pdstR)
-			packedMedianSlidingRange(pdstR, psrc, p, ar)
-			if !pdstR.Equal(pdst) {
-				t.Fatalf("sliding median != full (w=%d h=%d p=%d)", w, h, p)
-			}
-			checkTailInvariant(t, pdstR)
-			gotDSR, err := PackedDownsampleIntoRange(nil, psrc, s1, s2, ar)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range wantDS.Pix {
-				if gotDSR.Pix[i] != wantDS.Pix[i] {
-					t.Fatalf("ranged downsample block %d: %d != %d (w=%d h=%d s1=%d s2=%d)", i, gotDSR.Pix[i], wantDS.Pix[i], w, h, s1, s2)
-				}
-			}
-			gotHXR, gotHYR, err := PackedHistogramsIntoRange(nil, nil, psrc, s1, s2, ar)
+			gotHXR, gotHYR, err := PackedHistograms(nil, nil, psrc, s1, s2, ar)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !intsEqual(gotHXR, wantHX) || !intsEqual(gotHYR, wantHY) {
-				t.Fatalf("ranged histograms mismatch (w=%d h=%d s1=%d s2=%d)", w, h, s1, s2)
-			}
-			if !componentsEqual(PackedConnectedComponentsRegion(psrc, ar), PackedConnectedComponents(psrc)) {
-				t.Fatalf("ranged CCA mismatch (w=%d h=%d)", w, h)
-			}
-			if !PackedDilateRegion(nil, psrc, r, ar).Unpack(nil).Equal(Dilate(src, r)) {
-				t.Fatalf("ranged dilate mismatch (w=%d h=%d r=%d)", w, h, r)
-			}
-			if !PackedErodeRegion(nil, psrc, r, ar).Unpack(nil).Equal(Erode(src, r)) {
-				t.Fatalf("ranged erode mismatch (w=%d h=%d r=%d)", w, h, r)
+				t.Fatalf("region histograms mismatch (w=%d h=%d s1=%d s2=%d)", w, h, s1, s2)
 			}
 		}
 
@@ -181,35 +130,20 @@ func FuzzPackedKernels(f *testing.F) {
 		func() {
 			defer ForceGeneric()()
 			pdstG := NewPackedBitmap(w, h)
-			if err := PackedMedianFilter(pdstG, psrc, p); err != nil {
-				t.Fatal(err)
-			}
-			if !pdstG.Equal(pdst) {
-				t.Fatalf("generic median != active arm (w=%d h=%d p=%d)", w, h, p)
-			}
-			for _, ar := range []*ActiveRegion{exact, loose} {
+			for _, ar := range []*ActiveRegion{nil, exact, loose} {
 				garbageFill(pdstG)
-				if err := PackedMedianFilterRange(pdstG, psrc, p, ar); err != nil {
+				if err := PackedMedianFilter(pdstG, psrc, p, ar); err != nil {
 					t.Fatal(err)
 				}
 				if !pdstG.Equal(pdst) {
-					t.Fatalf("generic ranged median != active arm (w=%d h=%d p=%d)", w, h, p)
+					t.Fatalf("generic median != active arm (w=%d h=%d p=%d region=%v)", w, h, p, ar != nil)
 				}
-				gotDSG, err := PackedDownsampleIntoRange(nil, psrc, s1, s2, ar)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range wantDS.Pix {
-					if gotDSG.Pix[i] != wantDS.Pix[i] {
-						t.Fatalf("generic ranged downsample block %d (w=%d h=%d s1=%d s2=%d)", i, w, h, s1, s2)
-					}
-				}
-				gotHXG, gotHYG, err := PackedHistogramsIntoRange(nil, nil, psrc, s1, s2, ar)
+				gotHXG, gotHYG, err := PackedHistograms(nil, nil, psrc, s1, s2, ar)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !intsEqual(gotHXG, wantHX) || !intsEqual(gotHYG, wantHY) {
-					t.Fatalf("generic ranged histograms mismatch (w=%d h=%d s1=%d s2=%d)", w, h, s1, s2)
+					t.Fatalf("generic histograms mismatch (w=%d h=%d s1=%d s2=%d region=%v)", w, h, s1, s2, ar != nil)
 				}
 			}
 			if psrc.CountOnes() != src.CountOnes() {

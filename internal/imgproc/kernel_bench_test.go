@@ -98,23 +98,11 @@ func BenchmarkMedianPacked(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := PackedMedianFilter(dst, src, p); err != nil {
+				if err := PackedMedianFilter(dst, src, p, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkDownsamplePacked(b *testing.B) {
-	src := PackBitmap(nil, benchFrame(240, 180))
-	dst := NewCountImage(40, 60)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := PackedDownsampleInto(dst, src, 6, 3); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -128,20 +116,9 @@ func BenchmarkHistogramsPacked(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hx, hy, err = PackedHistogramsInto(hx, hy, src, 6, 3)
+		hx, hy, err = PackedHistograms(hx, hy, src, 6, 3, nil)
 		if err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCCAPacked(b *testing.B) {
-	src := PackBitmap(nil, benchFrame(240, 180))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(PackedConnectedComponents(src)) == 0 {
-			b.Fatal("no components")
 		}
 	}
 }
@@ -199,8 +176,7 @@ func benchScenes() []struct {
 // BenchmarkMedianPackedSparsity measures the median filter across patch
 // sizes and sparsity levels: "full" is the bit-sliced kernel without a
 // region, "ranged" consumes the frame's exact dirty region (the state
-// accumulate-time tracking maintains), and "sliding" pins the retired
-// sliding-column fallback at the same region as the comparison baseline.
+// accumulate-time tracking maintains).
 func BenchmarkMedianPackedSparsity(b *testing.B) {
 	for _, sc := range benchScenes() {
 		ar := regionFor(sc.src)
@@ -210,7 +186,7 @@ func BenchmarkMedianPackedSparsity(b *testing.B) {
 			b.Run(sc.name+"/"+benchP(p)+"/full", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if err := PackedMedianFilter(dst, sc.src, p); err != nil {
+					if err := PackedMedianFilter(dst, sc.src, p, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -218,15 +194,9 @@ func BenchmarkMedianPackedSparsity(b *testing.B) {
 			b.Run(sc.name+"/"+benchP(p)+"/ranged", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if err := PackedMedianFilterRange(dst, sc.src, p, ar); err != nil {
+					if err := PackedMedianFilter(dst, sc.src, p, ar); err != nil {
 						b.Fatal(err)
 					}
-				}
-			})
-			b.Run(sc.name+"/"+benchP(p)+"/sliding", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					packedMedianSlidingRange(dst, sc.src, p, ar)
 				}
 			})
 		}
@@ -243,7 +213,7 @@ func BenchmarkHistogramsPackedSparsity(b *testing.B) {
 		b.Run(sc.name+"/full", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if hx, hy, err = PackedHistogramsInto(hx, hy, sc.src, 6, 3); err != nil {
+				if hx, hy, err = PackedHistograms(hx, hy, sc.src, 6, 3, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -251,29 +221,9 @@ func BenchmarkHistogramsPackedSparsity(b *testing.B) {
 		b.Run(sc.name+"/ranged", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if hx, hy, err = PackedHistogramsIntoRange(hx, hy, sc.src, 6, 3, ar); err != nil {
+				if hx, hy, err = PackedHistograms(hx, hy, sc.src, 6, 3, ar); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkCCAPackedSparsity is the run-extraction CCA across the same
-// sparsity grid (dilation radius 0, matching the RPN ablation default).
-func BenchmarkCCAPackedSparsity(b *testing.B) {
-	for _, sc := range benchScenes() {
-		ar := regionFor(sc.src)
-		b.Run(sc.name+"/full", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				PackedConnectedComponents(sc.src)
-			}
-		})
-		b.Run(sc.name+"/ranged", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				PackedConnectedComponentsRegion(sc.src, ar)
 			}
 		})
 	}
@@ -297,13 +247,13 @@ func BenchmarkPackedChainBatch(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					for j := 0; j < batch; j++ {
-						if err = PackedMedianFilterRange(dst, sc.src, 3, ar); err != nil {
+						if err = PackedMedianFilter(dst, sc.src, 3, ar); err != nil {
 							b.Fatal(err)
 						}
 						// The raw frame's dirty region is a superset of the
 						// filtered output's, so it bounds the fused
 						// histogram pass too.
-						if hx, hy, err = PackedHistogramsIntoRange(hx, hy, dst, 6, 3, ar); err != nil {
+						if hx, hy, err = PackedHistograms(hx, hy, dst, 6, 3, ar); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -5,8 +5,9 @@ import (
 	"sync"
 )
 
-// colCountPool recycles the per-call column-count scratch of the sliding
-// median so the per-window hot path stays allocation-free steady state.
+// colCountPool recycles the per-call column-count scratch of the byte
+// median, so the tests and benchmarks that run it as the oracle do not
+// allocate a column array per call.
 var colCountPool = sync.Pool{New: func() any { return new([]int32) }}
 
 func getColCounts(w int) *[]int32 {

@@ -133,7 +133,7 @@ func TestMedianDifferential(t *testing.T) {
 
 				psrc := PackBitmap(nil, src)
 				pdst := NewPackedBitmap(sz.w, sz.h)
-				if err := PackedMedianFilter(pdst, psrc, p); err != nil {
+				if err := PackedMedianFilter(pdst, psrc, p, nil); err != nil {
 					t.Fatal(err)
 				}
 				if !pdst.Unpack(nil).Equal(want) {
@@ -146,16 +146,63 @@ func TestMedianDifferential(t *testing.T) {
 	}
 }
 
+// TestMedianWidePatchDifferential covers the bit-plane kernel's upper
+// range, p = 13 to MaxMedianP, where the vertical counts take up to six
+// bit-planes and the patch totals up to twelve: packed output (full frame
+// and exact region) against the byte median, which is itself pinned to the
+// naive oracle at the cap.
+func TestMedianWidePatchDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	const h = 70
+	for _, p := range []int{13, 31, 33, 61, MaxMedianP} {
+		for _, w := range []int{1, 31, 63, 64, 65, 100, 128, 240} {
+			for _, density := range []float64{0.3, 0.5, 0.7} {
+				src := randomBitmap(rng, w, h, density)
+				want := NewBitmap(w, h)
+				if err := MedianFilter(want, src, p); err != nil {
+					t.Fatal(err)
+				}
+				psrc := PackBitmap(nil, src)
+				for _, ar := range []*ActiveRegion{nil, regionFor(psrc)} {
+					pdst := NewPackedBitmap(w, h)
+					garbageFill(pdst)
+					if err := PackedMedianFilter(pdst, psrc, p, ar); err != nil {
+						t.Fatal(err)
+					}
+					if !pdst.Unpack(nil).Equal(want) {
+						t.Fatalf("%dx%d p=%d d=%.2f region=%v: packed median != byte",
+							w, h, p, density, ar != nil)
+					}
+					checkTailInvariant(t, pdst)
+				}
+			}
+		}
+	}
+	src := randomBitmap(rng, 65, 33, 0.7)
+	want := NewBitmap(65, 33)
+	medianNaive(want, src, MaxMedianP)
+	got := NewBitmap(65, 33)
+	if err := MedianFilter(got, src, MaxMedianP); err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("65x33 p=%d: byte median != naive", MaxMedianP)
+	}
+}
+
 func TestPackedMedianErrors(t *testing.T) {
 	a, b := NewPackedBitmap(8, 8), NewPackedBitmap(8, 9)
-	if err := PackedMedianFilter(a, a, 3); err == nil {
+	if err := PackedMedianFilter(a, a, 3, nil); err == nil {
 		t.Fatal("in-place packed median not rejected")
 	}
-	if err := PackedMedianFilter(a, b, 3); err == nil {
+	if err := PackedMedianFilter(a, b, 3, nil); err == nil {
 		t.Fatal("size mismatch not rejected")
 	}
-	if err := PackedMedianFilter(a, NewPackedBitmap(8, 8), 2); err == nil {
+	if err := PackedMedianFilter(a, NewPackedBitmap(8, 8), 2, nil); err == nil {
 		t.Fatal("even p not rejected")
+	}
+	if err := PackedMedianFilter(a, NewPackedBitmap(8, 8), MaxMedianP+2, nil); err == nil {
+		t.Fatalf("p = %d above MaxMedianP not rejected", MaxMedianP+2)
 	}
 }
 
@@ -172,20 +219,7 @@ func TestDownsampleHistogramsDifferential(t *testing.T) {
 			wantHX, wantHY := Histograms(want)
 
 			psrc := PackBitmap(nil, src)
-			got, err := PackedDownsample(psrc, sc.s1, sc.s2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.W != want.W || got.H != want.H {
-				t.Fatalf("%dx%d s=(%d,%d): size %dx%d != %dx%d", sz.w, sz.h, sc.s1, sc.s2, got.W, got.H, want.W, want.H)
-			}
-			for i := range want.Pix {
-				if got.Pix[i] != want.Pix[i] {
-					t.Fatalf("%dx%d s=(%d,%d): block %d packed %d != byte %d", sz.w, sz.h, sc.s1, sc.s2, i, got.Pix[i], want.Pix[i])
-				}
-			}
-
-			gotHX, gotHY, err := PackedHistograms(psrc, sc.s1, sc.s2)
+			gotHX, gotHY, err := PackedHistograms(nil, nil, psrc, sc.s1, sc.s2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,39 +237,6 @@ func intsEqual(a, b []int) bool {
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func TestPackedCCADifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, sz := range testSizes {
-		for _, density := range []float64{0.05, 0.3, 0.6, 0.95} {
-			src := randomBitmap(rng, sz.w, sz.h, density)
-			want := ConnectedComponents(src)
-			got := PackedConnectedComponents(PackBitmap(nil, src))
-			if !componentsEqual(got, want) {
-				t.Fatalf("%dx%d d=%.2f: packed CCA %v != byte %v\nsrc:\n%s", sz.w, sz.h, density, got, want, src)
-			}
-		}
-	}
-}
-
-// componentsEqual compares component lists as multisets (the sort comparator
-// leaves truly identical (size, x, y) keys in arbitrary order).
-func componentsEqual(a, b []Component) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	counts := map[Component]int{}
-	for _, c := range a {
-		counts[c]++
-	}
-	for _, c := range b {
-		counts[c]--
-		if counts[c] < 0 {
 			return false
 		}
 	}

@@ -3,37 +3,24 @@ package imgproc
 import (
 	"fmt"
 	"math/bits"
-	"sort"
-	"sync"
-
-	"ebbiot/internal/geometry"
 )
 
 // PackedMedianFilter is MedianFilter over the packed representation: the
 // same p x p binary median (output = 1 when the patch count exceeds
-// floor(p^2/2), pixels outside the image counting 0), computed in O(1) per
-// pixel with separable sliding sums. Column counts over the vertical window
-// are maintained incrementally by adding/removing one row per step — and
-// because EBBI frames are sparse, row updates iterate only the set bits of
-// each word. The output row is assembled 64 pixels per word.
+// floor(p^2/2), pixels outside the image counting 0), computed 64 output
+// pixels per word by bit-sliced counter networks. ar bounds the work to the
+// frame's active region: only output rows within the region's row span plus
+// the p/2 halo are computed (the rest of dst is bulk-cleared), and within a
+// row only the words the region's dirty-word masks mark. ar must be a
+// superset of src's set pixels (see ActiveRegion); nil means no information
+// and processes the full frame. Output is bit-identical at every sparsity
+// level.
 //
 // dst and src must be distinct packed bitmaps of the same size; p must be
-// odd and >= 1.
-func PackedMedianFilter(dst, src *PackedBitmap, p int) error {
-	return PackedMedianFilterRange(dst, src, p, nil)
-}
-
-// PackedMedianFilterRange is PackedMedianFilter bounded by an active
-// region: only output rows within the region's row span plus the p/2 halo
-// are computed (the rest of dst is bulk-cleared), the vertical column
-// window slides over dirty source rows only, and per-row column bounding
-// consults the region's dirty-word masks instead of scanning every word.
-// ar must be a superset of src's set pixels (see ActiveRegion); nil means
-// no information and processes the full frame. Output is bit-identical to
-// the full-frame filter at every sparsity level.
-func PackedMedianFilterRange(dst, src *PackedBitmap, p int, ar *ActiveRegion) error {
-	if p < 1 || p%2 == 0 {
-		return fmt.Errorf("imgproc: median patch size must be odd and positive, got %d", p)
+// odd with 1 <= p <= MaxMedianP.
+func PackedMedianFilter(dst, src *PackedBitmap, p int, ar *ActiveRegion) error {
+	if p < 1 || p%2 == 0 || p > MaxMedianP {
+		return fmt.Errorf("imgproc: median patch size must be odd and in [1, %d], got %d", MaxMedianP, p)
 	}
 	if dst == src {
 		return fmt.Errorf("imgproc: median filter cannot run in place")
@@ -41,8 +28,7 @@ func PackedMedianFilterRange(dst, src *PackedBitmap, p int, ar *ActiveRegion) er
 	if dst.W != src.W || dst.H != src.H {
 		return fmt.Errorf("imgproc: size mismatch dst %dx%d vs src %dx%d", dst.W, dst.H, src.W, src.H)
 	}
-	w, h := src.W, src.H
-	if w == 0 || h == 0 {
+	if src.W == 0 || src.H == 0 {
 		return nil
 	}
 	if ar != nil && ar.Empty() {
@@ -51,188 +37,20 @@ func PackedMedianFilterRange(dst, src *PackedBitmap, p int, ar *ActiveRegion) er
 		dst.Clear()
 		return nil
 	}
-	if p == 3 {
+	switch p {
+	case 3:
 		// The paper's default patch size gets the hand-unrolled bit-sliced
-		// kernel: 64 output pixels per handful of word ops, no per-pixel
-		// slide — with or without an active region.
+		// kernel: 64 output pixels per handful of word ops.
 		packedMedian3Region(dst, src, ar)
-		return nil
-	}
-	if p == 5 {
+	case 5:
 		// p=5 gets its own fully unrolled instance of the counter network:
-		// the generic plane loops below are correct for it but spill to
-		// memory, and this is the other patch size the paper sweeps.
+		// the generic plane kernel is correct for it but spills to memory,
+		// and this is the other patch size the paper sweeps.
 		packedMedian5Region(dst, src, ar)
-		return nil
-	}
-	if p <= maxPlanesP {
-		// Remaining patches up to the single-word halo limit use the
-		// generic bit-plane counter network; the sliding-column kernel
-		// below survives only as the fallback for wider patches (and as
-		// the oracle the benchmarks compare against).
+	default:
 		packedMedianPlanesRegion(dst, src, p, ar)
-		return nil
 	}
-	packedMedianSlidingRange(dst, src, p, ar)
 	return nil
-}
-
-// packedMedianSlidingRange is the separable sliding-sum median: per-column
-// vertical counts maintained incrementally row to row, a horizontal p-wide
-// sum slid per pixel. It handles every odd p but touches pixels one at a
-// time; the bit-sliced kernels above replace it for p <= maxPlanesP.
-func packedMedianSlidingRange(dst, src *PackedBitmap, p int, ar *ActiveRegion) {
-	w, h := src.W, src.H
-	half := p / 2
-	thresh := int32((p * p) / 2)
-	// ry bounds the dirty source rows; output rows can be nonzero only
-	// within the half-halo around them. Everything else is bulk-cleared.
-	ry0, ry1 := 0, h
-	if ar != nil {
-		ry0, ry1 = ar.RowSpan()
-	}
-	oy0, oy1 := ry0-half, ry1+half
-	if oy0 < 0 {
-		oy0 = 0
-	}
-	if oy1 > h {
-		oy1 = h
-	}
-	stride := dst.Stride
-	// One bulk clear covers the dead frame area and pre-zeroes the output
-	// rows, so the slide below only ORs set bits in.
-	clear(dst.Words)
-
-	colp := getColCounts(w)
-	defer putColCounts(colp)
-	col := *colp
-
-	// Direct dirty-mask access for the hot loop; nil when the region gives
-	// no per-word information (absent or degraded to span-only).
-	var rowsMask []uint64
-	if ar != nil && !ar.wide {
-		rowsMask = ar.rows
-	}
-
-	// Seed the vertical window for output row oy0 from the dirty rows it
-	// covers (rows outside [ry0, ry1) are all-zero and contribute nothing).
-	seedLo, seedHi := oy0-half, oy0+half
-	if seedLo < ry0 {
-		seedLo = ry0
-	}
-	if seedHi >= ry1 {
-		seedHi = ry1 - 1
-	}
-	for r := seedLo; r <= seedHi; r++ {
-		addPackedRow(col, src.Row(r))
-	}
-	for y := oy0; y < oy1; y++ {
-		// EBBI frames are sparse: most vertical windows cover only a narrow
-		// band of set columns (or none). Bound the horizontal slide to the
-		// union span of set bits in the window's rows — found by scanning
-		// whole words, narrowed to the region's dirty words when a region
-		// is given — and emit zero words elsewhere: outside the span every
-		// patch count is zero, which never clears the > thresh test.
-		lo, hi := w, -1
-		yLo, yHi := y-half, y+half
-		if yLo < ry0 {
-			yLo = ry0
-		}
-		if yHi >= ry1 {
-			yHi = ry1 - 1
-		}
-		if rowsMask != nil {
-			var wm uint64
-			for r := yLo; r <= yHi; r++ {
-				wm |= rowsMask[r]
-			}
-			if wm != 0 {
-				ka := bits.TrailingZeros64(wm)
-				kb := 63 - bits.LeadingZeros64(wm)
-				if kb >= stride {
-					kb = stride - 1
-				}
-				for r := yLo; r <= yHi; r++ {
-					if rowsMask[r] == 0 {
-						continue
-					}
-					if f, l, ok := rowSpanWords(src.Row(r), ka, kb); ok {
-						if f < lo {
-							lo = f
-						}
-						if l > hi {
-							hi = l
-						}
-					}
-				}
-			}
-		} else {
-			for r := yLo; r <= yHi; r++ {
-				if f, l, ok := rowSpan(src.Row(r)); ok {
-					if f < lo {
-						lo = f
-					}
-					if l > hi {
-						hi = l
-					}
-				}
-			}
-		}
-		if hi >= 0 {
-			out := dst.Row(y)
-			x0, x1 := lo-half, hi+half+1
-			if x0 < 0 {
-				x0 = 0
-			}
-			if x1 > w {
-				x1 = w
-			}
-			var sum int32
-			for x := x0 - half; x <= x0+half; x++ {
-				if x >= 0 && x < w {
-					sum += col[x]
-				}
-			}
-			for x := x0; x < x1; x++ {
-				if sum > thresh {
-					out[x>>6] |= uint64(1) << (uint(x) & 63)
-				}
-				if nx := x + half + 1; nx < w {
-					sum += col[nx]
-				}
-				if ox := x - half; ox >= 0 {
-					sum -= col[ox]
-				}
-			}
-		}
-		// Slide the vertical window to be centred on y+1, touching only
-		// dirty rows (clean rows hold no counts to add or remove).
-		if ny := y + half + 1; ny >= ry0 && ny < ry1 {
-			addPackedRow(col, src.Row(ny))
-		}
-		if oy := y - half; oy >= ry0 && oy < ry1 {
-			subPackedRow(col, src.Row(oy))
-		}
-	}
-}
-
-// rowSpan returns the first and last set bit positions of a packed row; ok
-// is false for an empty row.
-func rowSpan(row []uint64) (first, last int, ok bool) {
-	i := 0
-	for i < len(row) && row[i] == 0 {
-		i++
-	}
-	if i == len(row) {
-		return 0, 0, false
-	}
-	first = i<<6 + bits.TrailingZeros64(row[i])
-	j := len(row) - 1
-	for row[j] == 0 {
-		j--
-	}
-	last = j<<6 + 63 - bits.LeadingZeros64(row[j])
-	return first, last, true
 }
 
 // packedMedian3Region is the 3 x 3 median specialised to bit-sliced
@@ -244,8 +62,7 @@ func rowSpan(row []uint64) (first, last int, ok bool) {
 // word: each output row touches only the maximal runs of its window's
 // dirty-word mask widened by the one-word halo, so disjoint blobs on the
 // same rows stop paying for each other's columns. ar == nil (or a degraded
-// wide region) processes every word of the row span. Output is
-// bit-identical to the sliding kernel.
+// wide region) processes every word of the row span.
 func packedMedian3Region(dst, src *PackedBitmap, ar *ActiveRegion) {
 	h, stride := src.H, src.Stride
 	clear(dst.Words)
@@ -396,8 +213,7 @@ func median3Run(out, ra, rb, rc []uint64, ka, kb int) {
 // total (0..25), and the > 12 threshold is a short boolean expression —
 // all in registers, 64 output pixels per word. Region bounding is the same
 // per-word run scheme as packedMedian3Region, with a two-pixel halo that
-// still reaches at most one adjacent word. Output is bit-identical to the
-// sliding kernel.
+// still reaches at most one adjacent word.
 func packedMedian5Region(dst, src *PackedBitmap, ar *ActiveRegion) {
 	h, stride := src.H, src.Stride
 	clear(dst.Words)
@@ -623,11 +439,13 @@ func vert5(r0, r1, r2, r3, r4 []uint64, k int) (v0, v1, v2 uint64) {
 	return v0, v1, v2
 }
 
-// maxPlanesP is the largest median patch size routed to the generic
-// bit-plane kernel. 63 keeps the horizontal halo (p/2 <= 31 columns)
-// within one adjacent word, so each output word depends on exactly its
-// two neighbours, and keeps the plane arrays at fixed size on the stack.
-const maxPlanesP = 63
+// MaxMedianP is the largest median patch size PackedMedianFilter accepts
+// (and so ebbi.Config, whose frames it filters). 63 keeps the horizontal
+// halo (p/2 <= 31 columns) within one adjacent word, so each output word of
+// the bit-plane kernel depends on exactly its two neighbours, and keeps the
+// plane arrays at fixed size on the stack. The paper uses p = 3; a 63 x 63
+// patch already spans a third of a DAVIS240 frame's height.
+const MaxMedianP = 63
 
 // planeCount / totalPlaneCount bound the bit-plane arrays: vertical column
 // counts reach p <= 63 (6 planes), patch totals reach p*p <= 3969 (12).
@@ -637,7 +455,8 @@ const (
 )
 
 // packedMedianPlanesRegion generalises the carry-save median to any odd
-// patch size 5 <= p <= maxPlanesP: the vertical column counts of the p
+// patch size p <= MaxMedianP (PackedMedianFilter routes every p but 3 and 5
+// here): the vertical column counts of the p
 // window rows are accumulated into nv = ceil(log2(p+1)) bit-planes by a
 // word-parallel ripple adder, the 2*half+1 shifted copies of those planes
 // are summed into nt total planes, and the count > floor(p^2/2) test is a
@@ -645,7 +464,6 @@ const (
 // slide. Work is bounded exactly like packedMedian3Region: per output row,
 // only the maximal runs of the window's dirty-word mask smeared by one word
 // are touched (ar == nil or a wide region processes the full row span).
-// Output is bit-identical to the sliding kernel at every sparsity level.
 func packedMedianPlanesRegion(dst, src *PackedBitmap, p int, ar *ActiveRegion) {
 	h, stride := src.H, src.Stride
 	clear(dst.Words)
@@ -674,7 +492,7 @@ func packedMedianPlanesRegion(dst, src *PackedBitmap, p int, ar *ActiveRegion) {
 	// rows with an all-clean mask are dropped up front (their words are all
 	// zero by the region invariant), so the per-word adder only ever loads
 	// rows that can contribute.
-	var win [maxPlanesP][]uint64
+	var win [MaxMedianP][]uint64
 	for y := oy0; y < oy1; y++ {
 		lo, hi := y-half, y+half
 		if lo < ry0 {
@@ -833,159 +651,6 @@ func word3(ra, rb, rc []uint64, k int) (a, b, c uint64) {
 	return a, b, c
 }
 
-// rowSpanWords is rowSpan restricted to words [ka, kb] (inclusive): it
-// returns the first and last set bit positions found in that word range.
-// The caller guarantees 0 <= ka <= kb < len(row).
-func rowSpanWords(row []uint64, ka, kb int) (first, last int, ok bool) {
-	i := ka
-	for i <= kb && row[i] == 0 {
-		i++
-	}
-	if i > kb {
-		return 0, 0, false
-	}
-	first = i<<6 + bits.TrailingZeros64(row[i])
-	j := kb
-	for row[j] == 0 {
-		j--
-	}
-	last = j<<6 + 63 - bits.LeadingZeros64(row[j])
-	return first, last, true
-}
-
-// addPackedRow increments the column counters for every set bit of a packed
-// row, visiting only set bits.
-func addPackedRow(col []int32, row []uint64) {
-	for k, w := range row {
-		base := k << 6
-		for w != 0 {
-			col[base+bits.TrailingZeros64(w)]++
-			w &= w - 1
-		}
-	}
-}
-
-// subPackedRow decrements the column counters for every set bit of a packed
-// row.
-func subPackedRow(col []int32, row []uint64) {
-	for k, w := range row {
-		base := k << 6
-		for w != 0 {
-			col[base+bits.TrailingZeros64(w)]--
-			w &= w - 1
-		}
-	}
-}
-
-// PackedDownsample is Downsample over the packed representation.
-func PackedDownsample(src *PackedBitmap, s1, s2 int) (*CountImage, error) {
-	return PackedDownsampleInto(nil, src, s1, s2)
-}
-
-// PackedDownsampleInto computes the block-sum scaled image of Eq. 3 from a
-// packed bitmap: each s1-wide block count is a masked popcount instead of s1
-// byte loads. dst is resized (reusing its backing array when large enough)
-// and returned; pass nil to allocate.
-func PackedDownsampleInto(dst *CountImage, src *PackedBitmap, s1, s2 int) (*CountImage, error) {
-	return PackedDownsampleIntoRange(dst, src, s1, s2, nil)
-}
-
-// PackedDownsampleIntoRange is PackedDownsampleInto bounded by an active
-// region: only block rows intersecting the region's row span accumulate,
-// and within a source row only the blocks covered by its dirty words are
-// popcounted; everything else is zeroed. ar must be a superset of src's
-// set pixels; nil processes the full frame. Output is bit-identical to the
-// full-frame kernel.
-func PackedDownsampleIntoRange(dst *CountImage, src *PackedBitmap, s1, s2 int, ar *ActiveRegion) (*CountImage, error) {
-	if s1 <= 0 || s2 <= 0 {
-		return nil, fmt.Errorf("imgproc: scale factors must be positive, got s1=%d s2=%d", s1, s2)
-	}
-	w := src.W / s1
-	h := src.H / s2
-	out := dst
-	if out == nil {
-		out = NewCountImage(w, h)
-	} else {
-		out.W, out.H = w, h
-		if cap(out.Pix) < w*h {
-			out.Pix = make([]uint16, w*h)
-		} else {
-			out.Pix = out.Pix[:w*h]
-		}
-	}
-	clear(out.Pix)
-	ry0, ry1 := 0, src.H
-	if ar != nil {
-		ry0, ry1 = ar.RowSpan()
-		if ry0 >= ry1 {
-			return out, nil
-		}
-	}
-	blockMask := blockPopMask(s1)
-	bp := kernels().blockPop
-	if blockMask == 0 || s1 > blockPopMaxS1 {
-		bp = nil
-	}
-	// The vectorized block popcount accumulates int64 lanes; stage block
-	// rows through a pooled int row and fold into the uint16 output. acc
-	// is all-zero between block rows.
-	var acc *intRow
-	if bp != nil {
-		acc = getIntRow(w)
-	}
-	for j := ry0 / s2; j < h && j*s2 < ry1; j++ {
-		outRow := out.Pix[j*w : (j+1)*w]
-		lo, hi := w, 0
-		for n := 0; n < s2; n++ {
-			yy := j*s2 + n
-			if yy < ry0 || yy >= ry1 {
-				continue
-			}
-			row := src.Row(yy)
-			i0, i1 := 0, w
-			if ar != nil && !ar.wide {
-				mask := ar.RowMask(yy)
-				// The region is a superset: a marked row may still be
-				// all-zero (e.g. the median filtered its pixels away), so
-				// the emptiness check stays, bounded to the dirty words.
-				if mask == 0 || rowEmptyMasked(row, mask) {
-					continue
-				}
-				i0, i1 = blockBounds(mask, src.Stride, s1, w)
-			} else if rowEmpty(row) {
-				continue
-			}
-			if bp != nil {
-				bp(row, i0*s1, s1, acc.s[i0:i1])
-				if i0 < lo {
-					lo = i0
-				}
-				if i1 > hi {
-					hi = i1
-				}
-			} else if blockMask != 0 {
-				off := i0 * s1
-				for i := i0; i < i1; i++ {
-					outRow[i] += uint16(bits.OnesCount64(fetchBits(row, off) & blockMask))
-					off += s1
-				}
-			} else {
-				for i := i0; i < i1; i++ {
-					outRow[i] += uint16(popcountRange(row, i*s1, i*s1+s1))
-				}
-			}
-		}
-		for i := lo; i < hi; i++ {
-			outRow[i] += uint16(acc.s[i])
-			acc.s[i] = 0
-		}
-	}
-	if acc != nil {
-		putIntRow(acc)
-	}
-	return out, nil
-}
-
 // blockBounds converts a dirty-word mask into the [i0, i1) range of s1-wide
 // blocks that can overlap a dirty word, clamped to the downsampled width w.
 func blockBounds(mask uint64, stride, s1, w int) (i0, i1 int) {
@@ -1027,27 +692,19 @@ func fetchBits(row []uint64, off int) uint64 {
 }
 
 // PackedHistograms computes the X/Y projections of Eq. 4 directly from a
-// packed bitmap at downsampling factors (s1, s2).
-func PackedHistograms(src *PackedBitmap, s1, s2 int) (hx, hy []int, err error) {
-	return PackedHistogramsInto(nil, nil, src, s1, s2)
-}
-
-// PackedHistogramsInto fuses Downsample and Histograms: block popcounts are
-// accumulated straight into the X histogram and each block row's total into
-// the Y histogram, so the intermediate scaled image is never materialized.
-// The results are bit-identical to DownsampleInto + HistogramsInto on the
-// unpacked image. Scratch slices are reused when large enough.
-func PackedHistogramsInto(hxBuf, hyBuf []int, src *PackedBitmap, s1, s2 int) (hx, hy []int, err error) {
-	return PackedHistogramsIntoRange(hxBuf, hyBuf, src, s1, s2, nil)
-}
-
-// PackedHistogramsIntoRange is PackedHistogramsInto bounded by an active
-// region: block rows outside the region's row span keep their zero Y bins
-// without touching the frame, and within a dirty source row only the
-// blocks its dirty words can cover are popcounted. ar must be a superset
-// of src's set pixels; nil processes the full frame. Results are
-// bit-identical to the full-frame kernel at every sparsity level.
-func PackedHistogramsIntoRange(hxBuf, hyBuf []int, src *PackedBitmap, s1, s2 int, ar *ActiveRegion) (hx, hy []int, err error) {
+// packed bitmap at downsampling factors (s1, s2), fusing Downsample and
+// Histograms: block popcounts are accumulated straight into the X
+// histogram and each block row's total into the Y histogram, so the scaled
+// image of Eq. 3 is never materialized. The results are bit-identical to
+// DownsampleInto + HistogramsInto on the unpacked image. The hxBuf and
+// hyBuf scratch slices are reused when large enough.
+//
+// ar bounds the pass to the frame's active region: block rows outside the
+// region's row span keep their zero Y bins without touching the frame, and
+// within a dirty source row only the blocks its dirty words can cover are
+// popcounted. ar must be a superset of src's set pixels; nil processes the
+// full frame.
+func PackedHistograms(hxBuf, hyBuf []int, src *PackedBitmap, s1, s2 int, ar *ActiveRegion) (hx, hy []int, err error) {
 	if s1 <= 0 || s2 <= 0 {
 		return nil, nil, fmt.Errorf("imgproc: scale factors must be positive, got s1=%d s2=%d", s1, s2)
 	}
@@ -1136,231 +793,3 @@ func rowEmpty(row []uint64) bool {
 	}
 	return or == 0
 }
-
-// packedRun is one maximal horizontal run [start, end) of set pixels on row
-// y, the unit of the run-extraction CCA.
-type packedRun struct {
-	y, start, end int32
-	label         int32
-}
-
-// rowRunMask returns the dirty-word mask CCA should iterate for row y, or
-// ^0 to request a plain full-row sweep — chosen when there is no per-word
-// information (nil or degraded region) or when the mask is already fully
-// dense, where iterating mask bits costs more than ranging over the row.
-func rowRunMask(ar *ActiveRegion, y int) uint64 {
-	if ar == nil || ar.wide {
-		return ^uint64(0)
-	}
-	m := ar.RowMask(y)
-	if m == ar.wordMask {
-		return ^uint64(0)
-	}
-	return m
-}
-
-// extractRuns appends the maximal set-bit runs of word k (row y) to *runs,
-// merging a run that continues across the word boundary into the previous
-// run of the same row (rowStart is where this row's runs begin).
-func extractRuns(runs *[]packedRun, rowStart int, y int32, k int, w uint64) {
-	base := int32(k << 6)
-	x := int32(0)
-	for w != 0 {
-		tz := int32(bits.TrailingZeros64(w))
-		w >>= uint(tz)
-		x += tz
-		n := int32(bits.TrailingZeros64(^w)) // run length; 64 when w is all ones
-		s, e := base+x, base+x+n
-		rs := *runs
-		if len(rs) > rowStart && rs[len(rs)-1].end == s {
-			rs[len(rs)-1].end = e // run continues across the word boundary
-		} else {
-			*runs = append(rs, packedRun{y: y, start: s, end: e, label: -1})
-		}
-		w >>= uint(n) // shift >= 64 is defined as 0 in Go
-		x += n
-	}
-}
-
-// PackedConnectedComponents labels the 8-connected regions of a packed
-// bitmap and returns the same Components (largest first) as
-// ConnectedComponents on the unpacked image. Instead of visiting pixels it
-// extracts maximal set-bit runs per word (TrailingZeros skips zero spans in
-// one step) and unions runs of adjacent rows that touch under
-// 8-connectivity, so the work scales with the number of runs, not W x H.
-func PackedConnectedComponents(p *PackedBitmap) []Component {
-	return PackedConnectedComponentsRegion(p, nil)
-}
-
-// PackedConnectedComponentsRegion is PackedConnectedComponents seeded only
-// from the active region's dirty words: rows outside the region's span are
-// never visited and, within a dirty row, run extraction iterates the dirty
-// words directly instead of sweeping the whole row. ar must be a superset
-// of p's set pixels; nil scans the full frame. Output is identical to the
-// full-frame labelling.
-func PackedConnectedComponentsRegion(p *PackedBitmap, ar *ActiveRegion) []Component {
-	if p.W == 0 || p.H == 0 {
-		return nil
-	}
-	ry0, ry1 := 0, p.H
-	if ar != nil {
-		ry0, ry1 = ar.RowSpan()
-		if ry0 >= ry1 {
-			return nil
-		}
-	}
-	cs := getCCAScratch()
-	runs := cs.runs
-	parent := cs.parent
-	find := func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]] // path halving
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int32) int32 {
-		ra, rb := find(a), find(b)
-		if ra == rb {
-			return ra
-		}
-		if ra < rb {
-			parent[rb] = ra
-			return ra
-		}
-		parent[ra] = rb
-		return rb
-	}
-
-	prevStart, prevEnd := 0, 0 // index range of the previous row's runs
-	for y := ry0; y < ry1; y++ {
-		rowStart := len(runs)
-		row := p.Row(y)
-		if m := rowRunMask(ar, y); m != ^uint64(0) {
-			// Visit only the dirty words; clean words are zero by the
-			// region invariant, so no run can bridge a skipped word.
-			for ; m != 0; m &= m - 1 {
-				k := bits.TrailingZeros64(m)
-				if k >= len(row) {
-					break
-				}
-				extractRuns(&runs, rowStart, int32(y), k, row[k])
-			}
-		} else {
-			for k, w := range row {
-				extractRuns(&runs, rowStart, int32(y), k, w)
-			}
-		}
-		// Match this row's runs against the previous row's with two
-		// pointers: runs [s1,e1) and [s2,e2) on adjacent rows are
-		// 8-connected iff s1 <= e2 && s2 <= e1.
-		pi := prevStart
-		for ri := rowStart; ri < len(runs); ri++ {
-			r := &runs[ri]
-			for pi < prevEnd && runs[pi].end < r.start {
-				pi++
-			}
-			for pj := pi; pj < prevEnd && runs[pj].start <= r.end; pj++ {
-				if r.label < 0 {
-					r.label = find(runs[pj].label)
-				} else {
-					r.label = union(r.label, runs[pj].label)
-				}
-			}
-			if r.label < 0 {
-				r.label = int32(len(parent))
-				parent = append(parent, r.label)
-			}
-		}
-		prevStart, prevEnd = rowStart, len(runs)
-	}
-
-	// Resolve roots and accumulate bounding boxes run-at-a-time.
-	accs := cs.accs
-	if cap(accs) < len(parent) {
-		accs = make([]ccaAcc, len(parent))
-	} else {
-		accs = accs[:len(parent)]
-		clear(accs)
-	}
-	for _, r := range runs {
-		root := find(r.label)
-		a := &accs[root]
-		if a.size == 0 {
-			*a = ccaAcc{minX: r.start, minY: r.y, maxX: r.end - 1, maxY: r.y}
-		}
-		a.size += int(r.end - r.start)
-		if r.start < a.minX {
-			a.minX = r.start
-		}
-		if r.end-1 > a.maxX {
-			a.maxX = r.end - 1
-		}
-		if r.y < a.minY {
-			a.minY = r.y
-		}
-		if r.y > a.maxY {
-			a.maxY = r.y
-		}
-	}
-	nroots := 0
-	for i := range accs {
-		if accs[i].size != 0 {
-			nroots++
-		}
-	}
-	out := make([]Component, 0, nroots)
-	for _, a := range accs {
-		if a.size == 0 {
-			continue
-		}
-		out = append(out, Component{
-			Box:  geometry.NewBox(int(a.minX), int(a.minY), int(a.maxX-a.minX+1), int(a.maxY-a.minY+1)),
-			Size: a.size,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Size != out[j].Size {
-			return out[i].Size > out[j].Size
-		}
-		if out[i].Box.X != out[j].Box.X {
-			return out[i].Box.X < out[j].Box.X
-		}
-		return out[i].Box.Y < out[j].Box.Y
-	})
-	cs.runs, cs.parent, cs.accs = runs, parent, accs
-	putCCAScratch(cs)
-	return out
-}
-
-// ccaAcc accumulates one component's bounding box and size; size == 0
-// marks an untouched slot (non-root labels).
-type ccaAcc struct {
-	minX, minY, maxX, maxY int32
-	size                   int
-}
-
-// ccaScratch holds the run, union-find, and accumulator arrays of one
-// connected-components labelling. Proposal extraction runs CCA per tracking
-// window; pooling the scratch (about 180 KB once grown for a DAVIS-scale
-// frame) keeps that off the per-window allocation profile.
-type ccaScratch struct {
-	runs   []packedRun
-	parent []int32
-	accs   []ccaAcc
-}
-
-var ccaScratchPool = sync.Pool{New: func() any { return new(ccaScratch) }}
-
-func getCCAScratch() *ccaScratch {
-	cs := ccaScratchPool.Get().(*ccaScratch)
-	cs.runs = cs.runs[:0]
-	if cs.parent == nil {
-		cs.parent = make([]int32, 0, 64)
-	} else {
-		cs.parent = cs.parent[:0]
-	}
-	return cs
-}
-
-func putCCAScratch(cs *ccaScratch) { ccaScratchPool.Put(cs) }

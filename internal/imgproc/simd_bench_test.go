@@ -29,7 +29,7 @@ func BenchmarkMedianDense(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := PackedMedianFilter(dst, src, p); err != nil {
+					if err := PackedMedianFilter(dst, src, p, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -73,7 +73,7 @@ func BenchmarkHistogramsArms(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				hx, hy, err = PackedHistogramsInto(hx, hy, src, 6, 3)
+				hx, hy, err = PackedHistograms(hx, hy, src, 6, 3, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

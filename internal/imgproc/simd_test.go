@@ -59,11 +59,11 @@ func TestSIMDMedianDifferential(t *testing.T) {
 					dstB := NewPackedBitmap(w, h)
 					garbageFill(dstA)
 					garbageFill(dstB)
-					if err := PackedMedianFilterRange(dstA, src, p, tc.ar); err != nil {
+					if err := PackedMedianFilter(dstA, src, p, tc.ar); err != nil {
 						t.Fatal(err)
 					}
 					restore := ForceGeneric()
-					err := PackedMedianFilterRange(dstB, src, p, tc.ar)
+					err := PackedMedianFilter(dstB, src, p, tc.ar)
 					restore()
 					if err != nil {
 						t.Fatal(err)
@@ -92,12 +92,12 @@ func TestSIMDHistogramsDifferential(t *testing.T) {
 				src := simdRandomBitmap(rng, w, h, d)
 				ar := simdRegionFor(src)
 				for _, reg := range []*ActiveRegion{nil, ar} {
-					hxA, hyA, err := PackedHistogramsIntoRange(nil, nil, src, sc.s1, sc.s2, reg)
+					hxA, hyA, err := PackedHistograms(nil, nil, src, sc.s1, sc.s2, reg)
 					if err != nil {
 						t.Fatal(err)
 					}
 					restore := ForceGeneric()
-					hxB, hyB, err := PackedHistogramsIntoRange(nil, nil, src, sc.s1, sc.s2, reg)
+					hxB, hyB, err := PackedHistograms(nil, nil, src, sc.s1, sc.s2, reg)
 					restore()
 					if err != nil {
 						t.Fatal(err)
@@ -105,26 +105,6 @@ func TestSIMDHistogramsDifferential(t *testing.T) {
 					if !intsEqual(hxA, hxB) || !intsEqual(hyA, hyB) {
 						t.Fatalf("w=%d s1=%d s2=%d d=%g region=%v: histograms differ",
 							w, sc.s1, sc.s2, d, reg != nil)
-					}
-
-					dsA, err := PackedDownsampleIntoRange(nil, src, sc.s1, sc.s2, reg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					restore = ForceGeneric()
-					dsB, err := PackedDownsampleIntoRange(nil, src, sc.s1, sc.s2, reg)
-					restore()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if dsA.W != dsB.W || dsA.H != dsB.H {
-						t.Fatalf("downsample size mismatch")
-					}
-					for i := range dsA.Pix {
-						if dsA.Pix[i] != dsB.Pix[i] {
-							t.Fatalf("w=%d s1=%d s2=%d d=%g region=%v: downsample differs at %d",
-								w, sc.s1, sc.s2, d, reg != nil, i)
-						}
 					}
 				}
 			}
@@ -170,11 +150,11 @@ func TestSIMDMedianRunEdges(t *testing.T) {
 		for _, p := range []int{3, 5} {
 			dstA := NewPackedBitmap(w, 12)
 			dstB := NewPackedBitmap(w, 12)
-			if err := PackedMedianFilterRange(dstA, src, p, nil); err != nil {
+			if err := PackedMedianFilter(dstA, src, p, nil); err != nil {
 				t.Fatal(err)
 			}
 			restore := ForceGeneric()
-			err := PackedMedianFilterRange(dstB, src, p, nil)
+			err := PackedMedianFilter(dstB, src, p, nil)
 			restore()
 			if err != nil {
 				t.Fatal(err)

@@ -145,18 +145,13 @@ func (m *Mask) MaskBitmap(b *imgproc.Bitmap) {
 	}
 }
 
-// MaskPacked is MaskBitmap for the packed fast path: each zone row is
-// blanked with word-masked stores instead of per-pixel writes.
-func (m *Mask) MaskPacked(p *imgproc.PackedBitmap) {
-	m.MaskPackedRegion(p, nil)
-}
-
-// MaskPackedRegion is MaskPacked bounded by the frame's active region:
-// zone rows outside the region's dirty row span are already all-zero and
-// are skipped instead of rewritten. Clearing pixels never invalidates the
-// region (it is a superset contract), so ar stays correct afterwards. A
-// nil region blanks every zone row.
-func (m *Mask) MaskPackedRegion(p *imgproc.PackedBitmap, ar *imgproc.ActiveRegion) {
+// MaskPacked is MaskBitmap for the packed frame chain: each zone row is
+// blanked with word-masked stores instead of per-pixel writes, and zone
+// rows outside the frame's active region (its dirty row span) are already
+// all-zero and are skipped instead of rewritten. Clearing pixels never
+// invalidates the region (it is a superset contract), so ar stays correct
+// afterwards. A nil region blanks every zone row.
+func (m *Mask) MaskPacked(p *imgproc.PackedBitmap, ar *imgproc.ActiveRegion) {
 	y0, y1 := 0, p.H
 	if ar != nil {
 		y0, y1 = ar.RowSpan()

@@ -159,7 +159,9 @@ func TestFilterEvents(t *testing.T) {
 }
 
 // TestMaskPackedParity holds MaskPacked bit-identical to MaskBitmap across
-// zones that straddle word boundaries and the image border.
+// zones that straddle word boundaries and the image border, without a
+// region and with the frame's exact active region, on a frame with pixels
+// in every row and on one whose pixels occupy a band of rows only.
 func TestMaskPackedParity(t *testing.T) {
 	m := New(
 		geometry.NewBox(60, 2, 10, 5),   // inside one word
@@ -167,16 +169,29 @@ func TestMaskPackedParity(t *testing.T) {
 		geometry.NewBox(-5, -5, 10, 10), // hangs off the image
 		geometry.NewBox(230, 170, 40, 40),
 	)
-	b := imgproc.NewBitmap(240, 180)
-	for y := 0; y < b.H; y++ {
-		for x := y % 3; x < b.W; x += 3 {
-			b.Set(x, y)
+	for _, rows := range [][2]int{{0, 180}, {6, 10}} {
+		b := imgproc.NewBitmap(240, 180)
+		for y := rows[0]; y < rows[1]; y++ {
+			for x := y % 3; x < b.W; x += 3 {
+				b.Set(x, y)
+			}
 		}
-	}
-	p := imgproc.PackBitmap(nil, b)
-	m.MaskBitmap(b)
-	m.MaskPacked(p)
-	if !p.Unpack(nil).Equal(b) {
-		t.Fatal("MaskPacked differs from MaskBitmap")
+		p := imgproc.PackBitmap(nil, b)
+		exact := imgproc.NewActiveRegion(p.W, p.H)
+		for y := 0; y < p.H; y++ {
+			for k, w := range p.Row(y) {
+				if w != 0 {
+					exact.MarkWord(y, k)
+				}
+			}
+		}
+		m.MaskBitmap(b)
+		for _, ar := range []*imgproc.ActiveRegion{nil, exact} {
+			q := p.Clone()
+			m.MaskPacked(q, ar)
+			if !q.Unpack(nil).Equal(b) {
+				t.Fatalf("rows [%d,%d) region=%v: MaskPacked differs from MaskBitmap", rows[0], rows[1], ar != nil)
+			}
+		}
 	}
 }

@@ -11,7 +11,8 @@ import (
 // TestProposePackedParity holds Propose and ProposePacked to identical
 // Results — proposals, histograms and runs — over random frames and a grid
 // of RPN configurations, including scales that do not divide the array and
-// configs with tightening and merging disabled.
+// configs with tightening and merging disabled. ProposePacked runs both
+// without a region and with the frame's exact active region.
 func TestProposePackedParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	cfgs := []Config{
@@ -49,52 +50,34 @@ func TestProposePackedParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fast, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
+				pimg := imgproc.PackBitmap(nil, img)
+				exact := imgproc.NewActiveRegion(sz.w, sz.h)
+				for y := 0; y < sz.h; y++ {
+					for k, w := range pimg.Row(y) {
+						if w != 0 {
+							exact.MarkWord(y, k)
+						}
+					}
 				}
-				got, err := fast.ProposePacked(imgproc.PackBitmap(nil, img))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got.Proposals, want.Proposals) {
-					t.Fatalf("%dx%d cfg%d trial %d: proposals %v != %v", sz.w, sz.h, ci, trial, got.Proposals, want.Proposals)
-				}
-				if !reflect.DeepEqual(got.HX, want.HX) || !reflect.DeepEqual(got.HY, want.HY) {
-					t.Fatalf("%dx%d cfg%d trial %d: histograms mismatch", sz.w, sz.h, ci, trial)
-				}
-				if !reflect.DeepEqual(got.XRuns, want.XRuns) || !reflect.DeepEqual(got.YRuns, want.YRuns) {
-					t.Fatalf("%dx%d cfg%d trial %d: runs mismatch", sz.w, sz.h, ci, trial)
-				}
-			}
-		}
-	}
-}
-
-// TestCCAProposePackedParity holds the CCA ablation baseline's packed path
-// bit-identical to the byte path across dilation radii and minimum sizes.
-func TestCCAProposePackedParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	proposers := []CCAProposer{
-		{},
-		{DilateRadius: 1},
-		{DilateRadius: 2, MinPixels: 4},
-		{DilateRadius: 3, MinPixels: 10},
-	}
-	sizes := []struct{ w, h int }{{240, 180}, {65, 33}, {64, 64}, {31, 7}}
-	for _, sz := range sizes {
-		for trial := 0; trial < 6; trial++ {
-			img := imgproc.NewBitmap(sz.w, sz.h)
-			for i := 0; i < sz.w*sz.h/20; i++ {
-				img.Set(rng.Intn(sz.w), rng.Intn(sz.h))
-			}
-			pimg := imgproc.PackBitmap(nil, img)
-			for pi, cp := range proposers {
-				want := cp.Propose(img)
-				got := cp.ProposePacked(pimg)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%dx%d proposer %d trial %d: packed CCA proposals %v != %v",
-						sz.w, sz.h, pi, trial, got, want)
+				for _, ar := range []*imgproc.ActiveRegion{nil, exact} {
+					fast, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := fast.ProposePacked(pimg, ar)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got.Proposals, want.Proposals) {
+						t.Fatalf("%dx%d cfg%d trial %d region=%v: proposals %v != %v",
+							sz.w, sz.h, ci, trial, ar != nil, got.Proposals, want.Proposals)
+					}
+					if !reflect.DeepEqual(got.HX, want.HX) || !reflect.DeepEqual(got.HY, want.HY) {
+						t.Fatalf("%dx%d cfg%d trial %d region=%v: histograms mismatch", sz.w, sz.h, ci, trial, ar != nil)
+					}
+					if !reflect.DeepEqual(got.XRuns, want.XRuns) || !reflect.DeepEqual(got.YRuns, want.YRuns) {
+						t.Fatalf("%dx%d cfg%d trial %d region=%v: runs mismatch", sz.w, sz.h, ci, trial, ar != nil)
+					}
 				}
 			}
 		}

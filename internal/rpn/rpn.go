@@ -140,26 +140,19 @@ func (p *Proposer) Propose(img *imgproc.Bitmap) (Result, error) {
 }
 
 // ProposePacked runs the full RPN on a packed filtered EBBI — the
-// word-parallel fast path. The downsample and both histograms collapse into
-// one fused pass of block popcounts (the scaled image is never
-// materialized), and the validity check and box tightening use masked
-// popcounts and first/last-set-bit scans. The Result is bit-identical to
-// Propose on the unpacked image and carries the same aliasing contract: HX
-// and HY alias scratch buffers valid until the next call.
-func (p *Proposer) ProposePacked(img *imgproc.PackedBitmap) (Result, error) {
-	return p.ProposePackedRegion(img, nil)
-}
-
-// ProposePackedRegion is ProposePacked bounded by the frame's active
-// region: the fused histogram pass visits only the region's dirty rows and
-// words (the frame chain's sparsity summary threaded down from event
-// accumulation), so the RPN never rescans dead frame area. The validity
-// check and tightening are already bounded by the candidate boxes, which
-// the histogram runs confine to the active area. ar must be a superset of
-// img's set pixels; nil processes the full frame. The Result is
-// bit-identical to ProposePacked (and to the byte-path Propose).
-func (p *Proposer) ProposePackedRegion(img *imgproc.PackedBitmap, ar *imgproc.ActiveRegion) (Result, error) {
-	hx, hy, err := imgproc.PackedHistogramsIntoRange(p.hx, p.hy, img, p.cfg.S1, p.cfg.S2, ar)
+// word-parallel path the tracking systems run. The downsample and both
+// histograms collapse into one fused pass of block popcounts (the scaled
+// image is never materialized), bounded to the frame's active region: the
+// pass visits only the region's dirty rows and words, so the RPN never
+// rescans dead frame area. The validity check and box tightening use masked
+// popcounts and first/last-set-bit scans, and are already bounded by the
+// candidate boxes, which the histogram runs confine to the active area. ar
+// must be a superset of img's set pixels; nil processes the full frame.
+// The Result is bit-identical to Propose on the unpacked image and carries
+// the same aliasing contract: HX and HY alias scratch buffers valid until
+// the next call.
+func (p *Proposer) ProposePacked(img *imgproc.PackedBitmap, ar *imgproc.ActiveRegion) (Result, error) {
+	hx, hy, err := imgproc.PackedHistograms(p.hx, p.hy, img, p.cfg.S1, p.cfg.S2, ar)
 	if err != nil {
 		return Result{}, fmt.Errorf("rpn: %w", err)
 	}
@@ -300,53 +293,13 @@ func (c CCAProposer) Propose(img *imgproc.Bitmap) []Proposal {
 	if c.DilateRadius > 0 {
 		work = imgproc.Dilate(img, c.DilateRadius)
 	}
-	comps := imgproc.ConnectedComponents(work)
-	return c.proposals(comps, func(b geometry.Box) int { return countPixels(img, b) })
-}
-
-// ProposePacked is Propose on a packed filtered EBBI: the dilation and the
-// component labelling run word-parallel (imgproc.PackedDilate,
-// PackedConnectedComponents) and the evidence counts are masked popcounts,
-// so the CCA ablation baseline measures the packed path against the packed
-// histogram RPN rather than paying an unpack. Output is bit-identical to
-// Propose on the unpacked image.
-func (c CCAProposer) ProposePacked(img *imgproc.PackedBitmap) []Proposal {
-	return c.ProposePackedRegion(img, nil)
-}
-
-// ProposePackedRegion is ProposePacked bounded by the frame's active
-// region: the dilation processes only the dirty row span plus its halo and
-// the component labelling is seeded from the dirty words alone (clean rows
-// can hold no runs). ar must be a superset of img's set pixels; nil
-// processes the full frame. Output is identical to ProposePacked.
-func (c CCAProposer) ProposePackedRegion(img *imgproc.PackedBitmap, ar *imgproc.ActiveRegion) []Proposal {
-	work := img
-	workAR := ar
-	if c.DilateRadius > 0 {
-		work = imgproc.PackedDilateRegion(nil, img, c.DilateRadius, ar)
-		if ar != nil {
-			// The dilated image's pixels reach DilateRadius beyond the
-			// region, so the CCA seed region must grow the same way.
-			workAR = imgproc.NewActiveRegion(img.W, img.H)
-			workAR.SetDilated(ar, c.DilateRadius)
-		}
-	}
-	comps := imgproc.PackedConnectedComponentsRegion(work, workAR)
-	return c.proposals(comps, func(b geometry.Box) int {
-		// Evidence is counted in the undilated image.
-		return img.CountRange(b.X, b.Y, b.MaxX(), b.MaxY())
-	})
-}
-
-// proposals filters labelled components into proposals; count supplies the
-// representation-specific evidence count over the undilated image.
-func (c CCAProposer) proposals(comps []imgproc.Component, count func(geometry.Box) int) []Proposal {
 	var out []Proposal
-	for _, comp := range comps {
+	for _, comp := range imgproc.ConnectedComponents(work) {
 		if comp.Size < c.MinPixels {
 			continue
 		}
-		out = append(out, Proposal{Box: comp.Box, Pixels: count(comp.Box)})
+		// Evidence is counted in the undilated image.
+		out = append(out, Proposal{Box: comp.Box, Pixels: countPixels(img, comp.Box)})
 	}
 	return out
 }
