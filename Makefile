@@ -40,17 +40,18 @@ bench-imgproc:
 # Machine-readable benchmark results for cross-PR perf tracking: the hot
 # packages' benchmarks (frame kernels, EBBI window chain, the fused core
 # window path, snapshot store, AEDAT window decode, the Runner's whole
-# replay path) parsed into BENCH.json (name, ns/op, B/op, allocs/op,
+# replay path, ingest wire decode and loopback) parsed into BENCH.json (name, ns/op, B/op, allocs/op,
 # custom metrics). CI runs this and uploads the artifact.
 BENCH_PKGS = ./internal/imgproc/ ./internal/ebbi/ ./internal/core/ ./internal/store/ \
-	./internal/aedat/ ./internal/pipeline/
+	./internal/aedat/ ./internal/pipeline/ ./internal/ingest/
 bench-json:
 	$(GO) test -run xxx -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) $(BENCH_PKGS) \
 		| $(GO) run ./cmd/ebbiot-benchfmt -o BENCH.json -tee
 
 # Regression gate: measure ONLY the gated benchmarks (median, downsample,
 # histograms, popcount, the fused ProcessWindow path, AEDAT window decode,
-# the Runner's whole replay path) de-noised, then diff
+# the Runner's whole replay path, ingest wire batch decode and the
+# DialSink → Server → NetSource loopback path) de-noised, then diff
 # against BENCH_OLD
 # (default: the committed baseline snapshot). Any gated benchmark slowing
 # down more than BENCH_TOLERANCE percent on ns/op fails the target.
@@ -69,7 +70,7 @@ bench-json:
 # snapshot from another machine or day, expect drift — override
 # BENCH_TOLERANCE or refresh the baseline.
 BENCH_TOLERANCE ?= 15
-BENCH_MATCH ?= Median|Downsample|Histograms|Popcount|ProcessWindow|DecodeWindows|WindowLoop_Runner
+BENCH_MATCH ?= Median|Downsample|Histograms|Popcount|ProcessWindow|DecodeWindows|WindowLoop_Runner|WireDecode|IngestLoopback
 BENCH_OLD ?= BENCH_baseline.json
 BENCH_MIN_NS ?= 2000
 bench-compare:

@@ -1,6 +1,6 @@
 // Package ebbiot_test is the benchmark harness that regenerates every table
-// and figure of the paper's evaluation (see DESIGN.md's per-experiment
-// index and EXPERIMENTS.md for recorded paper-vs-measured numbers).
+// and figure of the paper's evaluation (see docs/EXPERIMENTS.md for the
+// recorded numbers).
 //
 // Run with:
 //

@@ -268,7 +268,7 @@ func (d *DialSink) install(conn net.Conn, rep helloReply) {
 func (d *DialSink) ackLoop(conn net.Conn, gen int) {
 	dec := newDecoder(bufio.NewReaderSize(conn, 4<<10), events.Resolution{})
 	for {
-		f, err := dec.next()
+		f, err := dec.next(nil)
 		if err != nil {
 			d.noteConnErr(gen, fmt.Errorf("ingest: ack read: %w", err))
 			return
@@ -331,12 +331,10 @@ func (d *DialSink) sendLocked(evs []events.Event, heartbeat bool) error {
 	if d.closed {
 		return fmt.Errorf("ingest: send on closed sink")
 	}
-	// Encode before committing, so a bad batch neither burns a sequence
-	// number nor enters the replay ring.
-	var err error
-	d.buf, err = appendBatchFrame(d.buf[:0], d.seq+1, evs)
-	if err != nil {
-		return err
+	// Check the size before committing, so a bad batch neither burns a
+	// sequence number nor enters the replay ring.
+	if len(evs) > maxBatchEvents {
+		return fmt.Errorf("%w: %d events", ErrFrameTooBig, len(evs))
 	}
 	if d.resumable() {
 		if len(d.ring) >= d.cfg.ReplayWindow {
@@ -373,6 +371,9 @@ func (d *DialSink) sendLocked(evs []events.Event, heartbeat bool) error {
 		}
 		d.ring = append(d.ring, ringEntry{seq: d.seq, evs: cp})
 	}
+	// Encode only now: the wait above releases d.mu, and a heartbeat sent
+	// meanwhile takes a sequence number and overwrites d.buf.
+	d.buf, _ = appendBatchFrame(d.buf[:0], d.seq, evs)
 	return d.writeBufLocked(d.seq)
 }
 
@@ -541,6 +542,9 @@ func (d *DialSink) heartbeatLoop() {
 // whole stream was accepted. After Close the stream is finished on the
 // server.
 func (d *DialSink) Close() error {
+	// Stop the heartbeat first: awaitAckLocked releases d.mu, and a
+	// heartbeat sent then would follow the EOF frame.
+	d.stopHeartbeat()
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
@@ -564,7 +568,6 @@ func (d *DialSink) Close() error {
 	conn := d.conn
 	d.cond.Broadcast()
 	d.mu.Unlock()
-	d.stopHeartbeat()
 	cerr := conn.Close()
 	if err != nil {
 		return fmt.Errorf("ingest: close: %w", err)

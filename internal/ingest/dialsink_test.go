@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -133,5 +134,64 @@ func TestJitteredBackoffBounds(t *testing.T) {
 				t.Fatalf("attempt %d: backoff %v outside [%v, %v]", attempt, got, d/2, d)
 			}
 		}
+	}
+}
+
+// TestHeartbeatNeverSplitsABatch drives a sink whose heartbeat fires while
+// Send waits for ring space and while Close waits for the EOF
+// acknowledgement. A heartbeat sent during the first wait must not take
+// the pending batch's sequence number or overwrite its staged bytes, and
+// none may follow the EOF frame: every event arrives once, in order, with
+// no duplicate, gap or resume.
+func TestHeartbeatNeverSplitsABatch(t *testing.T) {
+	srv := startServer(t, ServerConfig{
+		Streams:     []string{"cam0"},
+		Res:         events.DAVIS240,
+		AckEvery:    1,
+		IdleTimeout: time.Second,
+	})
+	src := srv.Source("cam0")
+	ds, err := Dial(srv.Addr().String(), DialConfig{
+		StreamID:     "cam0",
+		Res:          events.DAVIS240,
+		ReplayWindow: 1,
+		Heartbeat:    20 * time.Microsecond,
+		Timeout:      time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batches, per = 2000, 5
+	type result struct {
+		evs []events.Event
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		evs, err := drain(src, 1000)
+		done <- result{evs, err}
+	}()
+	for b := 0; b < batches; b++ {
+		if err := ds.Send(testEvents(per, int64(b*per))); err != nil {
+			t.Fatalf("Send %d: %v", b, err)
+		}
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	res := <-done
+	if res.err != io.EOF {
+		t.Fatalf("drain ended with %v, want io.EOF", res.err)
+	}
+	if len(res.evs) != batches*per {
+		t.Fatalf("delivered %d events, want %d", len(res.evs), batches*per)
+	}
+	for i, e := range res.evs {
+		if e.T != int64(i) {
+			t.Fatalf("event %d at t=%d, want t=%d", i, e.T, i)
+		}
+	}
+	if st := src.SourceStats(); st.DupBatches != 0 || st.SeqGaps != 0 || st.Resumes != 0 {
+		t.Fatalf("dup batches %d, seq gaps %d, resumes %d; want all 0", st.DupBatches, st.SeqGaps, st.Resumes)
 	}
 }

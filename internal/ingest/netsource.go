@@ -74,9 +74,38 @@ type NetSourceConfig struct {
 	FailFast bool
 }
 
-// batch is one accepted event batch queued for the consumer.
-type batch struct {
-	evs []events.Event
+// batchPool recycles batch buffers across every connection and stream in
+// the process: Server.serveConn decodes each batch into one, offer takes
+// ownership, and the NetSource returns it once the batch is delivered or
+// shed. It holds *[]events.Event so that Put does not allocate; hdrPool
+// recycles those pointers between a getBatch and the next putBatch.
+var batchPool, hdrPool sync.Pool
+
+// getBatch returns an empty pooled batch buffer, or nil when the pool is
+// empty (the decoder then allocates one).
+func getBatch() []events.Event {
+	p, _ := batchPool.Get().(*[]events.Event)
+	if p == nil {
+		return nil
+	}
+	evs := *p
+	*p = nil
+	hdrPool.Put(p)
+	return evs
+}
+
+// putBatch returns a buffer to batchPool. The caller must hold no other
+// reference to it.
+func putBatch(evs []events.Event) {
+	if cap(evs) == 0 {
+		return
+	}
+	p, _ := hdrPool.Get().(*[]events.Event)
+	if p == nil {
+		p = new([]events.Event)
+	}
+	*p = evs[:0]
+	batchPool.Put(p)
 }
 
 // NetSource adapts one sensor connection to pipeline.EventSource. The
@@ -92,11 +121,13 @@ type NetSource struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// queue holds accepted batches awaiting the consumer.
-	queue []batch
-	// pending is the consumer-side staging buffer: events popped from the
-	// queue but beyond the current window's end.
-	pending []events.Event
+	// queue holds accepted batches awaiting the consumer. The NetSource
+	// owns their buffers.
+	queue [][]events.Event
+	// pending is the head batch, popped from the queue; its first
+	// delivered events have been copied to the consumer already.
+	pending   []events.Event
+	delivered int
 	// closed: no more batches will ever arrive (clean EOF, fault, abort).
 	closed bool
 	// failErr is the terminal fault, surfaced by NextWindow iff FailFast.
@@ -191,58 +222,78 @@ var errSuperseded = errors.New("ingest: connection superseded by a resumed sessi
 // The returned error is a protocol violation the caller should treat as a
 // stream fault; offer on a closed source returns io.ErrClosedPipe, and
 // from a superseded epoch errSuperseded.
+//
+// offer owns evs from the call on: a batch it does not queue goes back to
+// batchPool at once, a queued one once delivered or shed.
 func (n *NetSource) offer(epoch, seq uint64, evs []events.Event) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	queued, err := n.admit(epoch, seq, evs)
+	if !queued {
+		putBatch(evs)
+	}
+	return err
+}
+
+// admit is offer under n.mu; it reports whether evs was queued.
+func (n *NetSource) admit(epoch, seq uint64, evs []events.Event) (bool, error) {
 	if n.closed {
-		return io.ErrClosedPipe
+		return false, io.ErrClosedPipe
 	}
 	if epoch != n.epoch {
-		return errSuperseded
+		return false, errSuperseded
 	}
 	if seq <= n.lastSeq {
 		// Duplicate or reordered batch: already delivered (or superseded)
 		// territory. Dropping it keeps the consumed stream time-sorted.
 		n.stats.DupBatches++
 		n.stats.DupEvents += int64(len(evs))
-		return nil
+		return false, nil
 	}
 	if seq > n.lastSeq+1 {
 		n.stats.SeqGaps += int64(seq - n.lastSeq - 1)
 	}
 	if len(evs) > 0 && evs[0].T < n.lastT {
-		return fmt.Errorf("%w: batch %d starts at t=%d before t=%d: %v",
+		return false, fmt.Errorf("%w: batch %d starts at t=%d before t=%d: %v",
 			ErrBadFrame, seq, evs[0].T, n.lastT, events.ErrUnsorted)
 	}
 	n.lastSeq = seq
 	n.stats.Batches++
 	n.stats.Events += int64(len(evs))
 	if len(evs) == 0 {
-		return nil // heartbeat: sequence advanced, nothing to queue
+		return false, nil // heartbeat: sequence advanced, nothing to queue
 	}
 	n.lastT = evs[len(evs)-1].T
 	for len(n.queue) >= n.cfg.QueueBatches {
 		switch n.cfg.Policy {
 		case DropOldest:
-			old := n.queue[0]
-			copy(n.queue, n.queue[1:])
-			n.queue = n.queue[:len(n.queue)-1]
+			old := n.popQueue()
 			n.stats.DroppedBatches++
-			n.stats.DroppedEvents += int64(len(old.evs))
+			n.stats.DroppedEvents += int64(len(old))
+			putBatch(old)
 		case DropNewest:
 			n.stats.DroppedBatches++
 			n.stats.DroppedEvents += int64(len(evs))
-			return nil
+			return false, nil
 		default: // Block
 			n.cond.Wait()
 			if n.closed {
-				return io.ErrClosedPipe
+				return false, io.ErrClosedPipe
 			}
 		}
 	}
-	n.queue = append(n.queue, batch{evs: evs})
+	n.queue = append(n.queue, evs)
 	n.cond.Broadcast()
-	return nil
+	return true, nil
+}
+
+// popQueue removes and returns the oldest queued batch.
+func (n *NetSource) popQueue() []events.Event {
+	b := n.queue[0]
+	copy(n.queue, n.queue[1:])
+	n.queue[len(n.queue)-1] = nil
+	n.queue = n.queue[:len(n.queue)-1]
+	return b
 }
 
 // finish marks a clean end of stream: queued batches remain consumable,
@@ -287,27 +338,29 @@ func (n *NetSource) SourceStats() pipeline.SourceStats {
 // NextWindow implements pipeline.EventSource. It appends the stream's
 // events in [start, end) to buf, blocking until an event at or past end
 // (or the end of the stream) proves the window complete — on a live
-// connection this is what paces the pipeline to sensor time.
+// connection this is what paces the pipeline to sensor time. Events are
+// copied once, from the head batch straight into buf; a drained head
+// batch goes back to batchPool.
 func (n *NetSource) NextWindow(buf []events.Event, start, end int64) ([]events.Event, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for {
-		// Deliver the pending prefix below end.
+		// Deliver the head batch's undelivered prefix below end.
+		rest := n.pending[n.delivered:]
 		cut := 0
-		for cut < len(n.pending) && n.pending[cut].T < end {
+		for cut < len(rest) && rest[cut].T < end {
 			cut++
 		}
-		buf = append(buf, n.pending[:cut]...)
-		n.pending = n.pending[cut:]
-		if len(n.pending) > 0 {
+		buf = append(buf, rest[:cut]...)
+		n.delivered += cut
+		if cut < len(rest) {
 			// An event at or beyond end proves the window complete.
 			return buf, nil
 		}
+		putBatch(n.pending)
+		n.pending, n.delivered = nil, 0
 		if len(n.queue) > 0 {
-			b := n.queue[0]
-			copy(n.queue, n.queue[1:])
-			n.queue = n.queue[:len(n.queue)-1]
-			n.pending = append(n.pending[:0], b.evs...)
+			n.pending = n.popQueue()
 			n.cond.Broadcast() // a Block-policy producer may be waiting
 			continue
 		}

@@ -1,8 +1,11 @@
 package ingest
 
 import (
+	"bytes"
 	"errors"
 	"io"
+	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 
@@ -26,9 +29,10 @@ func TestNetSourceDeliversInOrder(t *testing.T) {
 	src := NewNetSource(NetSourceConfig{})
 	want := testEvents(300, 0)
 	// Push as three batches of 100, cut at awkward offsets vs the 77us
-	// consumer windows.
+	// consumer windows. offer owns what it is given, so each batch is a
+	// copy.
 	for i := 0; i < 3; i++ {
-		if err := src.offer(0, uint64(i+1), want[i*100:(i+1)*100]); err != nil {
+		if err := src.offer(0, uint64(i+1), slices.Clone(want[i*100:(i+1)*100])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -301,5 +305,155 @@ func TestParseDropPolicy(t *testing.T) {
 	}
 	if _, err := ParseDropPolicy("sometimes"); err == nil {
 		t.Error("unknown policy accepted")
+	}
+}
+
+// TestNetSourceRecycledBuffers holds NetSource to its buffer-ownership
+// contract. A producer decodes real frames into pooled buffers, as the
+// server does, while a consumer drains the stream: under every policy, and
+// with duplicate offers, each delivered event must equal the reference. A
+// buffer returned to the pool while still queued or undelivered would be
+// overwritten by a later decode and fail the comparison (or, under -race,
+// trip the detector).
+func TestNetSourceRecycledBuffers(t *testing.T) {
+	const batches = 300
+	// Batch sizes vary so that some recycled buffers are too small.
+	var bounds []int
+	total := 0
+	for k := 0; k < batches; k++ {
+		bounds = append(bounds, total)
+		total += 1 + k*37%300
+	}
+	bounds = append(bounds, total)
+	ref := testEvents(total, 0) // T is the global index
+	frames := make([][]byte, batches)
+	for k := range frames {
+		frames[k] = mustBatch(t, uint64(k+1), ref[bounds[k]:bounds[k+1]])
+	}
+
+	for _, policy := range []DropPolicy{Block, DropOldest, DropNewest} {
+		t.Run(policy.String(), func(t *testing.T) {
+			src := NewNetSource(NetSourceConfig{QueueBatches: 2, Policy: policy})
+			// Under a drop policy the consumer starts only after a burst of
+			// offers, so batches are shed for certain.
+			burst := 0
+			if policy != Block {
+				burst = 6
+			}
+			started := make(chan struct{})
+			type result struct {
+				evs []events.Event
+				err error
+			}
+			done := make(chan result, 1)
+			go func() {
+				<-started
+				evs, err := drain(src, 97)
+				done <- result{evs, err}
+			}()
+
+			var rd bytes.Reader
+			dec := newDecoder(&rd, events.DAVIS240)
+			offer := func(k int) {
+				rd.Reset(frames[k])
+				f, err := dec.next(getBatch())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := src.offer(0, f.seq, f.evs); err != nil {
+					t.Error(err)
+				}
+			}
+			dups := 0
+			for k := 0; k < batches; k++ {
+				if k == burst {
+					close(started)
+				}
+				offer(k)
+				if k%7 == 3 {
+					offer(k) // a replayed duplicate
+					dups++
+				}
+			}
+			src.finish()
+			res := <-done
+			if res.err != io.EOF {
+				t.Fatalf("drain: %v", res.err)
+			}
+			last := int64(-1)
+			for i, e := range res.evs {
+				if e.T <= last || e.T >= int64(total) || e != ref[e.T] {
+					t.Fatalf("delivered event %d = %+v after t=%d: not the reference event at its time", i, e, last)
+				}
+				last = e.T
+			}
+			st := src.SourceStats()
+			if int64(len(res.evs)) != int64(total)-st.DroppedEvents {
+				t.Fatalf("delivered %d events, want %d minus %d dropped", len(res.evs), total, st.DroppedEvents)
+			}
+			if st.DupBatches != int64(dups) {
+				t.Fatalf("DupBatches = %d, want %d", st.DupBatches, dups)
+			}
+			if (st.DroppedBatches > 0) != (policy != Block) {
+				t.Fatalf("policy %v dropped %d batches", policy, st.DroppedBatches)
+			}
+		})
+	}
+}
+
+// raceEnabled reports whether the test binary runs under the race
+// detector, where sync.Pool drops items at random.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return true // unknown: assume the pool cannot be relied on
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestIngestCycleAllocFree guards the allocation-free ingest path: once
+// warm, decoding an ENG-window-sized batch into a pooled buffer, offering
+// it and delivering a window from it allocates nothing.
+func TestIngestCycleAllocFree(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const per, runs = engBatchEvents, 50
+	frames := make([][]byte, runs+2)
+	for k := range frames {
+		frames[k] = mustBatch(t, uint64(k+1), testEvents(per, int64(k*per)))
+	}
+	src := NewNetSource(NetSourceConfig{})
+	var rd bytes.Reader
+	dec := newDecoder(&rd, events.DAVIS240)
+	var buf []events.Event
+	k := 0
+	cycle := func() {
+		rd.Reset(frames[k])
+		f, err := dec.next(getBatch())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := src.offer(0, f.seq, f.evs); err != nil {
+			t.Fatal(err)
+		}
+		if k > 0 {
+			// Batch k proves window k-1 complete.
+			start := int64((k - 1) * per)
+			if buf, err = src.NextWindow(buf[:0], start, start+per); err != nil || len(buf) != per {
+				t.Fatalf("window %d: %d events, err %v", k-1, len(buf), err)
+			}
+		}
+		k++
+	}
+	cycle() // batch 0 has no window to close yet
+	if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
+		t.Fatalf("decode → offer → NextWindow allocates %v times per batch, want 0", allocs)
 	}
 }

@@ -435,7 +435,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	sinceAck := 0
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(s.scfg.IdleTimeout))
-		f, err := dec.next()
+		f, err := dec.next(getBatch())
 		switch {
 		case err == nil:
 		case errors.Is(err, io.EOF):
@@ -489,6 +489,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.logf("ingest: stream %q: %v", hello.StreamID, err)
 			return
 		}
+		// offer owns f.evs from here on and returns it to batchPool.
 		if err := src.offer(rep.Epoch, f.seq, f.evs); err != nil {
 			if !errors.Is(err, io.ErrClosedPipe) && !errors.Is(err, errSuperseded) {
 				s.release(sess, conn, err, false)

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 
 	"ebbiot/internal/events"
 )
@@ -329,18 +330,25 @@ func appendSeqFrame(dst []byte, typ uint8, seq uint64) []byte {
 type frame struct {
 	typ uint8
 	seq uint64
-	// evs holds the batch events (typ == frameBatch); freshly allocated per
-	// frame because the consumer queues batches beyond the next read.
+	// evs holds the batch events (typ == frameBatch), decoded into the
+	// buffer passed to next.
 	evs []events.Event
 }
 
+// ceilPow2 rounds n up to a power of two, capped at limit, so a buffer
+// sized for one batch still fits the next, slightly larger one.
+func ceilPow2(n, limit int) int {
+	return min(1<<bits.Len(uint(n-1)), limit)
+}
+
 // decoder incrementally decodes frames off a byte stream. The payload
-// scratch buffer is reused across frames; batch event slices are not. A
-// decoder validates everything the bytes alone can prove: framing lengths,
-// checksums, payload structure, polarity values, in-batch timestamp order
-// and (when res is non-zero) pixel addresses. Cross-batch ordering and
-// sequence-number discipline are NetSource's job — the decoder is
-// stateless across frames so it can be fuzzed on arbitrary byte streams.
+// scratch buffer is reused across frames; batch events are decoded into
+// the buffer the caller passes to next. A decoder validates everything
+// the bytes alone can prove: framing lengths, checksums, payload
+// structure, polarity values, in-batch timestamp order and (when res is
+// non-zero) pixel addresses. Cross-batch ordering and sequence-number
+// discipline are NetSource's job — the decoder is stateless across
+// frames so it can be fuzzed on arbitrary byte streams.
 type decoder struct {
 	r       io.Reader
 	hdr     [frameHeaderLen]byte
@@ -352,12 +360,14 @@ func newDecoder(r io.Reader, res events.Resolution) *decoder {
 	return &decoder{r: r, res: res}
 }
 
-// next reads and validates one frame. io.EOF is returned only on a clean
-// frame boundary; a stream ending inside a frame yields io.ErrUnexpectedEOF
-// (a torn frame, from the receiver's point of view). Transport errors that
-// are not stream ends — a read deadline, a reset — pass through unchanged
-// so the caller can classify them.
-func (d *decoder) next() (frame, error) {
+// next reads and validates one frame. A batch's events are decoded into
+// dst, or into a new buffer when dst is too small; the caller owns the
+// result. io.EOF is returned only on a clean frame boundary; a stream
+// ending inside a frame yields io.ErrUnexpectedEOF (a torn frame, from
+// the receiver's point of view). Transport errors that are not stream
+// ends — a read deadline, a reset — pass through unchanged so the caller
+// can classify them.
+func (d *decoder) next(dst []events.Event) (frame, error) {
 	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
 		if err == io.EOF {
 			return frame{}, io.EOF
@@ -376,7 +386,7 @@ func (d *decoder) next() (frame, error) {
 		return frame{}, fmt.Errorf("%w: empty payload", ErrBadFrame)
 	}
 	if cap(d.payload) < payloadLen {
-		d.payload = make([]byte, payloadLen)
+		d.payload = make([]byte, ceilPow2(payloadLen, maxFramePayload))
 	}
 	p := d.payload[:payloadLen]
 	if _, err := io.ReadFull(d.r, p); err != nil {
@@ -388,10 +398,10 @@ func (d *decoder) next() (frame, error) {
 	if crc32.ChecksumIEEE(p) != wantCRC {
 		return frame{}, ErrChecksum
 	}
-	return d.parsePayload(p)
+	return d.parsePayload(p, dst)
 }
 
-func (d *decoder) parsePayload(p []byte) (frame, error) {
+func (d *decoder) parsePayload(p []byte, dst []events.Event) (frame, error) {
 	switch p[0] {
 	case frameEOF, frameAck:
 		if len(p) != 1+8 {
@@ -409,9 +419,13 @@ func (d *decoder) parsePayload(p []byte) (frame, error) {
 			return frame{}, fmt.Errorf("%w: batch count %d vs %d payload bytes", ErrBadFrame, count, len(body))
 		}
 		if count == 0 {
+			f.evs = dst[:0] // a heartbeat hands dst back unused
 			return f, nil
 		}
-		f.evs = make([]events.Event, count)
+		if cap(dst) < count {
+			dst = make([]events.Event, 0, ceilPow2(count, maxBatchEvents))
+		}
+		f.evs = dst[:count]
 		lastT := int64(-1)
 		for i := range f.evs {
 			off := i * eventLen

@@ -147,7 +147,7 @@ func TestHelloReplyRoundTrip(t *testing.T) {
 
 func TestAckFrameRoundTrip(t *testing.T) {
 	wire := appendAckFrame(nil, 99)
-	f, err := newDecoder(bytes.NewReader(wire), events.DAVIS240).next()
+	f, err := newDecoder(bytes.NewReader(wire), events.DAVIS240).next(nil)
 	if err != nil || f.typ != frameAck || f.seq != 99 {
 		t.Fatalf("ack frame: %+v err %v", f, err)
 	}
@@ -156,7 +156,7 @@ func TestAckFrameRoundTrip(t *testing.T) {
 	bad = bad[:len(bad)-1]
 	le.PutUint32(bad, 1+8-1)
 	patchCRC(bad)
-	if _, err := newDecoder(bytes.NewReader(bad), events.DAVIS240).next(); !errors.Is(err, ErrBadFrame) {
+	if _, err := newDecoder(bytes.NewReader(bad), events.DAVIS240).next(nil); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("short ack payload: got %v, want ErrBadFrame", err)
 	}
 }
@@ -214,7 +214,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	wire = append(wire, appendEOFFrame(nil, 3)...)
 
 	dec := newDecoder(bytes.NewReader(wire), events.DAVIS240)
-	f, err := dec.next()
+	f, err := dec.next(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,15 +226,15 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("event %d: got %v want %v", i, f.evs[i], evs[i])
 		}
 	}
-	f, err = dec.next()
+	f, err = dec.next(nil)
 	if err != nil || f.typ != frameBatch || f.seq != 2 || f.evs != nil {
 		t.Fatalf("heartbeat frame: %+v err %v", f, err)
 	}
-	f, err = dec.next()
+	f, err = dec.next(nil)
 	if err != nil || f.typ != frameEOF || f.seq != 3 {
 		t.Fatalf("eof frame: %+v err %v", f, err)
 	}
-	if _, err = dec.next(); err != io.EOF {
+	if _, err = dec.next(nil); err != io.EOF {
 		t.Fatalf("after eof: got %v, want io.EOF", err)
 	}
 }
@@ -247,14 +247,14 @@ func TestDecoderRejectsCorruption(t *testing.T) {
 		for _, i := range []int{frameHeaderLen, frameHeaderLen + 5, len(valid) - 1} {
 			mut := append([]byte(nil), valid...)
 			mut[i] ^= 0x10
-			if _, err := newDecoder(bytes.NewReader(mut), events.DAVIS240).next(); !errors.Is(err, ErrChecksum) {
+			if _, err := newDecoder(bytes.NewReader(mut), events.DAVIS240).next(nil); !errors.Is(err, ErrChecksum) {
 				t.Errorf("flip at %d: got %v, want ErrChecksum", i, err)
 			}
 		}
 	})
 	t.Run("torn frame", func(t *testing.T) {
 		for _, cut := range []int{1, frameHeaderLen - 1, frameHeaderLen + 3, len(valid) - 1} {
-			if _, err := newDecoder(bytes.NewReader(valid[:cut]), events.DAVIS240).next(); !errors.Is(err, io.ErrUnexpectedEOF) {
+			if _, err := newDecoder(bytes.NewReader(valid[:cut]), events.DAVIS240).next(nil); !errors.Is(err, io.ErrUnexpectedEOF) {
 				t.Errorf("cut at %d: got %v, want io.ErrUnexpectedEOF", cut, err)
 			}
 		}
@@ -262,7 +262,7 @@ func TestDecoderRejectsCorruption(t *testing.T) {
 	t.Run("oversized length field", func(t *testing.T) {
 		mut := append([]byte(nil), valid...)
 		le.PutUint32(mut, uint32(maxFramePayload+1))
-		if _, err := newDecoder(bytes.NewReader(mut), events.DAVIS240).next(); !errors.Is(err, ErrFrameTooBig) {
+		if _, err := newDecoder(bytes.NewReader(mut), events.DAVIS240).next(nil); !errors.Is(err, ErrFrameTooBig) {
 			t.Errorf("got %v, want ErrFrameTooBig", err)
 		}
 	})
@@ -272,7 +272,7 @@ func TestDecoderRejectsCorruption(t *testing.T) {
 		mut := append([]byte(nil), valid...)
 		le.PutUint32(mut[frameHeaderLen+9:], 999)
 		patchCRC(mut)
-		if _, err := newDecoder(bytes.NewReader(mut), events.DAVIS240).next(); !errors.Is(err, ErrBadFrame) {
+		if _, err := newDecoder(bytes.NewReader(mut), events.DAVIS240).next(nil); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("got %v, want ErrBadFrame", err)
 		}
 	})
@@ -280,7 +280,7 @@ func TestDecoderRejectsCorruption(t *testing.T) {
 		mut := append([]byte(nil), valid...)
 		mut[frameHeaderLen] = 77
 		patchCRC(mut)
-		if _, err := newDecoder(bytes.NewReader(mut), events.DAVIS240).next(); !errors.Is(err, ErrBadFrame) {
+		if _, err := newDecoder(bytes.NewReader(mut), events.DAVIS240).next(nil); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("got %v, want ErrBadFrame", err)
 		}
 	})
@@ -289,7 +289,7 @@ func TestDecoderRejectsCorruption(t *testing.T) {
 		// Polarity byte of event 0 sits at payload offset 13 + 12.
 		mut[frameHeaderLen+13+12] = 0
 		patchCRC(mut)
-		if _, err := newDecoder(bytes.NewReader(mut), events.DAVIS240).next(); !errors.Is(err, ErrBadFrame) {
+		if _, err := newDecoder(bytes.NewReader(mut), events.DAVIS240).next(nil); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("got %v, want ErrBadFrame", err)
 		}
 	})
@@ -300,7 +300,7 @@ func TestDecoderRejectsCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := newDecoder(bytes.NewReader(mut), events.DAVIS240).next(); !errors.Is(err, ErrBadFrame) {
+		if _, err := newDecoder(bytes.NewReader(mut), events.DAVIS240).next(nil); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("got %v, want ErrBadFrame", err)
 		}
 	})
@@ -310,11 +310,11 @@ func TestDecoderRejectsCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := newDecoder(bytes.NewReader(mut), events.DAVIS240).next(); !errors.Is(err, ErrBadFrame) {
+		if _, err := newDecoder(bytes.NewReader(mut), events.DAVIS240).next(nil); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("got %v, want ErrBadFrame", err)
 		}
 		// With no configured resolution the address check is disabled.
-		if _, err := newDecoder(bytes.NewReader(mut), events.Resolution{}).next(); err != nil {
+		if _, err := newDecoder(bytes.NewReader(mut), events.Resolution{}).next(nil); err != nil {
 			t.Errorf("unchecked resolution: got %v", err)
 		}
 	})
