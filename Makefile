@@ -115,8 +115,11 @@ chaos-ingest:
 		CHAOS_SEED=$$seed $(GO) test -race -count=1 -run 'TestChaosKillResumeBitIdentical' ./internal/ingest/; \
 	done
 
+# go vet, plus gofmt: any file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 # End-to-end control-plane smoke (also run by CI): start a paced synthetic
 # run with the HTTP control plane, exercise every endpoint against the live

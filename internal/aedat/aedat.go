@@ -49,32 +49,47 @@ type header struct {
 	Count  uint64
 }
 
-// Write encodes a sorted event stream to w. It returns an error if the
-// stream is unsorted, an event lies outside the resolution, or consecutive
-// timestamps differ by more than 2^32-1 microseconds.
+// Write encodes a sorted event stream to w. It returns an error wrapping
+// events.ErrUnsorted if a timestamp falls before its predecessor's (the
+// first before t = 0), and an error if an event lies outside the
+// resolution or consecutive timestamps differ by more than 2^32-1
+// microseconds. On error, records before the failing event may already
+// be written.
 func Write(w io.Writer, res events.Resolution, evs []events.Event) error {
 	if err := res.Validate(); err != nil {
 		return err
-	}
-	if !events.Sorted(evs) {
-		return events.ErrUnsorted
 	}
 	bw := bufio.NewWriter(w)
 	h := header{Magic: magic, Width: uint16(res.A), Height: uint16(res.B), Count: uint64(len(evs))}
 	if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
 		return fmt.Errorf("aedat: writing header: %w", err)
 	}
+	if _, _, err := encode(bw, res, 0, evs); err != nil {
+		return err
+	}
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("aedat: flushing: %w", err)
+	}
+	return nil
+}
+
+// encode writes evs' records to bw, each timestamp as its delta from the
+// one before (prev for the first event), and returns the last timestamp
+// encoded and the number of records written. Order is checked here, once,
+// as the deltas are formed: a negative delta is events.ErrUnsorted.
+func encode(bw *bufio.Writer, res events.Resolution, prev int64, evs []events.Event) (int64, int, error) {
 	var buf [eventSize]byte
-	prev := int64(0)
 	for i, e := range evs {
 		if !res.Contains(int(e.X), int(e.Y)) {
-			return fmt.Errorf("aedat: event %d at (%d,%d) outside %dx%d", i, e.X, e.Y, res.A, res.B)
+			return prev, i, fmt.Errorf("aedat: event %d at (%d,%d) outside %dx%d", i, e.X, e.Y, res.A, res.B)
 		}
 		dt := e.T - prev
-		if dt < 0 || dt > 0xFFFFFFFF {
-			return fmt.Errorf("aedat: event %d timestamp delta %d out of range", i, dt)
+		if dt < 0 {
+			return prev, i, fmt.Errorf("aedat: event %d at t=%d after t=%d: %w", i, e.T, prev, events.ErrUnsorted)
 		}
-		prev = e.T
+		if dt > 0xFFFFFFFF {
+			return prev, i, fmt.Errorf("aedat: event %d timestamp delta %d out of range", i, dt)
+		}
 		binary.LittleEndian.PutUint16(buf[0:2], uint16(e.X))
 		binary.LittleEndian.PutUint16(buf[2:4], uint16(e.Y))
 		binary.LittleEndian.PutUint32(buf[4:8], uint32(dt))
@@ -85,13 +100,11 @@ func Write(w io.Writer, res events.Resolution, evs []events.Event) error {
 		}
 		buf[9] = 0
 		if _, err := bw.Write(buf[:]); err != nil {
-			return fmt.Errorf("aedat: writing event %d: %w", i, err)
+			return prev, i, fmt.Errorf("aedat: writing event %d: %w", i, err)
 		}
+		prev = e.T
 	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("aedat: flushing: %w", err)
-	}
-	return nil
+	return prev, len(evs), nil
 }
 
 // maxPrealloc caps how many events Read reserves from the header's count
@@ -248,36 +261,12 @@ func NewWriter(w io.WriteSeeker, res events.Resolution) (*Writer, error) {
 }
 
 // Append encodes a batch of events, which must continue the sorted order of
-// everything written so far.
+// everything written so far (events.ErrUnsorted otherwise).
 func (w *Writer) Append(evs []events.Event) error {
-	var buf [eventSize]byte
-	for i, e := range evs {
-		if !w.res.Contains(int(e.X), int(e.Y)) {
-			return fmt.Errorf("aedat: event %d at (%d,%d) outside %dx%d", i, e.X, e.Y, w.res.A, w.res.B)
-		}
-		dt := e.T - w.prevT
-		if dt < 0 {
-			return events.ErrUnsorted
-		}
-		if dt > 0xFFFFFFFF {
-			return fmt.Errorf("aedat: timestamp delta %d out of range", dt)
-		}
-		w.prevT = e.T
-		binary.LittleEndian.PutUint16(buf[0:2], uint16(e.X))
-		binary.LittleEndian.PutUint16(buf[2:4], uint16(e.Y))
-		binary.LittleEndian.PutUint32(buf[4:8], uint32(dt))
-		if e.P == events.On {
-			buf[8] = 1
-		} else {
-			buf[8] = 0
-		}
-		buf[9] = 0
-		if _, err := w.bw.Write(buf[:]); err != nil {
-			return fmt.Errorf("aedat: writing event: %w", err)
-		}
-		w.count++
-	}
-	return nil
+	prev, n, err := encode(w.bw, w.res, w.prevT, evs)
+	w.prevT = prev
+	w.count += uint64(n)
+	return err
 }
 
 // Close flushes buffered events and back-fills the header's event count.

@@ -128,14 +128,6 @@ func Merge(a, b []Event) ([]Event, error) {
 	return out, nil
 }
 
-// Slice returns the sub-stream with timestamps in [t0, t1). The input must
-// be sorted; the result aliases evs.
-func Slice(evs []Event, t0, t1 int64) []Event {
-	lo := sort.Search(len(evs), func(i int) bool { return evs[i].T >= t0 })
-	hi := sort.Search(len(evs), func(i int) bool { return evs[i].T >= t1 })
-	return evs[lo:hi]
-}
-
 // Window is a half-open time interval [Start, End) holding the events that
 // occurred within it, as delivered by one frame-period readout.
 type Window struct {
@@ -175,59 +167,4 @@ func Windows(evs []Event, frameUS int64) ([]Window, error) {
 		out = append(out, Window{Start: start, End: end, Events: evs[lo:idx]})
 	}
 	return out, nil
-}
-
-// Stats summarises a stream for dataset reporting (Table I in the paper).
-type Stats struct {
-	Count      int
-	DurationUS int64
-	OnCount    int
-	OffCount   int
-	// RatePerSec is the mean event rate over the stream duration.
-	RatePerSec float64
-}
-
-// ComputeStats scans a sorted stream and returns its summary statistics.
-func ComputeStats(evs []Event) Stats {
-	var s Stats
-	s.Count = len(evs)
-	if len(evs) == 0 {
-		return s
-	}
-	for _, e := range evs {
-		if e.P == On {
-			s.OnCount++
-		} else {
-			s.OffCount++
-		}
-	}
-	s.DurationUS = evs[len(evs)-1].T - evs[0].T
-	if s.DurationUS > 0 {
-		s.RatePerSec = float64(s.Count) / (float64(s.DurationUS) / 1e6)
-	}
-	return s
-}
-
-// CountInBox returns how many events fall inside the given pixel box.
-func CountInBox(evs []Event, x0, y0, x1, y1 int) int {
-	n := 0
-	for _, e := range evs {
-		if int(e.X) >= x0 && int(e.X) < x1 && int(e.Y) >= y0 && int(e.Y) < y1 {
-			n++
-		}
-	}
-	return n
-}
-
-// Clip returns the events whose addresses fall inside the resolution,
-// discarding any that a buggy or simulated source emitted out of range. The
-// result reuses the input slice's backing array.
-func Clip(evs []Event, res Resolution) []Event {
-	out := evs[:0]
-	for _, e := range evs {
-		if res.Contains(int(e.X), int(e.Y)) {
-			out = append(out, e)
-		}
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package events
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -100,20 +99,6 @@ func TestMergeTieBreak(t *testing.T) {
 	}
 }
 
-func TestSlice(t *testing.T) {
-	evs := []Event{ev(0, 0, 0, On), ev(0, 0, 10, On), ev(0, 0, 20, On), ev(0, 0, 30, On)}
-	got := Slice(evs, 10, 30)
-	if len(got) != 2 || got[0].T != 10 || got[1].T != 20 {
-		t.Errorf("Slice = %v", got)
-	}
-	if got := Slice(evs, 100, 200); len(got) != 0 {
-		t.Errorf("out of range slice should be empty, got %v", got)
-	}
-	if got := Slice(evs, -10, 1); len(got) != 1 {
-		t.Errorf("slice from before start = %v", got)
-	}
-}
-
 func TestWindows(t *testing.T) {
 	evs := []Event{
 		ev(0, 0, 0, On),
@@ -183,40 +168,5 @@ func TestWindowsPartitionProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestComputeStats(t *testing.T) {
-	evs := []Event{ev(0, 0, 0, On), ev(0, 0, 500000, Off), ev(0, 0, 1000000, On)}
-	s := ComputeStats(evs)
-	if s.Count != 3 || s.OnCount != 2 || s.OffCount != 1 {
-		t.Errorf("counts = %+v", s)
-	}
-	if s.DurationUS != 1000000 {
-		t.Errorf("duration = %d", s.DurationUS)
-	}
-	if math.Abs(s.RatePerSec-3.0) > 1e-9 {
-		t.Errorf("rate = %v, want 3", s.RatePerSec)
-	}
-	if s := ComputeStats(nil); s.Count != 0 || s.RatePerSec != 0 {
-		t.Errorf("empty stats = %+v", s)
-	}
-}
-
-func TestCountInBox(t *testing.T) {
-	evs := []Event{ev(5, 5, 0, On), ev(10, 10, 0, On), ev(4, 5, 0, On)}
-	if got := CountInBox(evs, 5, 5, 11, 11); got != 2 {
-		t.Errorf("CountInBox = %d, want 2", got)
-	}
-}
-
-func TestClip(t *testing.T) {
-	evs := []Event{ev(0, 0, 0, On), ev(-1, 5, 1, On), ev(240, 0, 2, On), ev(239, 179, 3, Off)}
-	got := Clip(evs, DAVIS240)
-	if len(got) != 2 {
-		t.Fatalf("Clip kept %d events, want 2", len(got))
-	}
-	if got[0].X != 0 || got[1].X != 239 {
-		t.Errorf("Clip kept wrong events: %v", got)
 	}
 }

@@ -4,12 +4,12 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
 
 	"ebbiot/internal/events"
+	"ebbiot/internal/pipeline"
 )
 
 // DialConfig parameterises a DialSink.
@@ -82,24 +82,6 @@ type DialStats struct {
 	Epoch uint64 `json:"epoch"`
 }
 
-// connectBackoffCap bounds the exponential dial backoff.
-const connectBackoffCap = 5 * time.Second
-
-// jitteredBackoff returns the sleep before retry number attempt (0-based):
-// base << attempt capped at connectBackoffCap, jittered uniformly into
-// [d/2, d].
-func jitteredBackoff(base time.Duration, attempt int) time.Duration {
-	d := base
-	for i := 0; i < attempt && d < connectBackoffCap; i++ {
-		d *= 2
-	}
-	if d > connectBackoffCap {
-		d = connectBackoffCap
-	}
-	half := d / 2
-	return half + time.Duration(rand.Int63n(int64(half)+1))
-}
-
 // ringEntry is one un-ACKed frame retained for replay: a batch, or the
 // stream's EOF marker.
 type ringEntry struct {
@@ -161,17 +143,11 @@ func Dial(addr string, cfg DialConfig) (*DialSink, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 10 * time.Second
 	}
-	if cfg.ConnectBackoff <= 0 {
-		cfg.ConnectBackoff = 200 * time.Millisecond
-	}
 	if cfg.Version == 0 {
 		cfg.Version = wireVersion
 	}
 	if cfg.Version < wireVersionMin || cfg.Version > wireVersion {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, cfg.Version)
-	}
-	if cfg.ResumeBackoff <= 0 {
-		cfg.ResumeBackoff = 200 * time.Millisecond
 	}
 	if cfg.ReplayWindow <= 0 {
 		cfg.ReplayWindow = 256
@@ -195,7 +171,7 @@ func Dial(addr string, cfg DialConfig) (*DialSink, error) {
 			return nil, fmt.Errorf("ingest: dial %s (attempt %d of %d): %w",
 				addr, attempt+1, cfg.ConnectRetries+1, err)
 		}
-		time.Sleep(jitteredBackoff(cfg.ConnectBackoff, attempt))
+		time.Sleep(pipeline.JitteredBackoff(cfg.ConnectBackoff, attempt))
 	}
 	rep, err := d.handshake(conn, false, 0)
 	if err != nil {
@@ -471,7 +447,7 @@ func (d *DialSink) reconnectLocked() error {
 			return fmt.Errorf("ingest: resume stream %q (attempt %d of %d): %v (after: %w)",
 				d.cfg.StreamID, attempt+1, d.resumeRetries+1, lastErr, cause)
 		}
-		time.Sleep(jitteredBackoff(d.cfg.ResumeBackoff, attempt))
+		time.Sleep(pipeline.JitteredBackoff(d.cfg.ResumeBackoff, attempt))
 	}
 }
 

@@ -114,29 +114,6 @@ func TestDialDoesNotRetryRejection(t *testing.T) {
 	}
 }
 
-// TestJitteredBackoffBounds pins the backoff envelope: doubling from the
-// base, capped, and jittered into [d/2, d].
-func TestJitteredBackoffBounds(t *testing.T) {
-	base := 200 * time.Millisecond
-	want := []time.Duration{
-		200 * time.Millisecond,
-		400 * time.Millisecond,
-		800 * time.Millisecond,
-		1600 * time.Millisecond,
-		3200 * time.Millisecond,
-		connectBackoffCap,
-		connectBackoffCap, // stays capped
-	}
-	for attempt, d := range want {
-		for trial := 0; trial < 50; trial++ {
-			got := jitteredBackoff(base, attempt)
-			if got < d/2 || got > d {
-				t.Fatalf("attempt %d: backoff %v outside [%v, %v]", attempt, got, d/2, d)
-			}
-		}
-	}
-}
-
 // TestHeartbeatNeverSplitsABatch drives a sink whose heartbeat fires while
 // Send waits for ring space and while Close waits for the EOF
 // acknowledgement. A heartbeat sent during the first wait must not take

@@ -234,10 +234,12 @@ func (p *panicError) Error() string {
 // snapshots): stop producing, touch nothing else.
 var errStreamKilled = errors.New("pipeline: stream failed externally")
 
-// restartBackoff returns the jittered exponential delay before restart
-// attempt number attempt (0-based): base << attempt capped at 5 s,
-// jittered uniformly into [d/2, d].
-func restartBackoff(base time.Duration, attempt int) time.Duration {
+// JitteredBackoff returns the delay before retry number attempt (0-based):
+// base << attempt capped at 5 s, jittered uniformly into [d/2, d] so that
+// a fleet retrying together does not retry in lockstep. A base of 0 or
+// less means 200 ms. The Runner's restarts and the ingest DialSink's
+// connect and resume loops share it.
+func JitteredBackoff(base time.Duration, attempt int) time.Duration {
 	if base <= 0 {
 		base = 200 * time.Millisecond
 	}
@@ -532,7 +534,7 @@ func (r *Runner) runStream(ctx context.Context, idx int, st *Stream, results cha
 				return events.Window{}, false, fmt.Errorf("pipeline: %s: %w", name, err)
 			}
 			select {
-			case <-time.After(restartBackoff(r.cfg.RestartBackoff, restarts)):
+			case <-time.After(JitteredBackoff(r.cfg.RestartBackoff, restarts)):
 			case <-ctx.Done():
 				return events.Window{}, false, ctx.Err()
 			}

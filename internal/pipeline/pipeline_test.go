@@ -170,11 +170,12 @@ func TestWindowerRejectsOutOfOrder(t *testing.T) {
 	if _, err := NewSliceSource([]events.Event{ev(0, 0, 50), ev(0, 0, 10)}); !errors.Is(err, events.ErrUnsorted) {
 		t.Fatalf("NewSliceSource error = %v, want ErrUnsorted", err)
 	}
-	// ...and a source emitting a timestamp that regresses across windows is
-	// rejected by the windower itself.
+	// ...and a source whose timestamps regress across windows is rejected
+	// by the windower's first-event check: window 1 opens at t=50000,
+	// before its start at 66000.
 	src := &recordedSource{batches: [][]events.Event{
 		{ev(0, 0, 60_000)},
-		{ev(0, 0, 66_001), ev(0, 0, 66_000)},
+		{ev(0, 0, 50_000), ev(0, 0, 66_001)},
 	}}
 	w, err := NewWindower(src, 66_000)
 	if err != nil {
@@ -190,7 +191,8 @@ func TestWindowerRejectsOutOfOrder(t *testing.T) {
 }
 
 func TestWindowerRejectsEventOutsideWindow(t *testing.T) {
-	src := &recordedSource{batches: [][]events.Event{{ev(0, 0, 70_000)}, nil}}
+	// t=66000 is the first instant past the half-open window [0, 66000).
+	src := &recordedSource{batches: [][]events.Event{{ev(0, 0, 10), ev(0, 0, 66_000)}, nil}}
 	w, err := NewWindower(src, 66_000)
 	if err != nil {
 		t.Fatal(err)

@@ -17,6 +17,18 @@ import (
 // A source signals exhaustion by returning io.EOF, possibly alongside a
 // final batch of events; after that the windower emits the final window and
 // stops. Any other error aborts the stream.
+//
+// The source owns event order: its events are non-decreasing in time
+// across the whole stream, and each window holds exactly its events in
+// [start, end). The sources in this module check that once, each at its
+// own boundary: NewSliceSource in one pass at construction, AEDAT by
+// format (unsigned deltas from t = 0), the ingest wire decoder within a
+// batch and NetSource's offer across batches, and the simulator by
+// sorting each window. The Windower checks only each window's first and
+// last event: a first event before start (a regression across windows,
+// such as a Restart that rewinds) fails the stream with
+// events.ErrUnsorted, and a last event at or past end as outside the
+// window. Disorder inside a window is not detected there.
 type EventSource interface {
 	NextWindow(buf []events.Event, start, end int64) ([]events.Event, error)
 }

@@ -29,10 +29,9 @@ func putBuf(buf []events.Event) {
 // Windower slices an EventSource into the consecutive frame windows
 // [k*tF, (k+1)*tF) that a core.System consumes — the single implementation
 // of the windowing loop previously hand-rolled by every command, example and
-// the evaluator. It validates the stream as it goes: events must be
-// non-decreasing in time and inside their window, so a misbehaving source
-// (or an unsorted recording) is rejected instead of silently corrupting
-// frames.
+// the evaluator. Event order belongs to the source (see EventSource); the
+// Windower reads only each window's first and last event, which for a
+// sorted source proves every event inside its window.
 //
 // The frame duration may be retuned between windows (SetFrameUS): windows
 // stay contiguous — the next window starts where the previous one ended and
@@ -46,7 +45,6 @@ type Windower struct {
 	// even across SetFrameUS retunes, so it advances by the frame duration
 	// in effect when each window was emitted.
 	nextStart int64
-	lastT     int64
 	buf       []events.Event
 	// eofPending is set when the source returned io.EOF alongside a final
 	// batch; the batch's window is emitted first, then io.EOF.
@@ -90,9 +88,17 @@ func (w *Windower) Next() (events.Window, error) {
 		w.done = true
 		return events.Window{}, fmt.Errorf("window %d: %w", w.frame, err)
 	}
-	if verr := w.validate(buf, start, end); verr != nil {
-		w.done = true
-		return events.Window{}, verr
+	if n := len(buf); n > 0 {
+		if buf[0].T < start {
+			w.done = true
+			return events.Window{}, fmt.Errorf("window %d event 0 at t=%d before the window start %d: %w",
+				w.frame, buf[0].T, start, events.ErrUnsorted)
+		}
+		if buf[n-1].T >= end {
+			w.done = true
+			return events.Window{}, fmt.Errorf("window %d event %d at t=%d outside [%d,%d)",
+				w.frame, n-1, buf[n-1].T, start, end)
+		}
 	}
 	if err == io.EOF {
 		if len(buf) == 0 {
@@ -125,9 +131,10 @@ func (w *Windower) SetFrameUS(us int64) error {
 // Resume clears the terminal state a mid-stream source error left behind
 // so Next may be called again once the source has recovered (see
 // RestartableSource). The frame clock is untouched: the failed window's
-// index, start position and timestamp floor are all retained, so the
-// resumed stream stays contiguous with what was already emitted. Only
-// valid after a source error — not after Close.
+// index and start position are retained, so the resumed stream stays
+// contiguous with what was already emitted, and a source that restarts
+// behind that start fails the first-event check in Next. Only valid after
+// a source error — not after Close.
 func (w *Windower) Resume() error {
 	if w.buf == nil {
 		return fmt.Errorf("pipeline: resume after close")
@@ -145,21 +152,4 @@ func (w *Windower) Close() {
 		w.buf = nil
 	}
 	w.done = true
-}
-
-func (w *Windower) validate(evs []events.Event, start, end int64) error {
-	prev := w.lastT
-	for i, e := range evs {
-		if e.T < prev {
-			return fmt.Errorf("window %d event %d at t=%d after t=%d: %w",
-				w.frame, i, e.T, prev, events.ErrUnsorted)
-		}
-		if e.T < start || e.T >= end {
-			return fmt.Errorf("window %d event %d at t=%d outside [%d,%d)",
-				w.frame, i, e.T, start, end)
-		}
-		prev = e.T
-	}
-	w.lastT = prev
-	return nil
 }

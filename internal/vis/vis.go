@@ -1,12 +1,10 @@
 // Package vis renders EBBI frames, histograms and tracker boxes as ASCII
-// art and as portable graymap/pixmap (PGM/PPM) images, reproducing the
-// visual content of the paper's Fig. 3 without any graphics dependency.
+// art, reproducing the visual content of the paper's Fig. 3 without any
+// graphics dependency.
 package vis
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"strings"
 
 	"ebbiot/internal/geometry"
@@ -79,90 +77,4 @@ func ASCIIHistogram(h []int, maxWidth int) string {
 		fmt.Fprintf(&sb, "%3d |%s %d\n", i, strings.Repeat("*", bar), v)
 	}
 	return sb.String()
-}
-
-// WritePGM emits the bitmap as a binary PGM (P5) image, set pixels white.
-// The image is flipped so row 0 (sensor bottom) appears at the image
-// bottom.
-func WritePGM(w io.Writer, b *imgproc.Bitmap) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "P5\n%d %d\n255\n", b.W, b.H); err != nil {
-		return fmt.Errorf("vis: writing PGM header: %w", err)
-	}
-	for y := b.H - 1; y >= 0; y-- {
-		for x := 0; x < b.W; x++ {
-			v := byte(0)
-			if b.Get(x, y) != 0 {
-				v = 255
-			}
-			if err := bw.WriteByte(v); err != nil {
-				return fmt.Errorf("vis: writing PGM pixel: %w", err)
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("vis: flushing PGM: %w", err)
-	}
-	return nil
-}
-
-// RGB is an 8-bit colour.
-type RGB struct{ R, G, B uint8 }
-
-// Standard overlay colours.
-var (
-	ColorBox    = RGB{R: 255, G: 64, B: 64}
-	ColorGT     = RGB{R: 64, G: 255, B: 64}
-	ColorPixels = RGB{R: 230, G: 230, B: 230}
-)
-
-// WritePPM emits the bitmap as a binary PPM (P6) with two box sets overlaid
-// (tracker boxes and ground truth), for qualitative inspection of tracking
-// output.
-func WritePPM(w io.Writer, b *imgproc.Bitmap, trackerBoxes, gtBoxes []geometry.Box) error {
-	img := make([]RGB, b.W*b.H)
-	for y := 0; y < b.H; y++ {
-		for x := 0; x < b.W; x++ {
-			if b.Get(x, y) != 0 {
-				img[y*b.W+x] = ColorPixels
-			}
-		}
-	}
-	draw := func(boxes []geometry.Box, c RGB) {
-		for _, box := range boxes {
-			for x := box.X; x < box.MaxX(); x++ {
-				setPix(img, b.W, b.H, x, box.Y, c)
-				setPix(img, b.W, b.H, x, box.MaxY()-1, c)
-			}
-			for y := box.Y; y < box.MaxY(); y++ {
-				setPix(img, b.W, b.H, box.X, y, c)
-				setPix(img, b.W, b.H, box.MaxX()-1, y, c)
-			}
-		}
-	}
-	draw(gtBoxes, ColorGT)
-	draw(trackerBoxes, ColorBox)
-
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "P6\n%d %d\n255\n", b.W, b.H); err != nil {
-		return fmt.Errorf("vis: writing PPM header: %w", err)
-	}
-	for y := b.H - 1; y >= 0; y-- {
-		for x := 0; x < b.W; x++ {
-			p := img[y*b.W+x]
-			if _, err := bw.Write([]byte{p.R, p.G, p.B}); err != nil {
-				return fmt.Errorf("vis: writing PPM pixel: %w", err)
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("vis: flushing PPM: %w", err)
-	}
-	return nil
-}
-
-func setPix(img []RGB, w, h, x, y int, c RGB) {
-	if x >= 0 && x < w && y >= 0 && y < h {
-		img[y*w+x] = c
-	}
 }

@@ -1,7 +1,6 @@
 package vis
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -78,55 +77,6 @@ func TestASCIIHistogramEmpty(t *testing.T) {
 	s := ASCIIHistogram([]int{0, 0}, 10)
 	if !strings.Contains(s, "0") {
 		t.Error("histogram output missing values")
-	}
-}
-
-func TestWritePGM(t *testing.T) {
-	b := imgproc.NewBitmap(3, 2)
-	b.Set(1, 0)
-	var buf bytes.Buffer
-	if err := WritePGM(&buf, b); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.Bytes()
-	if !bytes.HasPrefix(out, []byte("P5\n3 2\n255\n")) {
-		t.Fatalf("bad header: %q", out[:11])
-	}
-	pix := out[len(out)-6:]
-	// Top row first: (0,1),(1,1),(2,1) then (0,0),(1,0),(2,0).
-	want := []byte{0, 0, 0, 0, 255, 0}
-	if !bytes.Equal(pix, want) {
-		t.Errorf("pixels = %v, want %v", pix, want)
-	}
-}
-
-func TestWritePPM(t *testing.T) {
-	b := imgproc.NewBitmap(4, 4)
-	b.Set(1, 1)
-	var buf bytes.Buffer
-	err := WritePPM(&buf, b,
-		[]geometry.Box{geometry.NewBox(0, 0, 4, 4)},
-		[]geometry.Box{geometry.NewBox(1, 1, 2, 2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.Bytes()
-	if !bytes.HasPrefix(out, []byte("P6\n4 4\n255\n")) {
-		t.Fatalf("bad header: %q", out[:11])
-	}
-	if len(out) != 11+4*4*3 {
-		t.Errorf("payload size = %d", len(out)-11)
-	}
-	// The tracker box border (drawn last) must appear in red somewhere.
-	found := false
-	for i := 11; i+2 < len(out); i += 3 {
-		if out[i] == ColorBox.R && out[i+1] == ColorBox.G && out[i+2] == ColorBox.B {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Error("tracker box colour missing from PPM")
 	}
 }
 
