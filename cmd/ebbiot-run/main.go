@@ -38,13 +38,11 @@
 // track / sink) so kernel before/after numbers are visible straight from
 // the CLI.
 //
-// Two window-loop knobs ride on top: -skip-threshold arms the near-empty
-// window fast path (windows with fewer in-array events bypass the median /
-// proposal stages; the default -1 keeps the lossless bound floor(p^2/2)+1,
-// 0 disables), with the skip count reported in the stage summary and as
-// windows_skipped on /streams/{id} and /metrics; -batch N pulls N
-// contiguous windows per stream iteration to amortize per-window dispatch,
-// trading live-retune granularity and snapshot latency for throughput.
+// -skip-threshold arms the near-empty window fast path (windows with fewer
+// in-array events bypass the median / proposal stages; the default -1 keeps
+// the lossless bound floor(p^2/2)+1, 0 disables), with the skip count
+// reported in the stage summary and as windows_skipped on /streams/{id} and
+// /metrics.
 //
 // With -listen ADDR the process becomes an `ebbiot-ingest` server instead
 // of reading a local file: it accepts one framed-TCP sensor connection per
@@ -75,7 +73,7 @@
 //	           [-store dir] [-store-segment-mb 64] [-store-sync 0]
 //	           [-store-retain-mb 0] [-store-retain-age-h 0]
 //	           [-http :8080] [-pace] [-speed 1.0]
-//	           [-batch 1] [-skip-threshold -1]
+//	           [-skip-threshold -1]
 //	           [-ingest-token T] [-ingest-queue 64] [-ingest-policy block]
 //	           [-ingest-idle-ms 30000] [-ingest-failfast]
 //	           [-resume-grace-ms 30000] [-ack-every 8] [-watchdog-ms 0]
@@ -137,8 +135,8 @@ func newSystem(name string, res events.Resolution, ps control.ParamSet) (core.Sy
 func printStreamOutcomes(w io.Writer, snap pipeline.StatusSnapshot) (failed []string) {
 	for _, ss := range snap.PerStream {
 		line := fmt.Sprintf("stream %s: %s (%d windows, %d events)", ss.Name, ss.State, ss.Windows, ss.Events)
-		if ss.Stalls > 0 || ss.Restarts > 0 {
-			line += fmt.Sprintf("; stalls %d, restarts %d", ss.Stalls, ss.Restarts)
+		if ss.Stalls > 0 {
+			line += fmt.Sprintf("; stalls %d", ss.Stalls)
 		}
 		if ss.Source != nil && ss.Source.Resumes > 0 {
 			line += fmt.Sprintf("; resumed %d time(s), epoch %d", ss.Source.Resumes, ss.Source.Epoch)
@@ -171,7 +169,6 @@ func run() error {
 	httpAddr := flag.String("http", "", "serve the control plane (healthz/stats/streams/params/metrics) on this address")
 	pace := flag.Bool("pace", false, "release windows at recorded wall-clock speed instead of as fast as possible")
 	speed := flag.Float64("speed", 1.0, "pacing speed multiplier with -pace (1 = recorded speed)")
-	batch := flag.Int("batch", 1, "windows pulled and processed per stream iteration; >1 amortizes per-window dispatch but coarsens live retunes and snapshot latency to batch boundaries")
 	skipThresh := flag.Int("skip-threshold", -1, "skip windows with fewer in-array events than this (0 disables, -1 keeps the lossless default floor(p^2/2)+1)")
 	listen := flag.String("listen", "", "ingest server mode: accept framed-TCP sensor connections on this address instead of reading -in/-scene")
 	streamIDs := flag.String("streams", "", "comma-separated stream IDs the ingest server expects (required with -listen)")
@@ -181,7 +178,7 @@ func run() error {
 	ingestIdleMS := flag.Int64("ingest-idle-ms", 30000, "per-connection idle timeout in milliseconds; a sensor that stalls longer faults as a stalled writer")
 	ingestFailFast := flag.Bool("ingest-failfast", false, "a faulted sensor stream fails the whole run instead of ending just its own stream")
 	resumeGraceMS := flag.Int64("resume-grace-ms", 30000, "how long a disconnected ingest stream stays resumable before faulting for real (0 disables session resume)")
-	ackEvery := flag.Int("ack-every", 8, "ingest server ACK cadence in accepted batches (wire v2 clients)")
+	ackEvery := flag.Int("ack-every", 8, "ingest server ACK cadence in accepted batches")
 	watchdogMS := flag.Int64("watchdog-ms", 0, "flag a stream as stalled when it completes no window within this many milliseconds (0 disables the watchdog)")
 	flag.Parse()
 
@@ -393,7 +390,6 @@ func run() error {
 	runner, err := pipeline.NewRunner(pipeline.Config{
 		FrameUS:  ps.FrameUS,
 		Workers:  *workers,
-		Batch:    *batch,
 		Watchdog: time.Duration(*watchdogMS) * time.Millisecond,
 	})
 	if err != nil {
@@ -471,8 +467,8 @@ func run() error {
 		if stats.Windows > 0 {
 			sinkUS = float64(stats.SinkTime.Microseconds()) / float64(stats.Windows)
 		}
-		fmt.Fprintf(os.Stderr, "stage breakdown (batch %d, mean µs/window over %d windows): ebbi %.1f, filter %.1f, rpn %.1f, track %.1f, sink %.1f, skipped %d (%.1f%%), active px %.1f%%\n",
-			*batch, agg.Windows, perUS(agg.EBBI), perUS(agg.Filter), perUS(agg.RPN), perUS(agg.Track), sinkUS,
+		fmt.Fprintf(os.Stderr, "stage breakdown (mean µs/window over %d windows): ebbi %.1f, filter %.1f, rpn %.1f, track %.1f, sink %.1f, skipped %d (%.1f%%), active px %.1f%%\n",
+			agg.Windows, perUS(agg.EBBI), perUS(agg.Filter), perUS(agg.RPN), perUS(agg.Track), sinkUS,
 			agg.Skipped, 100*float64(agg.Skipped)/float64(agg.Windows),
 			100*agg.MeanActiveFraction())
 	}

@@ -16,7 +16,7 @@ func TestPrintStreamOutcomes(t *testing.T) {
 		{Name: "cam1", State: pipeline.StreamFailed.String(), Windows: 3, Events: 80, Error: "ingest: torn frame"},
 		{
 			Name: "cam2", State: pipeline.StreamDone.String(), Windows: 12, Events: 3400,
-			Stalls: 1, Restarts: 2,
+			Stalls: 1,
 			Source: &pipeline.SourceStats{Resumes: 1, Epoch: 2},
 		},
 	}}
@@ -34,7 +34,7 @@ func TestPrintStreamOutcomes(t *testing.T) {
 	for _, want := range []string{
 		"stream cam0: done (12 windows, 3400 events)",
 		"stream cam1: failed (3 windows, 80 events): ingest: torn frame",
-		"stalls 1, restarts 2",
+		"stalls 1",
 		"resumed 1 time(s), epoch 2",
 	} {
 		if !strings.Contains(out, want) {

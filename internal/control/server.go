@@ -276,8 +276,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		func(ss pipeline.StreamSnapshot) string { return strconv.FormatInt(ss.SourceErrors, 10) })
 	emit("ebbiot_stream_stalls_total", "Watchdog trips (no window progress within the deadline) per stream.", "counter",
 		func(ss pipeline.StreamSnapshot) string { return strconv.FormatInt(ss.Stalls, 10) })
-	emit("ebbiot_stream_restarts_total", "Supervised source restarts per stream.", "counter",
-		func(ss pipeline.StreamSnapshot) string { return strconv.FormatInt(ss.Restarts, 10) })
 	emit("ebbiot_stream_stalled", "Whether the stream is currently stalled (no window progress).", "gauge",
 		func(ss pipeline.StreamSnapshot) string {
 			if ss.State == pipeline.StreamStalled.String() {

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -56,36 +55,5 @@ func BenchmarkProcessWindowENG(b *testing.B) {
 		if _, err := sys.ProcessWindow(wins[i%len(wins)]); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkProcessWindowBatchENG sweeps the batch size at constant per-op
-// work: one op pushes the whole replica through ProcessWindowBatch in
-// batch-sized groups, so ns/op is directly comparable across batch sizes
-// and against len(wins) x BenchmarkProcessWindowENG.
-func BenchmarkProcessWindowBatchENG(b *testing.B) {
-	wins := engWindows(b)
-	for _, batch := range []int{1, 4, 16} {
-		batch := batch
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			sys, err := core.NewEBBIOT(core.DefaultConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sys.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < len(wins); j += batch {
-					end := j + batch
-					if end > len(wins) {
-						end = len(wins)
-					}
-					if _, err := sys.ProcessWindowBatch(wins[j:end]); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
 	}
 }

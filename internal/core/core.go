@@ -58,13 +58,10 @@ type System interface {
 	ProcessWindow(evs []events.Event) ([]geometry.Box, error)
 }
 
-// WindowBatcher is implemented by systems that can consume several
-// consecutive frame windows in one call. The result is defined to be
-// identical to calling ProcessWindow on each window in order — batching is
-// purely a dispatch optimisation that lets drivers amortize their per-call
-// bookkeeping (tuning checks, status publication, interface dispatch) over
-// a run of windows. Each wins[i] obeys the ProcessWindow aliasing contract:
-// the implementation must not retain it, and each returned slice is fresh.
+// WindowBatcher is declared only because perfbench/trace.go type-asserts
+// it to keep its tracing wrappers' method sets. No system in this module
+// implements it and nothing calls it: the pipeline Runner processes one
+// window per ProcessWindow call. Delete it together with those wrappers.
 type WindowBatcher interface {
 	ProcessWindowBatch(wins [][]events.Event) ([][]geometry.Box, error)
 }
@@ -321,7 +318,6 @@ type EBBIOT struct {
 
 var _ System = (*EBBIOT)(nil)
 var _ StageTimer = (*EBBIOT)(nil)
-var _ WindowBatcher = (*EBBIOT)(nil)
 
 // NewEBBIOT builds the pipeline.
 func NewEBBIOT(cfg Config) (*EBBIOT, error) {
@@ -384,22 +380,6 @@ func (e *EBBIOT) ProcessWindow(evs []events.Event) ([]geometry.Box, error) {
 	return out, nil
 }
 
-// ProcessWindowBatch implements WindowBatcher: the windows are processed in
-// order through the same fused frame chain as ProcessWindow, with per-window
-// results bit-identical to the unbatched calls. Auxiliary accessors
-// (LastFrame, LastRPN) reflect the final window of the batch.
-func (e *EBBIOT) ProcessWindowBatch(wins [][]events.Event) ([][]geometry.Box, error) {
-	out := make([][]geometry.Box, len(wins))
-	for i, evs := range wins {
-		boxes, err := e.ProcessWindow(evs)
-		if err != nil {
-			return nil, fmt.Errorf("core: batch window %d: %w", i, err)
-		}
-		out[i] = boxes
-	}
-	return out, nil
-}
-
 // Close returns the pipeline's EBBI double buffer to its pool. The system —
 // and any frame previously returned by LastFrame, which may alias those
 // buffers — must not be used afterwards. Callers that churn through many
@@ -433,7 +413,6 @@ type EBBIKF struct {
 
 var _ System = (*EBBIKF)(nil)
 var _ StageTimer = (*EBBIKF)(nil)
-var _ WindowBatcher = (*EBBIKF)(nil)
 
 // KFConfig parameterises the EBBI+KF pipeline.
 type KFConfig struct {
@@ -525,20 +504,6 @@ func (e *EBBIKF) ProcessWindow(evs []events.Event) ([]geometry.Box, error) {
 	out := make([]geometry.Box, len(reports))
 	for i, r := range reports {
 		out[i] = r.Box
-	}
-	return out, nil
-}
-
-// ProcessWindowBatch implements WindowBatcher; see
-// EBBIOT.ProcessWindowBatch for the batch contract.
-func (e *EBBIKF) ProcessWindowBatch(wins [][]events.Event) ([][]geometry.Box, error) {
-	out := make([][]geometry.Box, len(wins))
-	for i, evs := range wins {
-		boxes, err := e.ProcessWindow(evs)
-		if err != nil {
-			return nil, fmt.Errorf("core: batch window %d: %w", i, err)
-		}
-		out[i] = boxes
 	}
 	return out, nil
 }

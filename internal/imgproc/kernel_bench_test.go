@@ -229,12 +229,13 @@ func BenchmarkHistogramsPackedSparsity(b *testing.B) {
 	}
 }
 
-// BenchmarkPackedChainBatch is the kernel-level view of pipeline window
-// batching: one op runs the fused median + downsample/histogram chain over
-// a batch of contiguous frames back-to-back, so call dispatch and scratch
-// reuse amortize exactly as they do when pipeline.Runner hands a System a
-// window batch. ns/op scales with the batch size; the reported ns/frame
-// metric is the amortized per-frame cost to compare across batch sizes.
+// BenchmarkPackedChainBatch is the kernel-level view of window batching:
+// one op runs the fused median + downsample/histogram chain over a batch
+// of contiguous frames back-to-back, so call dispatch and scratch reuse
+// amortize over the batch. ns/op scales with the batch size; the reported
+// ns/frame metric is the amortized per-frame cost to compare across batch
+// sizes. It measured batching neutral (docs/EXPERIMENTS.md), and the
+// pipeline Runner processes one window per call.
 func BenchmarkPackedChainBatch(b *testing.B) {
 	for _, sc := range benchScenes() {
 		ar := regionFor(sc.src)

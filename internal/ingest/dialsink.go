@@ -4,12 +4,12 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"sync"
 	"time"
 
 	"ebbiot/internal/events"
-	"ebbiot/internal/pipeline"
 )
 
 // DialConfig parameterises a DialSink.
@@ -34,15 +34,9 @@ type DialConfig struct {
 	// attempt (capped at 5 s) with uniform jitter in [d/2, d] so a fleet
 	// restarting together does not reconnect in lockstep. 0 means 200 ms.
 	ConnectBackoff time.Duration
-	// Version pins the advertised wire protocol version; 0 means the
-	// newest this client speaks (currently 2). Version 1 is the
-	// pre-resume protocol — no ACK traffic, no session resume — for
-	// talking to old servers.
-	Version uint32
 	// ResumeRetries bounds the reconnect attempts made per connection
-	// loss once the stream is live (wire v2 only). 0 means 8; negative
-	// disables resume entirely, restoring fail-on-first-write-error
-	// semantics.
+	// loss once the stream is live. 0 means 8; negative disables resume
+	// entirely, restoring fail-on-first-write-error semantics.
 	ResumeRetries int
 	// ResumeBackoff is the base delay between reconnect attempts, doubled
 	// per attempt (capped at 5 s) with the same jitter as ConnectBackoff.
@@ -78,8 +72,28 @@ type DialStats struct {
 	// LastSeq is the highest sequence number assigned.
 	LastSeq uint64 `json:"last_seq"`
 	// Epoch is the current ingest session epoch (1 = first connection,
-	// bumped per accepted resume; 0 on wire v1).
+	// bumped per accepted resume).
 	Epoch uint64 `json:"epoch"`
+}
+
+// jitteredBackoff returns the delay before retry number attempt (0-based):
+// base << attempt capped at 5 s, jittered uniformly into [d/2, d] so that
+// a fleet retrying together does not retry in lockstep. A base of 0 or
+// less means 200 ms. Dial's connect loop and the resume loop share it.
+func jitteredBackoff(base time.Duration, attempt int) time.Duration {
+	if base <= 0 {
+		base = 200 * time.Millisecond
+	}
+	const cap = 5 * time.Second
+	d := base
+	for i := 0; i < attempt && d < cap; i++ {
+		d *= 2
+	}
+	if d > cap {
+		d = cap
+	}
+	half := d / 2
+	return half + time.Duration(rand.Int63n(int64(half)+1))
 }
 
 // ringEntry is one un-ACKed frame retained for replay: a batch, or the
@@ -96,10 +110,10 @@ type ringEntry struct {
 // (a recorded run, a generator, a real camera driver) into a network
 // stream.
 //
-// On wire v2 the sink is self-healing: it retains every batch the server
-// has not yet acknowledged in a bounded ring, and a connection loss —
-// noticed by a failed write or by the ACK-reader goroutine — triggers a
-// RESUME reconnect that replays the ring past the server's reply point.
+// The sink is self-healing: it retains every batch the server has not
+// yet acknowledged in a bounded ring, and a connection loss — noticed by
+// a failed write or by the ACK-reader goroutine — triggers a RESUME
+// reconnect that replays the ring past the server's reply point.
 // The server's NetSource dedups by sequence number, so delivery stays
 // exactly-once end to end. With Heartbeat set, the sink also keeps a
 // quiet connection alive with empty batches.
@@ -110,7 +124,7 @@ type DialSink struct {
 	cfg  DialConfig
 	addr string
 	// resumeRetries is the normalised per-loss retry budget; -1 means
-	// resume is disabled (v1, or explicitly switched off).
+	// resume is switched off.
 	resumeRetries int
 
 	mu   sync.Mutex
@@ -143,12 +157,6 @@ func Dial(addr string, cfg DialConfig) (*DialSink, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 10 * time.Second
 	}
-	if cfg.Version == 0 {
-		cfg.Version = wireVersion
-	}
-	if cfg.Version < wireVersionMin || cfg.Version > wireVersion {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, cfg.Version)
-	}
 	if cfg.ReplayWindow <= 0 {
 		cfg.ReplayWindow = 256
 	}
@@ -156,7 +164,7 @@ func Dial(addr string, cfg DialConfig) (*DialSink, error) {
 	if cfg.ResumeRetries == 0 {
 		d.resumeRetries = 8
 	}
-	if cfg.ResumeRetries < 0 || cfg.Version < 2 {
+	if cfg.ResumeRetries < 0 {
 		d.resumeRetries = -1
 	}
 	d.cond = sync.NewCond(&d.mu)
@@ -171,7 +179,7 @@ func Dial(addr string, cfg DialConfig) (*DialSink, error) {
 			return nil, fmt.Errorf("ingest: dial %s (attempt %d of %d): %w",
 				addr, attempt+1, cfg.ConnectRetries+1, err)
 		}
-		time.Sleep(pipeline.JitteredBackoff(cfg.ConnectBackoff, attempt))
+		time.Sleep(jitteredBackoff(cfg.ConnectBackoff, attempt))
 	}
 	rep, err := d.handshake(conn, false, 0)
 	if err != nil {
@@ -201,7 +209,6 @@ func (d *DialSink) handshake(conn net.Conn, resume bool, lastAck uint64) (helloR
 		StreamID: d.cfg.StreamID,
 		Token:    d.cfg.Token,
 		Res:      d.cfg.Res,
-		Version:  d.cfg.Version,
 		Resume:   resume,
 		LastAck:  lastAck,
 	})
@@ -212,7 +219,7 @@ func (d *DialSink) handshake(conn net.Conn, resume bool, lastAck uint64) (helloR
 	if _, err := conn.Write(hs); err != nil {
 		return helloReply{}, fmt.Errorf("ingest: handshake write: %w", err)
 	}
-	rep, err := readHelloReply(conn, d.cfg.Version)
+	rep, err := readHelloReply(conn)
 	if err != nil {
 		return helloReply{}, err
 	}
@@ -221,7 +228,7 @@ func (d *DialSink) handshake(conn net.Conn, resume bool, lastAck uint64) (helloR
 }
 
 // install adopts a freshly-handshaken connection under d.mu: new writer,
-// new generation, cleared failure, ACK reader started (v2).
+// new generation, cleared failure, ACK reader started.
 func (d *DialSink) install(conn net.Conn, rep helloReply) {
 	d.conn = conn
 	d.bw = bufio.NewWriterSize(conn, 64<<10)
@@ -233,9 +240,7 @@ func (d *DialSink) install(conn net.Conn, rep helloReply) {
 		d.stats.AckedSeq = rep.ResumeFrom
 	}
 	d.pruneRingLocked(d.stats.AckedSeq)
-	if d.cfg.Version >= 2 {
-		go d.ackLoop(conn, d.gen)
-	}
+	go d.ackLoop(conn, d.gen)
 }
 
 // ackLoop reads the server's cumulative ACK frames off one connection,
@@ -447,7 +452,7 @@ func (d *DialSink) reconnectLocked() error {
 			return fmt.Errorf("ingest: resume stream %q (attempt %d of %d): %v (after: %w)",
 				d.cfg.StreamID, attempt+1, d.resumeRetries+1, lastErr, cause)
 		}
-		time.Sleep(pipeline.JitteredBackoff(d.cfg.ResumeBackoff, attempt))
+		time.Sleep(jitteredBackoff(d.cfg.ResumeBackoff, attempt))
 	}
 }
 
@@ -513,10 +518,10 @@ func (d *DialSink) heartbeatLoop() {
 	}
 }
 
-// Close sends the clean end-of-stream frame, flushes and — on wire v2 —
-// waits for the server to acknowledge it, so a nil return means the
-// whole stream was accepted. After Close the stream is finished on the
-// server.
+// Close sends the clean end-of-stream frame, flushes and — unless resume
+// is switched off — waits for the server to acknowledge it, so a nil
+// return means the whole stream was accepted. After Close the stream is
+// finished on the server.
 func (d *DialSink) Close() error {
 	// Stop the heartbeat first: awaitAckLocked releases d.mu, and a
 	// heartbeat sent then would follow the EOF frame.
@@ -577,9 +582,9 @@ func (d *DialSink) awaitAckLocked(seq uint64) error {
 }
 
 // Abort closes the connection without the EOF frame — from the server's
-// point of view a mid-stream disconnect (which, on wire v2, opens the
-// stream's resume grace window). Intended for fault injection and for
-// senders bailing out on an error of their own.
+// point of view a mid-stream disconnect (which opens the stream's resume
+// grace window). Intended for fault injection and for senders bailing out
+// on an error of their own.
 func (d *DialSink) Abort() error {
 	d.mu.Lock()
 	if d.closed {

@@ -114,6 +114,35 @@ func TestDialDoesNotRetryRejection(t *testing.T) {
 	}
 }
 
+// TestJitteredBackoffBounds pins the backoff envelope: doubling from the
+// base, capped at 5 s, and jittered into [d/2, d]; a zero base means the
+// 200 ms default.
+func TestJitteredBackoffBounds(t *testing.T) {
+	const ms = time.Millisecond
+	for _, tc := range []struct {
+		base    time.Duration
+		attempt int
+		want    time.Duration
+	}{
+		{200 * ms, 0, 200 * ms},
+		{200 * ms, 1, 400 * ms},
+		{200 * ms, 2, 800 * ms},
+		{200 * ms, 3, 1600 * ms},
+		{200 * ms, 4, 3200 * ms},
+		{200 * ms, 5, 5 * time.Second},
+		{200 * ms, 6, 5 * time.Second}, // stays capped
+		{0, 0, 200 * ms},
+	} {
+		for trial := 0; trial < 50; trial++ {
+			got := jitteredBackoff(tc.base, tc.attempt)
+			if got < tc.want/2 || got > tc.want {
+				t.Fatalf("base %v attempt %d: backoff %v outside [%v, %v]",
+					tc.base, tc.attempt, got, tc.want/2, tc.want)
+			}
+		}
+	}
+}
+
 // TestHeartbeatNeverSplitsABatch drives a sink whose heartbeat fires while
 // Send waits for ring space and while Close waits for the EOF
 // acknowledgement. A heartbeat sent during the first wait must not take

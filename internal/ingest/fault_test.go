@@ -58,10 +58,9 @@ func waitStats(t *testing.T, src *NetSource, what string, cond func(pipeline.Sou
 }
 
 // rawSender dials and completes the handshake by hand, for injecting
-// arbitrary bytes after it. It speaks wire v1 — the raw fault tests are
-// about frame-level behaviour, and a v1 connection keeps the server's
-// legacy immediate-fault semantics (no resume grace, no ACK traffic to
-// drain).
+// arbitrary bytes after it. The server's ACK frames are left unread;
+// tests that need a fault committed at once run the server with
+// ResumeGrace -1.
 func rawSender(t *testing.T, addr, stream string) net.Conn {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
@@ -69,19 +68,15 @@ func rawSender(t *testing.T, addr, stream string) net.Conn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	hs, err := appendHandshake(nil, Hello{StreamID: stream, Res: events.DAVIS240, Version: 1})
+	hs, err := appendHandshake(nil, Hello{StreamID: stream, Res: events.DAVIS240})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := conn.Write(hs); err != nil {
 		t.Fatal(err)
 	}
-	var status [1]byte
-	if _, err := conn.Read(status[:]); err != nil {
+	if _, err := readHelloReply(conn); err != nil {
 		t.Fatal(err)
-	}
-	if status[0] != StatusOK {
-		t.Fatalf("handshake rejected: %s", statusText(status[0]))
 	}
 	return conn
 }
@@ -113,7 +108,7 @@ func runStreams(t *testing.T, srv *Server, ids []string) (map[string]int, error)
 // counted, the pre-fault batch still tracks, and a healthy concurrent
 // stream is completely unaffected.
 func TestFaultTornFrame(t *testing.T) {
-	srv := startServer(t, ServerConfig{Streams: []string{"bad", "good"}, Res: events.DAVIS240})
+	srv := startServer(t, ServerConfig{Streams: []string{"bad", "good"}, Res: events.DAVIS240, ResumeGrace: -1})
 
 	// Healthy stream: full send with a clean EOF frame.
 	good, err := Dial(srv.Addr().String(), DialConfig{StreamID: "good", Res: events.DAVIS240})
@@ -200,7 +195,7 @@ func TestFaultDisconnectWithoutEOF(t *testing.T) {
 // TestFaultStalledWriter holds a connection open without sending frames
 // past the idle timeout and asserts the stall is recorded as a fault.
 func TestFaultStalledWriter(t *testing.T) {
-	srv := startServer(t, ServerConfig{Streams: []string{"cam0"}, IdleTimeout: 50 * time.Millisecond})
+	srv := startServer(t, ServerConfig{Streams: []string{"cam0"}, IdleTimeout: 50 * time.Millisecond, ResumeGrace: -1})
 	conn := rawSender(t, srv.Addr().String(), "cam0")
 	defer conn.Close()
 	st := waitStats(t, srv.Source("cam0"), "stall fault", func(st pipeline.SourceStats) bool {

@@ -55,20 +55,19 @@ func FuzzWireDecoder(f *testing.F) {
 	le.PutUint32(huge, 0xFFFFFFFF)
 	f.Add(huge, uint16(0)) // absurd length field
 
-	// Wire v2 material: ACK frames, the RESUME handshake extension, and the
-	// 17-byte v2 reply.
+	// Session material: ACK frames, the RESUME handshake extension, the
+	// 17-byte reply, and a retired version-1 handshake.
 	f.Add(appendAckFrame(nil, 42), uint16(0))
 	ack := appendAckFrame(nil, 42)
 	f.Add(ack[:len(ack)-3], uint16(0)) // torn ACK
-	v1hs, _ := appendHandshake(nil, Hello{StreamID: "cam0", Res: events.DAVIS240, Version: 1})
-	f.Add(v1hs, uint16(0))
 	v2hs, _ := appendHandshake(nil, Hello{StreamID: "cam0", Res: events.DAVIS240, Resume: true, LastAck: 9000})
+	f.Add(v1Handshake(v2hs), uint16(0)) // rejected with ErrBadVersion
 	f.Add(v2hs, uint16(0))
 	f.Add(v2hs[:len(v2hs)-4], uint16(0)) // truncated resume extension
 	badFlags := append([]byte(nil), v2hs...)
 	badFlags[len(badFlags)-9] |= 0x80 // unknown hello flag bit
 	f.Add(badFlags, uint16(0))
-	f.Add(appendHelloReply(nil, wireVersion, helloReply{ResumeFrom: 7, Epoch: 3}), uint16(0))
+	f.Add(appendHelloReply(nil, helloReply{ResumeFrom: 7, Epoch: 3}), uint16(0))
 	rej := []byte{StatusStreamBusy}
 	f.Add(rej, uint16(0))
 
@@ -123,9 +122,9 @@ func FuzzWireDecoder(f *testing.F) {
 			t.Fatalf("untyped handshake error: %v", err)
 		}
 
-		// v2 reply reader on the same bytes: rejections must carry
+		// Reply reader on the same bytes: rejections must carry
 		// ErrRejected, anything else is a stream-end sentinel.
-		if _, err := readHelloReply(bytes.NewReader(data), wireVersion); err != nil {
+		if _, err := readHelloReply(bytes.NewReader(data)); err != nil {
 			if !errors.Is(err, ErrRejected) && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
 				t.Fatalf("untyped hello-reply error: %v", err)
 			}

@@ -141,7 +141,7 @@ func TestResumeTakeover(t *testing.T) {
 	if _, err := conn.Write(hs); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := readHelloReply(conn, wireVersion)
+	rep, err := readHelloReply(conn)
 	if err != nil {
 		t.Fatalf("takeover handshake rejected: %v", err)
 	}
@@ -166,55 +166,6 @@ func TestResumeTakeover(t *testing.T) {
 	})
 	if st.Faults != 0 || st.Resumes != 1 || st.Epoch != 2 {
 		t.Fatalf("takeover stats: %+v", st)
-	}
-}
-
-// TestV1ClientInterop: a legacy wire-v1 client against the v2 server gets
-// the old contract end to end — bare status reply, no ACK frames pushed at
-// it, immediate fault on disconnect instead of a resume grace.
-func TestV1ClientInterop(t *testing.T) {
-	srv := startServer(t, ServerConfig{Streams: []string{"cam0", "cam1"}, ResumeGrace: time.Hour})
-
-	// Clean path: a v1 DialSink delivers and closes exactly as before.
-	ds, err := Dial(srv.Addr().String(), DialConfig{StreamID: "cam0", Version: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.Send(testEvents(30, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st := waitStats(t, srv.Source("cam0"), "v1 clean EOF", func(st pipeline.SourceStats) bool {
-		return !st.Connected && st.Events == 30
-	})
-	if st.Faults != 0 {
-		t.Fatalf("v1 clean send faulted: %+v", st)
-	}
-
-	// Fault path: a v1 disconnect faults immediately — the grace window is
-	// a v2 privilege (a v1 client cannot resume, so parking it just delays
-	// the inevitable).
-	ds2, err := Dial(srv.Addr().String(), DialConfig{StreamID: "cam1", Version: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds2.Send(testEvents(10, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ds2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	waitStats(t, srv.Source("cam1"), "batch accepted", func(st pipeline.SourceStats) bool {
-		return st.Batches == 1
-	})
-	ds2.Abort()
-	st = waitStats(t, srv.Source("cam1"), "immediate v1 fault", func(st pipeline.SourceStats) bool {
-		return st.Faults == 1
-	})
-	if st.Resumable {
-		t.Fatalf("v1 stream parked in a grace window it can never use: %+v", st)
 	}
 }
 

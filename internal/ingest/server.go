@@ -36,16 +36,15 @@ type ServerConfig struct {
 	// subsequent frame; a connection that stalls longer faults as a
 	// stalled writer. 0 means 30 seconds.
 	IdleTimeout time.Duration
-	// ResumeGrace is how long a disconnected wire-v2 stream stays in the
-	// resumable state before its pending fault is committed. While the
-	// grace window is open the session's NetSource keeps feeding queued
-	// batches to the pipeline and a RESUME handshake continues the stream
-	// where it left off. 0 means 30 seconds; negative disables resume
-	// entirely (every disconnect faults immediately, v1 semantics).
+	// ResumeGrace is how long a disconnected stream stays in the resumable
+	// state before its pending fault is committed. While the grace window
+	// is open the session's NetSource keeps feeding queued batches to the
+	// pipeline and a RESUME handshake continues the stream where it left
+	// off. 0 means 30 seconds; negative disables resume entirely (every
+	// disconnect faults immediately).
 	ResumeGrace time.Duration
 	// AckEvery is the cadence, in received batch frames, of the cumulative
-	// ACK frames sent to wire-v2 clients (an ACK is also sent on EOF).
-	// 0 means 8.
+	// ACK frames sent to clients (an ACK is also sent on EOF). 0 means 8.
 	AckEvery int
 	// Logf, when non-nil, receives one line per connection-level event
 	// (accept, reject, resume, fault, clean end).
@@ -99,10 +98,9 @@ type session struct {
 // Server accepts N concurrent framed-TCP sensor connections and routes
 // each authenticated stream ID to its NetSource. Build the pipeline's
 // streams from Source(id) and run the Runner as usual: the run completes
-// when every stream has finished (clean EOF frame) or faulted. Wire-v2
-// clients may disconnect and resume mid-stream (see docs/INGEST.md);
-// the stream's NetSource — and with it the pipeline — never notices
-// beyond a pause.
+// when every stream has finished (clean EOF frame) or faulted. Clients
+// may disconnect and resume mid-stream (see docs/INGEST.md); the stream's
+// NetSource — and with it the pipeline — never notices beyond a pause.
 type Server struct {
 	cfg net.ListenConfig
 
@@ -254,8 +252,8 @@ func (s *Server) acceptLoop() {
 func (s *Server) resumeEnabled() bool { return s.scfg.ResumeGrace > 0 }
 
 // claim attaches conn to the stream named in hello, fresh or resumed.
-// On success it returns the session plus the v2 reply payload (resume
-// point and epoch); otherwise the rejection status.
+// On success it returns the session plus the reply payload (resume point
+// and epoch); otherwise the rejection status.
 func (s *Server) claim(hello Hello, conn net.Conn) (*session, helloReply, uint8) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -266,7 +264,7 @@ func (s *Server) claim(hello Hello, conn net.Conn) (*session, helloReply, uint8)
 	if !ok {
 		return nil, helloReply{}, StatusUnknownStream
 	}
-	resume := hello.Resume && hello.Version >= 2 && s.resumeEnabled()
+	resume := hello.Resume && s.resumeEnabled()
 	switch sess.state {
 	case sessIdle:
 		// Fresh claim. A RESUME against an idle session is also accepted —
@@ -319,9 +317,8 @@ func (s *Server) claim(hello Hello, conn net.Conn) (*session, helloReply, uint8)
 
 // release ends conn's ownership of sess after the frame loop exits.
 // A clean end (err == nil) closes the session; a fault either opens the
-// resume grace window (transport-class faults from v2 clients) or commits
-// immediately. Stale connections — taken over by a resume — change
-// nothing.
+// resume grace window (transport-class faults) or commits immediately.
+// Stale connections — taken over by a resume — change nothing.
 func (s *Server) release(sess *session, conn net.Conn, err error, resumable bool) {
 	s.mu.Lock()
 	if s.closed || sess.conn != conn {
@@ -404,8 +401,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	src := sess.src
 	_ = conn.SetWriteDeadline(time.Now().Add(s.scfg.IdleTimeout))
-	if _, err := conn.Write(appendHelloReply(nil, hello.Version, rep)); err != nil {
-		s.release(sess, conn, fmt.Errorf("ingest: handshake reply: %w", err), hello.Version >= 2)
+	if _, err := conn.Write(appendHelloReply(nil, rep)); err != nil {
+		s.release(sess, conn, fmt.Errorf("ingest: handshake reply: %w", err), true)
 		return
 	}
 	if hello.Resume && rep.Epoch > 1 {
@@ -417,14 +414,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	src.setResumable(false)
 	src.setConnected(true)
 
-	// sendAck pushes a cumulative ACK to a v2 client; an undeliverable ACK
+	// sendAck pushes a cumulative ACK to the client; an undeliverable ACK
 	// means the connection is dying, which the next read surfaces.
-	v2 := hello.Version >= 2
 	var ackBuf []byte
 	sendAck := func(seq uint64) error {
-		if !v2 {
-			return nil
-		}
 		ackBuf = appendAckFrame(ackBuf[:0], seq)
 		_ = conn.SetWriteDeadline(time.Now().Add(s.scfg.IdleTimeout))
 		_, err := conn.Write(ackBuf)
@@ -441,21 +434,21 @@ func (s *Server) serveConn(conn net.Conn) {
 		case errors.Is(err, io.EOF):
 			// Connection closed on a frame boundary but without the EOF
 			// frame: the sensor died mid-stream, not a clean finish.
-			s.release(sess, conn, fmt.Errorf("ingest: stream %q: disconnect without EOF frame", hello.StreamID), v2)
+			s.release(sess, conn, fmt.Errorf("ingest: stream %q: disconnect without EOF frame", hello.StreamID), true)
 			s.logf("ingest: stream %q: disconnect without EOF frame", hello.StreamID)
 			return
 		case errors.Is(err, io.ErrUnexpectedEOF):
-			s.release(sess, conn, fmt.Errorf("ingest: stream %q: torn frame: connection dropped mid-frame", hello.StreamID), v2)
+			s.release(sess, conn, fmt.Errorf("ingest: stream %q: torn frame: connection dropped mid-frame", hello.StreamID), true)
 			s.logf("ingest: stream %q: torn frame", hello.StreamID)
 			return
 		case errors.Is(err, os.ErrDeadlineExceeded):
-			s.release(sess, conn, fmt.Errorf("ingest: stream %q: stalled writer: no frame within %v", hello.StreamID, s.scfg.IdleTimeout), v2)
+			s.release(sess, conn, fmt.Errorf("ingest: stream %q: stalled writer: no frame within %v", hello.StreamID, s.scfg.IdleTimeout), true)
 			s.logf("ingest: stream %q: stalled writer", hello.StreamID)
 			return
 		case errors.Is(err, ErrChecksum):
 			// Transit corruption: the bytes, not the sender, are suspect —
 			// a resumed session replays them intact.
-			s.release(sess, conn, fmt.Errorf("ingest: stream %q: %w", hello.StreamID, err), v2)
+			s.release(sess, conn, fmt.Errorf("ingest: stream %q: %w", hello.StreamID, err), true)
 			s.logf("ingest: stream %q: %v", hello.StreamID, err)
 			return
 		case errors.Is(err, ErrBadFrame), errors.Is(err, ErrFrameTooBig):
@@ -466,15 +459,15 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		default:
 			// A transport failure, such as a connection reset when the
-			// sensor closed its end with an ACK unread: a disconnect, so a
-			// v2 sensor may resume.
-			s.release(sess, conn, fmt.Errorf("ingest: stream %q: %w", hello.StreamID, err), v2)
+			// sensor closed its end with an ACK unread: a disconnect, so the
+			// sensor may resume.
+			s.release(sess, conn, fmt.Errorf("ingest: stream %q: %w", hello.StreamID, err), true)
 			s.logf("ingest: stream %q: %v", hello.StreamID, err)
 			return
 		}
 		switch f.typ {
 		case frameEOF:
-			// Acknowledge the EOF itself so a v2 client's Close can stop
+			// Acknowledge the EOF itself so the client's Close can stop
 			// waiting, then finish the stream.
 			_ = sendAck(f.seq)
 			s.release(sess, conn, nil, false)
@@ -500,7 +493,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if sinceAck++; sinceAck >= s.scfg.AckEvery {
 			sinceAck = 0
 			if err := sendAck(src.LastSeq()); err != nil {
-				s.release(sess, conn, fmt.Errorf("ingest: stream %q: ack write: %w", hello.StreamID, err), v2)
+				s.release(sess, conn, fmt.Errorf("ingest: stream %q: ack write: %w", hello.StreamID, err), true)
 				s.logf("ingest: stream %q: ack write: %v", hello.StreamID, err)
 				return
 			}

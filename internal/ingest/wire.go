@@ -6,12 +6,13 @@
 // every frame is `u32 payloadLen | u32 CRC32(payload) | payload`, so torn
 // and bit-flipped frames are rejected instead of decoded into garbage. A
 // connection opens with a handshake (magic, version, sensor resolution,
-// stream ID, optional shared-secret token) that the server answers with a
-// one-byte status; after acceptance the client streams sequence-numbered
-// event batches and finishes with an explicit EOF frame, so a clean end of
-// stream is distinguishable from a mid-stream disconnect. The full format
-// is specified in docs/INGEST.md; this file is the single source of truth
-// for the byte layout.
+// stream ID, optional shared-secret token, resume request) that the server
+// answers with a status byte, plus the session's resume point and epoch on
+// acceptance; the client then streams sequence-numbered event batches,
+// which the server acknowledges cumulatively, and finishes with an explicit
+// EOF frame, so a clean end of stream is distinguishable from a mid-stream
+// disconnect. The full format is specified in docs/INGEST.md; this file is
+// the single source of truth for the byte layout.
 //
 // The receiving side is built for hostile inputs and slow consumers:
 // NetSource applies per-stream backpressure through a bounded batch queue
@@ -34,17 +35,14 @@ import (
 
 // Wire constants. Bump wireVersion on any incompatible layout change.
 //
-// Version 2 adds session resume: a trailing handshake extension (flags +
-// last-acked sequence), a 16-byte suffix on the server's OK reply
-// (resume point + session epoch) and the server→client cumulative ACK
-// frame. Version 1 clients remain fully supported — the server keys every
-// v2 behaviour off the version the client advertised, so a v1 handshake
-// gets the v1 single-byte reply and no ACK traffic.
+// Version 2 is the only version spoken, and it carries session resume: a
+// trailing handshake extension (flags + last-acked sequence), a 16-byte
+// suffix on the server's OK reply (resume point + session epoch) and the
+// server→client cumulative ACK frame. A handshake of any other version is
+// rejected with ErrBadVersion.
 const (
 	handshakeMagic = "EBIN"
 	wireVersion    = 2
-	// wireVersionMin is the oldest client version the server still speaks.
-	wireVersionMin = 1
 
 	// frameHeaderLen is u32 payloadLen + u32 CRC32(payload).
 	frameHeaderLen = 8
@@ -67,13 +65,13 @@ const (
 const (
 	frameBatch = 1
 	frameEOF   = 2
-	// frameAck is the server→client cumulative acknowledgement (wire v2):
-	// every sequence number up to and including seq has been accepted, so
-	// the client may drop those batches from its replay ring.
+	// frameAck is the server→client cumulative acknowledgement: every
+	// sequence number up to and including seq has been accepted, so the
+	// client may drop those batches from its replay ring.
 	frameAck = 3
 )
 
-// Handshake extension flags (wire v2).
+// Handshake extension flags.
 const (
 	// helloFlagResume asks the server to resume a disconnected session
 	// instead of claiming a fresh stream.
@@ -82,7 +80,8 @@ const (
 	helloFlagsKnown = helloFlagResume
 )
 
-// Handshake status codes, answered by the server as a single byte.
+// Handshake status codes: the first byte of the server's reply, and the
+// whole reply to a rejected handshake.
 const (
 	StatusOK uint8 = iota
 	StatusUnknownStream
@@ -135,12 +134,9 @@ type Hello struct {
 	// server rejects the connection when it does not match the deployment's
 	// configured resolution.
 	Res events.Resolution
-	// Version is the wire version the client advertised (1 or 2). The zero
-	// value encodes as the current wireVersion.
-	Version uint32
-	// Resume (v2 only) asks the server to resume a disconnected session:
-	// the client will replay every un-ACKed batch past the server's reply
-	// point. LastAck is the highest sequence number the client has seen
+	// Resume asks the server to resume a disconnected session: the client
+	// will replay every un-ACKed batch past the server's reply point.
+	// LastAck is the highest sequence number the client has seen
 	// acknowledged — the server treats it as a floor for its reply so a
 	// client never replays what it knows was accepted.
 	Resume  bool
@@ -150,8 +146,7 @@ type Hello struct {
 // appendHandshake serialises h. Layout:
 //
 //	"EBIN" | u32 version | u16 resA | u16 resB |
-//	u8 idLen | id | u8 tokenLen | token |
-//	[v2: u8 flags | u64 lastAck]
+//	u8 idLen | id | u8 tokenLen | token | u8 flags | u64 lastAck
 func appendHandshake(dst []byte, h Hello) ([]byte, error) {
 	if h.StreamID == "" || len(h.StreamID) > maxStreamIDLen {
 		return dst, fmt.Errorf("%w: stream id length %d", ErrBadHandshake, len(h.StreamID))
@@ -159,33 +154,26 @@ func appendHandshake(dst []byte, h Hello) ([]byte, error) {
 	if len(h.Token) > maxTokenLen {
 		return dst, fmt.Errorf("%w: token length %d", ErrBadHandshake, len(h.Token))
 	}
-	version := h.Version
-	if version == 0 {
-		version = wireVersion
-	}
 	dst = append(dst, handshakeMagic...)
-	dst = le.AppendUint32(dst, version)
+	dst = le.AppendUint32(dst, wireVersion)
 	dst = le.AppendUint16(dst, uint16(h.Res.A))
 	dst = le.AppendUint16(dst, uint16(h.Res.B))
 	dst = append(dst, uint8(len(h.StreamID)))
 	dst = append(dst, h.StreamID...)
 	dst = append(dst, uint8(len(h.Token)))
 	dst = append(dst, h.Token...)
-	if version >= 2 {
-		var flags uint8
-		if h.Resume {
-			flags |= helloFlagResume
-		}
-		dst = append(dst, flags)
-		dst = le.AppendUint64(dst, h.LastAck)
+	var flags uint8
+	if h.Resume {
+		flags |= helloFlagResume
 	}
+	dst = append(dst, flags)
+	dst = le.AppendUint64(dst, h.LastAck)
 	return dst, nil
 }
 
 // readHandshake decodes a client handshake from r, reading exactly the
-// handshake's bytes and nothing further. Both wire versions are accepted;
-// the version read first tells the decoder whether the v2 extension
-// follows, so the handshake stays self-framing.
+// handshake's bytes and nothing further: the length bytes of the stream
+// ID and token frame it.
 func readHandshake(r io.Reader) (Hello, error) {
 	var h Hello
 	var fixed [13]byte // magic + version + res + idLen
@@ -195,9 +183,8 @@ func readHandshake(r io.Reader) (Hello, error) {
 	if string(fixed[:4]) != handshakeMagic {
 		return h, ErrBadMagic
 	}
-	h.Version = le.Uint32(fixed[4:8])
-	if h.Version < wireVersionMin || h.Version > wireVersion {
-		return h, fmt.Errorf("%w: got %d, want %d..%d", ErrBadVersion, h.Version, wireVersionMin, wireVersion)
+	if v := le.Uint32(fixed[4:8]); v != wireVersion {
+		return h, fmt.Errorf("%w: got %d, want %d", ErrBadVersion, v, wireVersion)
 	}
 	h.Res = events.Resolution{A: int(le.Uint16(fixed[8:10])), B: int(le.Uint16(fixed[10:12]))}
 	idLen := int(fixed[12])
@@ -217,21 +204,19 @@ func readHandshake(r io.Reader) (Hello, error) {
 		}
 		h.Token = string(tok)
 	}
-	if h.Version >= 2 {
-		var ext [9]byte // flags + lastAck
-		if _, err := io.ReadFull(r, ext[:]); err != nil {
-			return h, fmt.Errorf("%w: %v", ErrBadHandshake, err)
-		}
-		if ext[0]&^uint8(helloFlagsKnown) != 0 {
-			return h, fmt.Errorf("%w: unknown handshake flags %#x", ErrBadHandshake, ext[0])
-		}
-		h.Resume = ext[0]&helloFlagResume != 0
-		h.LastAck = le.Uint64(ext[1:])
+	var ext [9]byte // flags + lastAck
+	if _, err := io.ReadFull(r, ext[:]); err != nil {
+		return h, fmt.Errorf("%w: %v", ErrBadHandshake, err)
 	}
+	if ext[0]&^uint8(helloFlagsKnown) != 0 {
+		return h, fmt.Errorf("%w: unknown handshake flags %#x", ErrBadHandshake, ext[0])
+	}
+	h.Resume = ext[0]&helloFlagResume != 0
+	h.LastAck = le.Uint64(ext[1:])
 	return h, nil
 }
 
-// helloReply is the server's answer to an accepted v2 handshake: the
+// helloReply is the server's answer to an accepted handshake: the
 // resume point (highest contiguous sequence number the server has
 // accepted for the stream — the client replays everything past it) and
 // the session epoch (1 on a fresh claim, bumped on every resume).
@@ -240,21 +225,18 @@ type helloReply struct {
 	Epoch      uint64
 }
 
-// appendHelloReply serialises an accepted handshake's reply for the given
-// client version: the status byte, plus the 16-byte v2 suffix when the
-// client speaks v2. Rejections are always the bare status byte.
-func appendHelloReply(dst []byte, version uint32, rep helloReply) []byte {
+// appendHelloReply serialises an accepted handshake's reply: the OK
+// status byte, then u64 resumeFrom | u64 epoch. Rejections are the bare
+// status byte.
+func appendHelloReply(dst []byte, rep helloReply) []byte {
 	dst = append(dst, StatusOK)
-	if version >= 2 {
-		dst = le.AppendUint64(dst, rep.ResumeFrom)
-		dst = le.AppendUint64(dst, rep.Epoch)
-	}
-	return dst
+	dst = le.AppendUint64(dst, rep.ResumeFrom)
+	return le.AppendUint64(dst, rep.Epoch)
 }
 
 // readHelloReply decodes the server's handshake answer on the client. A
 // non-OK status is returned as ErrRejected with the decoded reason.
-func readHelloReply(r io.Reader, version uint32) (helloReply, error) {
+func readHelloReply(r io.Reader) (helloReply, error) {
 	var rep helloReply
 	var status [1]byte
 	if _, err := io.ReadFull(r, status[:]); err != nil {
@@ -263,14 +245,12 @@ func readHelloReply(r io.Reader, version uint32) (helloReply, error) {
 	if status[0] != StatusOK {
 		return rep, fmt.Errorf("%w: %s", ErrRejected, statusText(status[0]))
 	}
-	if version >= 2 {
-		var suffix [16]byte
-		if _, err := io.ReadFull(r, suffix[:]); err != nil {
-			return rep, fmt.Errorf("ingest: handshake reply: %w", err)
-		}
-		rep.ResumeFrom = le.Uint64(suffix[0:8])
-		rep.Epoch = le.Uint64(suffix[8:16])
+	var suffix [16]byte
+	if _, err := io.ReadFull(r, suffix[:]); err != nil {
+		return rep, fmt.Errorf("ingest: handshake reply: %w", err)
 	}
+	rep.ResumeFrom = le.Uint64(suffix[0:8])
+	rep.Epoch = le.Uint64(suffix[8:16])
 	return rep, nil
 }
 
@@ -306,9 +286,9 @@ func appendEOFFrame(dst []byte, seq uint64) []byte {
 	return appendSeqFrame(dst, frameEOF, seq)
 }
 
-// appendAckFrame serialises the server's cumulative acknowledgement
-// (wire v2): u8 type=3 | u64 seq — every sequence number up to and
-// including seq has been accepted.
+// appendAckFrame serialises the server's cumulative acknowledgement:
+// u8 type=3 | u64 seq — every sequence number up to and including seq has
+// been accepted.
 func appendAckFrame(dst []byte, seq uint64) []byte {
 	return appendSeqFrame(dst, frameAck, seq)
 }

@@ -28,6 +28,14 @@ func mustBatch(t *testing.T, seq uint64, evs []events.Event) []byte {
 	return b
 }
 
+// v1Handshake rewrites a handshake into the retired wire-v1 layout:
+// version 1 and no trailing flags/lastAck extension.
+func v1Handshake(hs []byte) []byte {
+	v1 := append([]byte(nil), hs[:len(hs)-9]...)
+	le.PutUint32(v1[4:8], 1)
+	return v1
+}
+
 func testEvents(n int, t0 int64) []events.Event {
 	evs := make([]events.Event, n)
 	for i := range evs {
@@ -41,19 +49,17 @@ func testEvents(n int, t0 int64) []events.Event {
 }
 
 func TestHandshakeRoundTrip(t *testing.T) {
-	// Version 0 encodes as the current wireVersion.
 	want := Hello{StreamID: "cam0", Token: "s3cret", Res: events.DAVIS240}
 	got, err := readHandshake(bytes.NewReader(mustHandshake(t, want)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want.Version = wireVersion
 	if got != want {
 		t.Fatalf("handshake round trip: got %+v want %+v", got, want)
 	}
 
 	// No token.
-	want = Hello{StreamID: "a", Res: events.Resolution{A: 640, B: 480}, Version: wireVersion}
+	want = Hello{StreamID: "a", Res: events.Resolution{A: 640, B: 480}}
 	got, err = readHandshake(bytes.NewReader(mustHandshake(t, want)))
 	if err != nil {
 		t.Fatal(err)
@@ -62,18 +68,8 @@ func TestHandshakeRoundTrip(t *testing.T) {
 		t.Fatalf("tokenless round trip: got %+v want %+v", got, want)
 	}
 
-	// Explicit v1: no extension bytes on the wire, zero resume fields back.
-	want = Hello{StreamID: "old", Token: "tok", Res: events.DAVIS240, Version: 1}
-	got, err = readHandshake(bytes.NewReader(mustHandshake(t, want)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("v1 round trip: got %+v want %+v", got, want)
-	}
-
-	// v2 resume request carries the flag and the last-acked sequence.
-	want = Hello{StreamID: "cam1", Res: events.DAVIS240, Version: 2, Resume: true, LastAck: 12345}
+	// A resume request carries the flag and the last-acked sequence.
+	want = Hello{StreamID: "cam1", Res: events.DAVIS240, Resume: true, LastAck: 12345}
 	got, err = readHandshake(bytes.NewReader(mustHandshake(t, want)))
 	if err != nil {
 		t.Fatal(err)
@@ -84,22 +80,18 @@ func TestHandshakeRoundTrip(t *testing.T) {
 }
 
 func TestHandshakeVersionFraming(t *testing.T) {
-	// A v1 handshake is exactly its own bytes: the reader must not consume
+	// A handshake is exactly its own bytes: the reader must not consume
 	// past it even when more data follows (the first frame).
-	v1 := mustHandshake(t, Hello{StreamID: "cam0", Version: 1})
-	v2 := mustHandshake(t, Hello{StreamID: "cam0", Version: 2})
-	if len(v2) != len(v1)+9 {
-		t.Fatalf("v2 extension size: len(v2)=%d len(v1)=%d, want +9", len(v2), len(v1))
-	}
-	r := bytes.NewReader(append(append([]byte(nil), v1...), 0xAB))
+	v2 := mustHandshake(t, Hello{StreamID: "cam0", Token: "tok"})
+	r := bytes.NewReader(append(append([]byte(nil), v2...), 0xAB))
 	if _, err := readHandshake(r); err != nil {
 		t.Fatal(err)
 	}
 	if r.Len() != 1 {
-		t.Fatalf("v1 read consumed past the handshake: %d bytes left, want 1", r.Len())
+		t.Fatalf("read consumed past the handshake: %d bytes left, want 1", r.Len())
 	}
 
-	// Truncated v2 extension is a malformed handshake, not a crash.
+	// Truncated extension is a malformed handshake, not a crash.
 	if _, err := readHandshake(bytes.NewReader(v2[:len(v2)-3])); !errors.Is(err, ErrBadHandshake) {
 		t.Fatalf("truncated extension: got %v, want ErrBadHandshake", err)
 	}
@@ -113,35 +105,25 @@ func TestHandshakeVersionFraming(t *testing.T) {
 }
 
 func TestHelloReplyRoundTrip(t *testing.T) {
-	// v1 reply: the bare status byte.
-	b := appendHelloReply(nil, 1, helloReply{ResumeFrom: 7, Epoch: 3})
-	if len(b) != 1 {
-		t.Fatalf("v1 reply length %d, want 1", len(b))
-	}
-	rep, err := readHelloReply(bytes.NewReader(b), 1)
-	if err != nil || rep != (helloReply{}) {
-		t.Fatalf("v1 reply: %+v err %v", rep, err)
-	}
-
-	// v2 reply carries the resume point and epoch.
+	// An OK reply carries the resume point and epoch.
 	want := helloReply{ResumeFrom: 42, Epoch: 5}
-	b = appendHelloReply(nil, 2, want)
+	b := appendHelloReply(nil, want)
 	if len(b) != 17 {
-		t.Fatalf("v2 reply length %d, want 17", len(b))
+		t.Fatalf("reply length %d, want 17", len(b))
 	}
-	rep, err = readHelloReply(bytes.NewReader(b), 2)
+	rep, err := readHelloReply(bytes.NewReader(b))
 	if err != nil || rep != want {
-		t.Fatalf("v2 reply: %+v err %v, want %+v", rep, err, want)
+		t.Fatalf("reply: %+v err %v, want %+v", rep, err, want)
 	}
 
-	// Rejections are a bare byte on both versions and decode to ErrRejected.
-	if _, err := readHelloReply(bytes.NewReader([]byte{StatusStreamBusy}), 2); !errors.Is(err, ErrRejected) {
+	// Rejections are a bare byte and decode to ErrRejected.
+	if _, err := readHelloReply(bytes.NewReader([]byte{StatusStreamBusy})); !errors.Is(err, ErrRejected) {
 		t.Fatalf("rejection: got %v, want ErrRejected", err)
 	}
 
-	// A truncated v2 suffix is a transport error, not a silent zero reply.
-	if _, err := readHelloReply(bytes.NewReader(b[:5]), 2); err == nil {
-		t.Fatal("truncated v2 reply: want an error")
+	// A truncated suffix is a transport error, not a silent zero reply.
+	if _, err := readHelloReply(bytes.NewReader(b[:5])); err == nil {
+		t.Fatal("truncated reply: want an error")
 	}
 }
 
@@ -180,6 +162,12 @@ func TestHandshakeRejectsGarbage(t *testing.T) {
 		data []byte
 		want error
 	}{"bad version", bad, ErrBadVersion})
+	// The retired version 1.
+	cases = append(cases, struct {
+		name string
+		data []byte
+		want error
+	}{"version 1", v1Handshake(mustHandshake(t, Hello{StreamID: "cam0", Token: "tok"})), ErrBadVersion})
 	// Zero-length id.
 	zid := mustHandshake(t, Hello{StreamID: "x"})
 	zid[12] = 0

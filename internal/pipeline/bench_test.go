@@ -3,7 +3,6 @@ package pipeline
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -114,40 +113,6 @@ func BenchmarkWindowLoop_Runner(b *testing.B) {
 		windows = stats.Windows
 	}
 	b.ReportMetric(float64(windows), "windows/replay")
-}
-
-// BenchmarkWindowLoop_RunnerBatch replays the identical recording at
-// increasing window batch sizes: each op is one full replay, so falling
-// ns/op with batch size is the measured amortization of the per-window
-// tuner check, stage publication and dispatch (batch=1 pins the unbatched
-// fast path as the baseline).
-func BenchmarkWindowLoop_RunnerBatch(b *testing.B) {
-	_, aer := benchEvents(b)
-	for _, batch := range []int{1, 4, 16} {
-		batch := batch
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r, err := aedat.NewReader(bytes.NewReader(aer))
-				if err != nil {
-					b.Fatal(err)
-				}
-				sys, err := core.NewEBBIOT(core.DefaultConfig())
-				if err != nil {
-					b.Fatal(err)
-				}
-				runner, err := NewRunner(Config{FrameUS: 66_000, Workers: 1, Batch: batch})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := runner.Run(context.Background(),
-					[]Stream{{Source: NewAEDATSource(r), System: sys}}, nil); err != nil {
-					b.Fatal(err)
-				}
-				sys.Close()
-			}
-		})
-	}
 }
 
 // BenchmarkRunnerMultiSensor measures how aggregate throughput scales when

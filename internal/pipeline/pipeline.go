@@ -39,7 +39,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -48,7 +47,6 @@ import (
 	"time"
 
 	"ebbiot/internal/core"
-	"ebbiot/internal/events"
 	"ebbiot/internal/geometry"
 )
 
@@ -119,20 +117,6 @@ type Config struct {
 	// Workers caps the concurrent stream workers; 0 means GOMAXPROCS. The
 	// effective count never exceeds the number of streams.
 	Workers int
-	// QueueDepth bounds the fan-in channel; 0 means 2 per worker. Smaller
-	// values tighten backpressure, larger ones decouple bursty sinks.
-	QueueDepth int
-	// Batch is the number of contiguous windows pulled and processed per
-	// stream iteration; 0 or 1 means one window at a time. Batching
-	// amortizes per-window dispatch — the tuner check, stage-timing
-	// publication, and (for systems implementing core.WindowBatcher) the
-	// ProcessWindow call overhead — over Batch windows, at the cost of
-	// coarser control: live tF retunes and parameter changes land at batch
-	// boundaries instead of every window, and per-window snapshots are
-	// published only after the whole batch completes (so paced/latency-
-	// sensitive runs should keep Batch small). Tracking output is identical
-	// at any batch size.
-	Batch int
 	// Watchdog, when positive, arms a per-stream progress watchdog: a
 	// running stream that completes no window within this duration is
 	// flipped to the (non-terminal) stalled state and its stall counter
@@ -140,15 +124,6 @@ type Config struct {
 	// /metrics without killing anything. The stream returns to running at
 	// its next window.
 	Watchdog time.Duration
-	// MaxRestarts bounds supervised restarts per stream for sources
-	// implementing RestartableSource: a mid-stream source error triggers a
-	// jittered exponential backoff, Restart, and a contiguous continuation
-	// of the window clock instead of failing the stream — up to this many
-	// times over the stream's life. 0 disables restarts.
-	MaxRestarts int
-	// RestartBackoff is the base delay before restart attempt n (doubled
-	// each attempt, capped at 5 s, jittered into [d/2, d]); 0 means 200 ms.
-	RestartBackoff time.Duration
 }
 
 // Stats summarises a run.
@@ -199,17 +174,8 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("pipeline: negative worker count %d", cfg.Workers)
 	}
-	if cfg.QueueDepth < 0 {
-		return nil, fmt.Errorf("pipeline: negative queue depth %d", cfg.QueueDepth)
-	}
-	if cfg.Batch < 0 {
-		return nil, fmt.Errorf("pipeline: negative batch size %d", cfg.Batch)
-	}
 	if cfg.Watchdog < 0 {
 		return nil, fmt.Errorf("pipeline: negative watchdog deadline %v", cfg.Watchdog)
-	}
-	if cfg.MaxRestarts < 0 {
-		return nil, fmt.Errorf("pipeline: negative restart budget %d", cfg.MaxRestarts)
 	}
 	return &Runner{cfg: cfg}, nil
 }
@@ -234,27 +200,6 @@ func (p *panicError) Error() string {
 // snapshots): stop producing, touch nothing else.
 var errStreamKilled = errors.New("pipeline: stream failed externally")
 
-// JitteredBackoff returns the delay before retry number attempt (0-based):
-// base << attempt capped at 5 s, jittered uniformly into [d/2, d] so that
-// a fleet retrying together does not retry in lockstep. A base of 0 or
-// less means 200 ms. The Runner's restarts and the ingest DialSink's
-// connect and resume loops share it.
-func JitteredBackoff(base time.Duration, attempt int) time.Duration {
-	if base <= 0 {
-		base = 200 * time.Millisecond
-	}
-	const cap = 5 * time.Second
-	d := base
-	for i := 0; i < attempt && d < cap; i++ {
-		d *= 2
-	}
-	if d > cap {
-		d = cap
-	}
-	half := d / 2
-	return half + time.Duration(rand.Int63n(int64(half)+1))
-}
-
 // Run processes every stream to exhaustion and returns aggregate stats. The
 // sink (which may be nil to discard results) is invoked from a single
 // goroutine, so it need not be thread-safe; per-stream snapshots arrive in
@@ -277,10 +222,6 @@ func (r *Runner) Run(ctx context.Context, streams []Stream, sink Sink) (Stats, e
 	}
 	if workers > len(streams) {
 		workers = len(streams)
-	}
-	depth := r.cfg.QueueDepth
-	if depth == 0 {
-		depth = 2 * workers
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -309,7 +250,10 @@ func (r *Runner) Run(ctx context.Context, streams []Stream, sink Sink) (Stats, e
 	}
 	r.status.Store(status)
 
-	results := make(chan TrackSnapshot, depth)
+	// Two slots per worker: each worker can queue a snapshot while the sink
+	// consumes another, and a stream that runs ahead of the sink still
+	// blocks its worker (backpressure).
+	results := make(chan TrackSnapshot, 2*workers)
 	status.setLag(func() int { return len(results) })
 	work := make(chan int)
 
@@ -476,12 +420,9 @@ func (r *Runner) superviseStream(ctx context.Context, idx int, st *Stream, resul
 func (r *Runner) Status() *RunStatus { return r.status.Load() }
 
 // runStream drives one stream's window loop to exhaustion, publishing
-// progress into ss between windows. With cfg.Batch > 1 it pulls up to Batch
-// contiguous windows per iteration — copying each window's events out of the
-// Windower's recycled buffer — and hands them to the System in a single
-// ProcessWindowBatch call when it implements core.WindowBatcher, so the
-// tuner check, stage-timing publication and dispatch overhead amortize
-// across the batch. Per-window snapshots are still emitted in order.
+// progress into ss between windows. Each iteration is one window: tune,
+// pull it from the Windower, process it in place in the Windower's buffer,
+// snapshot, emit. The first source error fails the stream.
 func (r *Runner) runStream(ctx context.Context, idx int, st *Stream, results chan<- TrackSnapshot, ss *StreamStatus) error {
 	name := ss.Name()
 	w, err := NewWindower(st.Source, r.cfg.FrameUS)
@@ -499,74 +440,6 @@ func (r *Runner) runStream(ctx context.Context, idx int, st *Stream, results cha
 		}
 	}
 	defer publishSrc()
-	// emit publishes one finished window: observer first (it may fail the
-	// run), then the fan-in send.
-	emit := func(snap TrackSnapshot) error {
-		if st.Observer != nil {
-			if err := st.Observer(snap, st.System); err != nil {
-				return fmt.Errorf("pipeline: %s: observer: %w", name, err)
-			}
-		}
-		select {
-		case results <- snap:
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	// pull advances the windower by one window, absorbing mid-stream source
-	// errors for restartable sources within the run's restart budget: back
-	// off (jittered exponential), restart the source, resume the windower
-	// on the same frame clock, and try the interrupted window again.
-	restarts := 0
-	pull := func() (events.Window, bool, error) {
-		for {
-			win, err := w.Next()
-			if err == nil {
-				return win, false, nil
-			}
-			if err == io.EOF {
-				return events.Window{}, true, nil
-			}
-			ss.addSourceError()
-			rs, restartable := st.Source.(RestartableSource)
-			if !restartable || restarts >= r.cfg.MaxRestarts {
-				return events.Window{}, false, fmt.Errorf("pipeline: %s: %w", name, err)
-			}
-			select {
-			case <-time.After(JitteredBackoff(r.cfg.RestartBackoff, restarts)):
-			case <-ctx.Done():
-				return events.Window{}, false, ctx.Err()
-			}
-			restarts++
-			ss.addRestart()
-			if rerr := rs.Restart(); rerr != nil {
-				return events.Window{}, false, fmt.Errorf("pipeline: %s: restart: %v (after: %w)", name, rerr, err)
-			}
-			if rerr := w.Resume(); rerr != nil {
-				return events.Window{}, false, rerr
-			}
-		}
-	}
-	batch := r.cfg.Batch
-	if batch < 1 {
-		batch = 1
-	}
-	type windowMeta struct {
-		frame      int
-		start, end int64
-	}
-	// Per-batch scratch, reused across iterations. Events are copied out of
-	// the Windower because it owns a single buffer that the next Next call
-	// overwrites; batching needs the whole batch's windows alive at once.
-	var (
-		bufs  [][]events.Event
-		metas []windowMeta
-	)
-	if batch > 1 {
-		bufs = make([][]events.Event, batch)
-		metas = make([]windowMeta, 0, batch)
-	}
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -578,8 +451,7 @@ func (r *Runner) runStream(ctx context.Context, idx int, st *Stream, results cha
 			return errStreamKilled
 		}
 		// Window boundary: let the control plane retune tF or reconfigure
-		// the System before the next window (or batch of windows) is
-		// pulled; at Batch > 1 live changes land every Batch windows.
+		// the System before the next window is pulled.
 		if st.Tuner != nil {
 			frameUS, version, err := st.Tuner.Tune(idx, st.System)
 			if err != nil {
@@ -592,102 +464,51 @@ func (r *Runner) runStream(ctx context.Context, idx int, st *Stream, results cha
 			}
 			ss.setTuning(frameUS, version)
 		}
-		if batch == 1 {
-			// Unbatched fast path: process the Windower's buffer in place,
-			// no copy.
-			frame := w.Frame()
-			win, eof, err := pull()
-			if eof {
-				return nil
-			}
-			if err != nil {
-				// A source failing mid-run (after yielding windows) was
-				// accounted by pull before the failure aborts the run, so
-				// the stream's snapshot shows where the stream broke.
-				return err
-			}
-			procStart := time.Now()
-			reported, err := st.System.ProcessWindow(win.Events)
-			if err != nil {
-				return fmt.Errorf("pipeline: %s: %s: %w", name, st.System.Name(), err)
-			}
-			snap := TrackSnapshot{
-				Sensor:  idx,
-				Name:    name,
-				Frame:   frame,
-				StartUS: win.Start,
-				EndUS:   win.End,
-				Events:  len(win.Events),
-				ProcUS:  time.Since(procStart).Microseconds(),
-				// Deep copy: the System's slice is fresh per the core.System
-				// contract, but copying here makes the snapshot safe even for
-				// systems that violate it.
-				Boxes: append([]geometry.Box(nil), reported...),
-			}
-			ss.record(snap)
-			if timer, ok := st.System.(core.StageTimer); ok {
-				ss.setStages(timer.StageTimings())
-			}
-			publishSrc()
-			if err := emit(snap); err != nil {
-				return err
-			}
-			continue
-		}
-		// Batched path: pull up to batch windows (fewer at stream end).
-		metas = metas[:0]
-		n := 0
-		for n < batch {
-			frame := w.Frame()
-			win, eof, err := pull()
-			if eof {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			bufs[n] = append(bufs[n][:0], win.Events...)
-			metas = append(metas, windowMeta{frame: frame, start: win.Start, end: win.End})
-			n++
-		}
-		if n == 0 {
+		frame := w.Frame()
+		win, err := w.Next()
+		if err == io.EOF {
 			return nil
 		}
-		procStart := time.Now()
-		var reported [][]geometry.Box
-		if wb, ok := st.System.(core.WindowBatcher); ok {
-			reported, err = wb.ProcessWindowBatch(bufs[:n])
-		} else {
-			reported = make([][]geometry.Box, n)
-			for i := 0; i < n && err == nil; i++ {
-				reported[i], err = st.System.ProcessWindow(bufs[i])
-			}
+		if err != nil {
+			// Counted before the failure aborts the stream, so the stream's
+			// snapshot shows where it broke.
+			ss.addSourceError()
+			return fmt.Errorf("pipeline: %s: %w", name, err)
 		}
+		procStart := time.Now()
+		reported, err := st.System.ProcessWindow(win.Events)
 		if err != nil {
 			return fmt.Errorf("pipeline: %s: %s: %w", name, st.System.Name(), err)
 		}
-		// The batch is timed as a whole, so each window reports the batch
-		// mean processing time.
-		perUS := time.Since(procStart).Microseconds() / int64(n)
+		snap := TrackSnapshot{
+			Sensor:  idx,
+			Name:    name,
+			Frame:   frame,
+			StartUS: win.Start,
+			EndUS:   win.End,
+			Events:  len(win.Events),
+			ProcUS:  time.Since(procStart).Microseconds(),
+			// Deep copy: the System's slice is fresh per the core.System
+			// contract, but copying here makes the snapshot safe even for
+			// systems that violate it.
+			Boxes: append([]geometry.Box(nil), reported...),
+		}
+		ss.record(snap)
 		if timer, ok := st.System.(core.StageTimer); ok {
 			ss.setStages(timer.StageTimings())
 		}
 		publishSrc()
-		for i := 0; i < n; i++ {
-			snap := TrackSnapshot{
-				Sensor:  idx,
-				Name:    name,
-				Frame:   metas[i].frame,
-				StartUS: metas[i].start,
-				EndUS:   metas[i].end,
-				Events:  len(bufs[i]),
-				ProcUS:  perUS,
-				Boxes:   append([]geometry.Box(nil), reported[i]...),
+		// The observer runs first (it may fail the run), then the fan-in
+		// send.
+		if st.Observer != nil {
+			if err := st.Observer(snap, st.System); err != nil {
+				return fmt.Errorf("pipeline: %s: observer: %w", name, err)
 			}
-			ss.record(snap)
-			if err := emit(snap); err != nil {
-				return err
-			}
+		}
+		select {
+		case results <- snap:
+		case <-ctx.Done():
+			return ctx.Err()
 		}
 	}
 }

@@ -373,7 +373,7 @@ func TestRunnerPropagatesSinkError(t *testing.T) {
 		}
 		streams[k] = Stream{Source: src, System: &fakeSystem{name: "s"}}
 	}
-	r, err := NewRunner(Config{FrameUS: 66_000, Workers: 2, QueueDepth: 1})
+	r, err := NewRunner(Config{FrameUS: 66_000, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

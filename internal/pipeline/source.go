@@ -25,10 +25,10 @@ import (
 // format (unsigned deltas from t = 0), the ingest wire decoder within a
 // batch and NetSource's offer across batches, and the simulator by
 // sorting each window. The Windower checks only each window's first and
-// last event: a first event before start (a regression across windows,
-// such as a Restart that rewinds) fails the stream with
-// events.ErrUnsorted, and a last event at or past end as outside the
-// window. Disorder inside a window is not detected there.
+// last event: a first event before start (a regression across windows)
+// fails the stream with events.ErrUnsorted, and a last event at or past
+// end as outside the window. Disorder inside a window is not detected
+// there.
 type EventSource interface {
 	NextWindow(buf []events.Event, start, end int64) ([]events.Event, error)
 }
@@ -84,14 +84,11 @@ type SourceMeter interface {
 	SourceStats() SourceStats
 }
 
-// RestartableSource is an EventSource that can recover from a mid-stream
-// error. When NextWindow fails on a stream whose source implements this
-// interface, the Runner — within its configured restart budget — waits a
-// jittered exponential backoff, calls Restart, and continues pulling
-// windows from where the stream clock stopped instead of failing the
-// stream. Restart must leave the source ready to serve the window the
-// failure interrupted (typically by reopening whatever backed it);
-// returning an error gives up and fails the stream with both causes.
+// RestartableSource is declared only because perfbench/trace.go
+// type-asserts it to keep its tracing wrappers' method sets. Nothing in
+// this module implements it, and the Runner never calls Restart: the first
+// source error fails the stream (ingest recovers a lost connection inside
+// NetSource, by session resume). Delete it together with those wrappers.
 type RestartableSource interface {
 	EventSource
 	Restart() error

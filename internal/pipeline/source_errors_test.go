@@ -39,40 +39,38 @@ func (m *meteredFlaky) SourceStats() SourceStats { return m.stats }
 // status, totaled into the run snapshot — so post-mortems can tell a
 // source death from a system error.
 func TestRunnerCountsSourceErrors(t *testing.T) {
-	for _, batch := range []int{0, 3} {
-		src, err := NewSliceSource(syntheticStream(0, 2_000_000))
-		if err != nil {
-			t.Fatal(err)
-		}
-		boom := errors.New("sensor unplugged")
-		flaky := &meteredFlaky{
-			flakySource: flakySource{src: src, budget: 5, err: boom},
-			stats:       SourceStats{Faults: 1, LastError: boom.Error()},
-		}
-		r, err := NewRunner(Config{FrameUS: 66_000, Batch: batch})
-		if err != nil {
-			t.Fatal(err)
-		}
-		streams := []Stream{{Name: "flaky", Source: flaky, System: &fakeSystem{name: "fake"}}}
-		_, runErr := r.Run(context.Background(), streams, nil)
-		if !errors.Is(runErr, boom) {
-			t.Fatalf("batch=%d: run error = %v, want the source error", batch, runErr)
-		}
-		snap := r.Status().Snapshot()
-		if snap.SourceErrors != 1 {
-			t.Fatalf("batch=%d: run source_errors = %d, want 1", batch, snap.SourceErrors)
-		}
-		ss := snap.PerStream[0]
-		if ss.SourceErrors != 1 {
-			t.Fatalf("batch=%d: stream source_errors = %d, want 1", batch, ss.SourceErrors)
-		}
-		if ss.State != "failed" {
-			t.Fatalf("batch=%d: stream state = %q, want failed", batch, ss.State)
-		}
-		// The meter was published on stream exit even though the stream died.
-		if ss.Source == nil || ss.Source.Faults != 1 {
-			t.Fatalf("batch=%d: source stats not published on failure: %+v", batch, ss.Source)
-		}
+	src, err := NewSliceSource(syntheticStream(0, 2_000_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("sensor unplugged")
+	flaky := &meteredFlaky{
+		flakySource: flakySource{src: src, budget: 5, err: boom},
+		stats:       SourceStats{Faults: 1, LastError: boom.Error()},
+	}
+	r, err := NewRunner(Config{FrameUS: 66_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := []Stream{{Name: "flaky", Source: flaky, System: &fakeSystem{name: "fake"}}}
+	_, runErr := r.Run(context.Background(), streams, nil)
+	if !errors.Is(runErr, boom) {
+		t.Fatalf("run error = %v, want the source error", runErr)
+	}
+	snap := r.Status().Snapshot()
+	if snap.SourceErrors != 1 {
+		t.Fatalf("run source_errors = %d, want 1", snap.SourceErrors)
+	}
+	ss := snap.PerStream[0]
+	if ss.SourceErrors != 1 {
+		t.Fatalf("stream source_errors = %d, want 1", ss.SourceErrors)
+	}
+	if ss.State != "failed" {
+		t.Fatalf("stream state = %q, want failed", ss.State)
+	}
+	// The meter was published on stream exit even though the stream died.
+	if ss.Source == nil || ss.Source.Faults != 1 {
+		t.Fatalf("source stats not published on failure: %+v", ss.Source)
 	}
 }
 

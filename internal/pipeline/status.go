@@ -72,7 +72,6 @@ type StreamStatus struct {
 	paramVer   atomic.Int64
 	srcErrs    atomic.Int64
 	stalls     atomic.Int64
-	restarts   atomic.Int64
 	// lastProgress is the UnixNano of the stream's latest window (or its
 	// claim by a worker) — what the run's watchdog measures staleness
 	// against.
@@ -124,10 +123,8 @@ type StreamSnapshot struct {
 	// even though the failure also aborts the run.
 	SourceErrors int64 `json:"source_errors"`
 	// Stalls counts watchdog trips: periods with no window progress within
-	// the run's watchdog deadline. Restarts counts supervised source
-	// restarts (RestartableSource) on this stream.
-	Stalls   int64 `json:"stalls,omitempty"`
-	Restarts int64 `json:"restarts,omitempty"`
+	// the run's watchdog deadline.
+	Stalls int64 `json:"stalls,omitempty"`
 	// Stages is the per-stage timing breakdown for systems that implement
 	// core.StageTimer.
 	Stages *StageSnapshot `json:"stages,omitempty"`
@@ -208,9 +205,6 @@ func (s *StreamStatus) markStalled() bool {
 	return false
 }
 
-// addRestart accounts one supervised source restart.
-func (s *StreamStatus) addRestart() { s.restarts.Add(1) }
-
 // failPanic records a contained panic: terminal failure plus the
 // recovered stack for /streams/{id}.
 func (s *StreamStatus) failPanic(err error, stack []byte) {
@@ -285,7 +279,6 @@ func (s *StreamStatus) Snapshot(elapsed time.Duration) StreamSnapshot {
 		ParamVersion: s.paramVer.Load(),
 		SourceErrors: s.srcErrs.Load(),
 		Stalls:       s.stalls.Load(),
-		Restarts:     s.restarts.Load(),
 	}
 	if secs := elapsed.Seconds(); secs > 0 {
 		snap.EventsPerSec = float64(snap.Events) / secs
@@ -351,10 +344,8 @@ type StatusSnapshot struct {
 	Boxes   int64 `json:"boxes"`
 	// SourceErrors totals the per-stream source failures.
 	SourceErrors int64 `json:"source_errors"`
-	// Stalls and Restarts total the per-stream watchdog trips and
-	// supervised source restarts.
-	Stalls   int64 `json:"stalls,omitempty"`
-	Restarts int64 `json:"restarts,omitempty"`
+	// Stalls totals the per-stream watchdog trips.
+	Stalls int64 `json:"stalls,omitempty"`
 	// SinkUS is cumulative wall-clock inside Sink.Consume; SinkLag is the
 	// number of snapshots queued in the fan-in channel right now.
 	SinkUS        int64            `json:"sink_us"`
@@ -500,7 +491,6 @@ func (r *RunStatus) Snapshot() StatusSnapshot {
 		snap.Boxes += ss.Boxes
 		snap.SourceErrors += ss.SourceErrors
 		snap.Stalls += ss.Stalls
-		snap.Restarts += ss.Restarts
 		snap.PerStream = append(snap.PerStream, ss)
 	}
 	if secs := elapsed.Seconds(); secs > 0 {

@@ -128,22 +128,6 @@ func (w *Windower) SetFrameUS(us int64) error {
 	return nil
 }
 
-// Resume clears the terminal state a mid-stream source error left behind
-// so Next may be called again once the source has recovered (see
-// RestartableSource). The frame clock is untouched: the failed window's
-// index and start position are retained, so the resumed stream stays
-// contiguous with what was already emitted, and a source that restarts
-// behind that start fails the first-event check in Next. Only valid after
-// a source error — not after Close.
-func (w *Windower) Resume() error {
-	if w.buf == nil {
-		return fmt.Errorf("pipeline: resume after close")
-	}
-	w.done = false
-	w.eofPending = false
-	return nil
-}
-
 // Close recycles the window buffer. The Windower (and any Window it
 // returned) must not be used afterwards.
 func (w *Windower) Close() {

@@ -20,8 +20,11 @@ import (
 // A directory holds any number of runs (one per Writer Open), each
 // described by its manifest. Scan, Replay and Prove take a run selector:
 // 0 means "the sole run" and fails with ErrMultipleRuns when several are
-// present; any other value names a run listed by Runs. Segments predating
-// the manifest format are grouped as a synthetic legacy run with ID 0.
+// present; any other value names a run listed by Runs. Segments no valid
+// manifest claims are grouped as a synthetic legacy run with ID 0: those of
+// a store written before manifests existed, and those of a run whose
+// manifest fails its CRC, which stay readable that way while
+// ManifestProblems and Verify report the damage.
 type Reader struct {
 	dir              string
 	runs             []readerRun
@@ -49,8 +52,9 @@ type readerSeg struct {
 // RunInfo describes one run in the directory.
 type RunInfo struct {
 	ID uint64
-	// Legacy marks the synthetic group of segments predating run
-	// manifests: readable, but with no manifest to verify against.
+	// Legacy marks the synthetic group of segments no valid manifest
+	// claims (a pre-manifest store, or a run whose manifest fails its
+	// CRC): readable, but with no manifest to verify against.
 	Legacy bool
 	// Finalized runs are immutable; Recovered ones were finalized by
 	// crash recovery rather than a clean Close.
@@ -157,7 +161,9 @@ func OpenReader(dir string) (*Reader, error) {
 		r.runs = append(r.runs, run)
 	}
 	// Segments no valid manifest claims form the legacy group (pre-manifest
-	// stores, or segments stranded by an unparseable manifest).
+	// stores, or segments stranded by an unparseable manifest). The second
+	// is why the group stays: it is the recovery path for a manifest that
+	// fails its CRC, whose records stay readable here.
 	var legacy readerRun
 	legacy.info = RunInfo{ID: 0, Legacy: true, Finalized: true}
 	for _, n := range segsOnDisk {

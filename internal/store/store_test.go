@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ebbiot/internal/geometry"
@@ -764,43 +765,79 @@ func TestSyncEveryDurability(t *testing.T) {
 	}
 }
 
-// TestLegacySegmentsReadable pins backward compatibility: segments with
-// no manifest (a pre-manifest store) group as legacy run 0 — scannable
-// and replayable, with Verify validating frames but no roots.
+// TestLegacySegmentsReadable pins the legacy group: segments no valid
+// manifest claims group as legacy run 0 — scannable and replayable, with
+// Verify validating frames but no roots. Two stores reach it: one written
+// before manifests existed, and one whose manifest fails its CRC, for
+// which the legacy group is the recovery path (the damage is reported,
+// the records stay readable).
 func TestLegacySegmentsReadable(t *testing.T) {
-	dir := t.TempDir()
-	writeStore(t, dir, Options{SegmentBytes: 2048}, []int{0, 1}, 40, 66_000)
-	// Strip the manifest: what remains is exactly a pre-manifest store.
-	mans, _ := filepath.Glob(filepath.Join(dir, "run-*.mf"))
-	if len(mans) != 1 {
-		t.Fatalf("expected 1 manifest, found %v", mans)
-	}
-	if err := os.Remove(mans[0]); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenReader(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runs := r.Runs()
-	if len(runs) != 1 || !runs[0].Legacy || runs[0].ID != 0 {
-		t.Fatalf("Runs() = %+v, want one legacy group", runs)
-	}
-	if got := collect(t, scanRun(t, r, 0, 1, 0, math.MaxInt64)); len(got) != 40 {
-		t.Fatalf("legacy scan yielded %d records, want 40", len(got))
-	}
-	it, err := r.Replay(0, nil, 0, math.MaxInt64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := collect(t, it); len(got) != 80 {
-		t.Fatalf("legacy replay yielded %d records, want 80", len(got))
-	}
-	rep, err := Verify(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Clean() || len(rep.Runs) != 1 || !rep.Runs[0].Legacy {
-		t.Fatalf("Verify = %+v, want one clean legacy group", rep)
+	for _, tc := range []struct {
+		name string
+		// damage turns the manifest at path into the case's store.
+		damage func(t *testing.T, path string)
+		// damaged: the reader and Verify must name the manifest.
+		damaged bool
+	}{
+		{"no manifest", func(t *testing.T, path string) {
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		}, false},
+		{"manifest fails its CRC", func(t *testing.T, path string) {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[len(raw)/2] ^= 0x10
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeStore(t, dir, Options{SegmentBytes: 2048}, []int{0, 1}, 40, 66_000)
+			mans, _ := filepath.Glob(filepath.Join(dir, "run-*.mf"))
+			if len(mans) != 1 {
+				t.Fatalf("expected 1 manifest, found %v", mans)
+			}
+			tc.damage(t, mans[0])
+			name := filepath.Base(mans[0])
+			r, err := OpenReader(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs := r.Runs()
+			if len(runs) != 1 || !runs[0].Legacy || runs[0].ID != 0 {
+				t.Fatalf("Runs() = %+v, want one legacy group", runs)
+			}
+			if probs := r.ManifestProblems(); tc.damaged != (len(probs) == 1 && strings.HasPrefix(probs[0], name)) {
+				t.Fatalf("ManifestProblems() = %v, want %s named: %v", probs, name, tc.damaged)
+			}
+			if got := collect(t, scanRun(t, r, 0, 1, 0, math.MaxInt64)); len(got) != 40 {
+				t.Fatalf("legacy scan yielded %d records, want 40", len(got))
+			}
+			it, err := r.Replay(0, nil, 0, math.MaxInt64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := collect(t, it); len(got) != 80 {
+				t.Fatalf("legacy replay yielded %d records, want 80", len(got))
+			}
+			rep, err := Verify(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Runs) != 1 || !rep.Runs[0].Legacy || rep.Runs[0].Records != 80 || len(rep.Runs[0].Problems) != 0 {
+				t.Fatalf("Verify runs = %+v, want one intact legacy group of 80 records", rep.Runs)
+			}
+			if tc.damaged != (len(rep.Problems) == 1 && strings.HasPrefix(rep.Problems[0], name)) {
+				t.Fatalf("Verify problems = %v, want %s named: %v", rep.Problems, name, tc.damaged)
+			}
+			if rep.Clean() == tc.damaged {
+				t.Fatalf("Verify clean = %v, want %v", rep.Clean(), !tc.damaged)
+			}
+		})
 	}
 }
