@@ -50,9 +50,9 @@ bench-json:
 
 # Regression gate: measure ONLY the gated benchmarks (median, downsample,
 # histograms, popcount, the fused ProcessWindow path, AEDAT window decode,
-# the Runner's whole replay path, ingest wire batch decode and the
-# DialSink → Server → NetSource loopback path) de-noised, then diff
-# against BENCH_OLD
+# the Runner's whole replay path, the StoreSink append path, ingest wire
+# batch decode and the DialSink → Server → NetSource loopback path)
+# de-noised, then diff against BENCH_OLD
 # (default: the committed baseline snapshot). Any gated benchmark slowing
 # down more than BENCH_TOLERANCE percent on ns/op fails the target.
 # Refresh the baseline deliberately with `BENCHTIME=300ms BENCHCOUNT=5
@@ -70,7 +70,7 @@ bench-json:
 # snapshot from another machine or day, expect drift — override
 # BENCH_TOLERANCE or refresh the baseline.
 BENCH_TOLERANCE ?= 15
-BENCH_MATCH ?= Median|Downsample|Histograms|Popcount|ProcessWindow|DecodeWindows|WindowLoop_Runner|WireDecode|IngestLoopback
+BENCH_MATCH ?= Median|Downsample|Histograms|Popcount|ProcessWindow|DecodeWindows|WindowLoop_Runner|StoreSinkConsume|WireDecode|IngestLoopback
 BENCH_OLD ?= BENCH_baseline.json
 BENCH_MIN_NS ?= 2000
 bench-compare:

@@ -8,9 +8,10 @@
 package events
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -102,7 +103,7 @@ func Sorted(evs []Event) bool {
 // that events sharing a timestamp keep their sensor readout order, which
 // matters for reproducible filtering.
 func SortByTime(evs []Event) {
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].T < evs[j].T })
+	slices.SortStableFunc(evs, func(a, b Event) int { return cmp.Compare(a.T, b.T) })
 }
 
 // Merge combines two time-sorted streams into one sorted stream. It returns

@@ -39,7 +39,9 @@ func BenchmarkWireDecode(b *testing.B) {
 // BenchmarkIngestLoopback streams ENG-window-sized batches from a DialSink
 // through a Server into its NetSource over loopback TCP, drained window by
 // window by a consumer goroutine; one op is one batch. Sender and receiver
-// share the process, so B/op includes the sink's replay-ring copy.
+// share the process, so B/op counts both ends: the sink encodes into frame
+// buffers its ring recycles and the server decodes into pooled batches,
+// so once warm neither allocates per batch.
 func BenchmarkIngestLoopback(b *testing.B) {
 	srv, err := Listen("127.0.0.1:0", ServerConfig{Streams: []string{"cam0"}, Res: events.DAVIS240})
 	if err != nil {

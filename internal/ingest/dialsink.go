@@ -96,12 +96,11 @@ func jitteredBackoff(base time.Duration, attempt int) time.Duration {
 	return half + time.Duration(rand.Int63n(int64(half)+1))
 }
 
-// ringEntry is one un-ACKed frame retained for replay: a batch, or the
-// stream's EOF marker.
+// ringEntry is one un-ACKed frame retained for replay: the encoded bytes
+// of a batch, or of the stream's EOF marker.
 type ringEntry struct {
-	seq uint64
-	evs []events.Event
-	eof bool
+	seq   uint64
+	frame []byte
 }
 
 // DialSink is the sensor-side client: it connects to an ingest server,
@@ -136,13 +135,17 @@ type DialSink struct {
 	gen int
 	// connErr is the pending connection failure; the next write-path call
 	// resumes (or fails, when resume is off).
-	connErr  error
-	seq      uint64
-	ring     []ringEntry
+	connErr error
+	seq     uint64
+	ring    []ringEntry
+	// free holds the frame buffers of pruned ring entries; a resumable
+	// sink encodes each frame into one of them.
+	free     [][]byte
 	closed   bool
 	lastSend time.Time
 	stats    DialStats
-	buf      []byte
+	// buf is the frame buffer of a sink without resume.
+	buf []byte
 
 	hbStop chan struct{}
 	hbDone chan struct{}
@@ -280,18 +283,43 @@ func (d *DialSink) noteConnErr(gen int, err error) {
 	d.mu.Unlock()
 }
 
-// pruneRingLocked drops ring entries at or below the acknowledged seq.
+// pruneRingLocked drops ring entries at or below the acknowledged seq,
+// moving their frame buffers to the free list.
 func (d *DialSink) pruneRingLocked(acked uint64) {
 	keep := 0
 	for keep < len(d.ring) && d.ring[keep].seq <= acked {
+		d.free = append(d.free, d.ring[keep].frame[:0])
 		keep++
 	}
 	if keep > 0 {
 		n := copy(d.ring, d.ring[keep:])
-		for i := n; i < len(d.ring); i++ {
-			d.ring[i] = ringEntry{} // release event slices
-		}
+		clear(d.ring[n:])
 		d.ring = d.ring[:n]
+	}
+}
+
+// frameBufLocked returns an empty buffer to encode the next frame into:
+// a pruned entry's buffer on a resumable sink, d.buf otherwise.
+func (d *DialSink) frameBufLocked() []byte {
+	if !d.resumable() {
+		return d.buf[:0]
+	}
+	if n := len(d.free); n > 0 {
+		b := d.free[n-1]
+		d.free[n-1] = nil
+		d.free = d.free[:n-1]
+		return b
+	}
+	return nil
+}
+
+// stageLocked keeps a freshly encoded frame: in the replay ring on a
+// resumable sink, in d.buf otherwise.
+func (d *DialSink) stageLocked(seq uint64, frame []byte) {
+	if d.resumable() {
+		d.ring = append(d.ring, ringEntry{seq: seq, frame: frame})
+	} else {
+		d.buf = frame
 	}
 }
 
@@ -345,22 +373,16 @@ func (d *DialSink) sendLocked(evs []events.Event, heartbeat bool) error {
 	if heartbeat {
 		d.stats.Heartbeats++
 	}
-	if d.resumable() {
-		var cp []events.Event
-		if len(evs) > 0 {
-			cp = append(cp, evs...)
-		}
-		d.ring = append(d.ring, ringEntry{seq: d.seq, evs: cp})
-	}
 	// Encode only now: the wait above releases d.mu, and a heartbeat sent
-	// meanwhile takes a sequence number and overwrites d.buf.
-	d.buf, _ = appendBatchFrame(d.buf[:0], d.seq, evs)
-	return d.writeBufLocked(d.seq)
+	// meanwhile takes a sequence number and a frame buffer.
+	frame, _ := appendBatchFrame(d.frameBufLocked(), d.seq, evs)
+	d.stageLocked(d.seq, frame)
+	return d.writeFrameLocked(d.seq, frame)
 }
 
-// writeBufLocked pushes the frame staged in d.buf (sequence seq, already
-// in the ring when resumable) to the connection, resuming on failure.
-func (d *DialSink) writeBufLocked(seq uint64) error {
+// writeFrameLocked pushes frame (sequence seq, already in the ring when
+// resumable) to the connection, resuming on failure.
+func (d *DialSink) writeFrameLocked(seq uint64, frame []byte) error {
 	for {
 		if d.connErr != nil {
 			if !d.resumable() {
@@ -370,7 +392,7 @@ func (d *DialSink) writeBufLocked(seq uint64) error {
 			return d.reconnectLocked()
 		}
 		_ = d.conn.SetWriteDeadline(time.Now().Add(d.cfg.Timeout))
-		if _, err := d.bw.Write(d.buf); err != nil {
+		if _, err := d.bw.Write(frame); err != nil {
 			d.connErr = err
 			if !d.resumable() {
 				return fmt.Errorf("ingest: send batch %d: %w", seq, err)
@@ -456,22 +478,13 @@ func (d *DialSink) reconnectLocked() error {
 	}
 }
 
-// replayLocked rewrites the (already pruned) ring onto the current
-// connection and flushes. A failure records connErr and returns it.
+// replayLocked rewrites the (already pruned) ring's frames onto the
+// current connection and flushes. A failure records connErr and returns
+// it.
 func (d *DialSink) replayLocked() error {
-	buf := make([]byte, 0, 4<<10)
 	for _, e := range d.ring {
-		var err error
-		if e.eof {
-			buf = appendEOFFrame(buf[:0], e.seq)
-		} else {
-			buf, err = appendBatchFrame(buf[:0], e.seq, e.evs)
-		}
-		if err != nil {
-			return err
-		}
 		_ = d.conn.SetWriteDeadline(time.Now().Add(d.cfg.Timeout))
-		if _, err := d.bw.Write(buf); err != nil {
+		if _, err := d.bw.Write(e.frame); err != nil {
 			d.connErr = fmt.Errorf("ingest: replay batch %d: %w", e.seq, err)
 			return d.connErr
 		}
@@ -534,11 +547,9 @@ func (d *DialSink) Close() error {
 	d.seq++
 	eofSeq := d.seq
 	d.stats.LastSeq = eofSeq
-	if d.resumable() {
-		d.ring = append(d.ring, ringEntry{seq: eofSeq, eof: true})
-	}
-	d.buf = appendEOFFrame(d.buf[:0], eofSeq)
-	err := d.writeBufLocked(eofSeq)
+	frame := appendEOFFrame(d.frameBufLocked(), eofSeq)
+	d.stageLocked(eofSeq, frame)
+	err := d.writeFrameLocked(eofSeq, frame)
 	if err == nil {
 		err = d.flushLocked()
 	}

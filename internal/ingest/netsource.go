@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 	"sync"
 
 	"ebbiot/internal/events"
@@ -345,12 +346,11 @@ func (n *NetSource) NextWindow(buf []events.Event, start, end int64) ([]events.E
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for {
-		// Deliver the head batch's undelivered prefix below end.
+		// Deliver the head batch's undelivered prefix below end. The
+		// decoder keeps each batch sorted and offer keeps batches in
+		// order, so a binary search finds the cut.
 		rest := n.pending[n.delivered:]
-		cut := 0
-		for cut < len(rest) && rest[cut].T < end {
-			cut++
-		}
+		cut := sort.Search(len(rest), func(i int) bool { return rest[i].T >= end })
 		buf = append(buf, rest[:cut]...)
 		n.delivered += cut
 		if cut < len(rest) {

@@ -55,6 +55,51 @@ func TestNetSourceDeliversInOrder(t *testing.T) {
 	}
 }
 
+// TestNetSourceTiesAtCuts holds NextWindow's binary search to a linear
+// scan on a stream of tied timestamps: runs of equal T straddle window
+// ends and batch boundaries, and every window must deliver exactly the
+// events a linear scan delivers, so an event at T = end always waits for
+// the next window.
+func TestNetSourceTiesAtCuts(t *testing.T) {
+	// Runs of 1 to 4 equal timestamps, 7 µs apart.
+	var stream []events.Event
+	for k := 0; len(stream) < 400; k++ {
+		for r := 0; r <= k%4; r++ {
+			stream = append(stream, events.Event{X: int16(len(stream) % 240), Y: int16(k % 180), T: int64(k * 7), P: events.On})
+		}
+	}
+	for _, per := range []int{1, 2, 3, 5, 8, 64} {
+		for _, windowUS := range []int64{1, 7, 14, 21, 50} {
+			src := NewNetSource(NetSourceConfig{QueueBatches: len(stream)})
+			for lo, seq := 0, uint64(1); lo < len(stream); lo, seq = lo+per, seq+1 {
+				if err := src.offer(0, seq, slices.Clone(stream[lo:min(lo+per, len(stream))])); err != nil {
+					t.Fatal(err)
+				}
+			}
+			src.finish()
+			next := 0
+			for start := int64(0); ; start += windowUS {
+				end := start + windowUS
+				cut := next
+				for cut < len(stream) && stream[cut].T < end {
+					cut++
+				}
+				got, err := src.NextWindow(nil, start, end)
+				if !slices.Equal(got, stream[next:cut]) {
+					t.Fatalf("batches of %d, window [%d, %d): got %v, want %v", per, start, end, got, stream[next:cut])
+				}
+				next = cut
+				if err != nil {
+					if err != io.EOF || next != len(stream) {
+						t.Fatalf("batches of %d, %d µs windows: ended with %v after %d of %d events", per, windowUS, err, next, len(stream))
+					}
+					break
+				}
+			}
+		}
+	}
+}
+
 func TestNetSourceBlockPolicyLosesNothing(t *testing.T) {
 	src := NewNetSource(NetSourceConfig{QueueBatches: 2, Policy: Block})
 	const batches = 20

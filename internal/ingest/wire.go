@@ -29,6 +29,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math/bits"
+	"slices"
 
 	"ebbiot/internal/events"
 )
@@ -258,25 +259,32 @@ func readHelloReply(r io.Reader) (helloReply, error) {
 //
 //	u32 payloadLen | u32 CRC32 | u8 type=1 | u64 seq | u32 count |
 //	count × (i16 x | i16 y | i64 t | i8 p)
+//
+// dst grows once, by the whole frame; each event is then written in place
+// into its own 13-byte record.
 func appendBatchFrame(dst []byte, seq uint64, evs []events.Event) ([]byte, error) {
 	if len(evs) > maxBatchEvents {
 		return dst, fmt.Errorf("%w: %d events", ErrFrameTooBig, len(evs))
 	}
 	payloadLen := 1 + 8 + 4 + len(evs)*eventLen
-	dst = le.AppendUint32(dst, uint32(payloadLen))
-	crcAt := len(dst)
-	dst = le.AppendUint32(dst, 0) // CRC patched below
-	body := len(dst)
-	dst = append(dst, frameBatch)
-	dst = le.AppendUint64(dst, seq)
-	dst = le.AppendUint32(dst, uint32(len(evs)))
+	start := len(dst)
+	dst = slices.Grow(dst, frameHeaderLen+payloadLen)[:start+frameHeaderLen+payloadLen]
+	f := dst[start:]
+	p := f[frameHeaderLen:]
+	le.PutUint32(f[0:], uint32(payloadLen))
+	p[0] = frameBatch
+	le.PutUint64(p[1:], seq)
+	le.PutUint32(p[9:], uint32(len(evs)))
+	recs := p[13:]
 	for _, e := range evs {
-		dst = le.AppendUint16(dst, uint16(e.X))
-		dst = le.AppendUint16(dst, uint16(e.Y))
-		dst = le.AppendUint64(dst, uint64(e.T))
-		dst = append(dst, byte(e.P))
+		r := recs[:eventLen:eventLen]
+		le.PutUint16(r[0:], uint16(e.X))
+		le.PutUint16(r[2:], uint16(e.Y))
+		le.PutUint64(r[4:], uint64(e.T))
+		r[12] = byte(e.P)
+		recs = recs[eventLen:]
 	}
-	le.PutUint32(dst[crcAt:], crc32.ChecksumIEEE(dst[body:]))
+	le.PutUint32(f[4:], crc32.ChecksumIEEE(p))
 	return dst, nil
 }
 
@@ -348,22 +356,33 @@ func newDecoder(r io.Reader, res events.Resolution) *decoder {
 // ends — a read deadline, a reset — pass through unchanged so the caller
 // can classify them.
 func (d *decoder) next(dst []events.Event) (frame, error) {
+	p, err := d.readPayload()
+	if err != nil {
+		return frame{}, err
+	}
+	return d.parsePayload(p, dst)
+}
+
+// readPayload reads one frame off the stream and returns its payload once
+// the length and checksum hold. The payload aliases the decoder's scratch
+// buffer until the next read.
+func (d *decoder) readPayload() ([]byte, error) {
 	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
 		if err == io.EOF {
-			return frame{}, io.EOF
+			return nil, io.EOF
 		}
 		if err == io.ErrUnexpectedEOF {
-			return frame{}, io.ErrUnexpectedEOF
+			return nil, io.ErrUnexpectedEOF
 		}
-		return frame{}, err
+		return nil, err
 	}
 	payloadLen := int(le.Uint32(d.hdr[0:4]))
 	wantCRC := le.Uint32(d.hdr[4:8])
 	if payloadLen > maxFramePayload {
-		return frame{}, fmt.Errorf("%w: payload %d bytes", ErrFrameTooBig, payloadLen)
+		return nil, fmt.Errorf("%w: payload %d bytes", ErrFrameTooBig, payloadLen)
 	}
 	if payloadLen < 1 {
-		return frame{}, fmt.Errorf("%w: empty payload", ErrBadFrame)
+		return nil, fmt.Errorf("%w: empty payload", ErrBadFrame)
 	}
 	if cap(d.payload) < payloadLen {
 		d.payload = make([]byte, ceilPow2(payloadLen, maxFramePayload))
@@ -371,16 +390,20 @@ func (d *decoder) next(dst []events.Event) (frame, error) {
 	p := d.payload[:payloadLen]
 	if _, err := io.ReadFull(d.r, p); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return frame{}, io.ErrUnexpectedEOF
+			return nil, io.ErrUnexpectedEOF
 		}
-		return frame{}, err
+		return nil, err
 	}
 	if crc32.ChecksumIEEE(p) != wantCRC {
-		return frame{}, ErrChecksum
+		return nil, ErrChecksum
 	}
-	return d.parsePayload(p, dst)
+	return p, nil
 }
 
+// parsePayload decodes one checksummed payload. A batch is decoded in one
+// pass: each 13-byte record is read once and passes one combined test for
+// order, polarity and address; the first record that fails it goes to
+// badEvent for the error.
 func (d *decoder) parsePayload(p []byte, dst []events.Event) (frame, error) {
 	switch p[0] {
 	case frameEOF, frameAck:
@@ -406,34 +429,61 @@ func (d *decoder) parsePayload(p []byte, dst []events.Event) (frame, error) {
 			dst = make([]events.Event, 0, ceilPow2(count, maxBatchEvents))
 		}
 		f.evs = dst[:count]
-		lastT := int64(-1)
+		limX, limY := addrLimits(d.res)
+		// Timestamps are never negative, so starting at 0 lets the order
+		// test reject a negative first timestamp too.
+		lastT := int64(0)
 		for i := range f.evs {
-			off := i * eventLen
-			e := events.Event{
-				X: int16(le.Uint16(body[off:])),
-				Y: int16(le.Uint16(body[off+2:])),
-				T: int64(le.Uint64(body[off+4:])),
-				P: events.Polarity(int8(body[off+12])),
+			r := body[:eventLen:eventLen]
+			body = body[eventLen:]
+			x, y := uint(le.Uint16(r[0:])), uint(le.Uint16(r[2:]))
+			t := int64(le.Uint64(r[4:]))
+			// (p+1)&^2 is zero only for p = 1 (ON) and p = 0xFF (OFF, -1).
+			if t < lastT || x >= limX || y >= limY || (r[12]+1)&^2 != 0 {
+				return frame{}, d.badEvent(i, r, lastT)
 			}
-			if !e.P.Valid() {
-				return frame{}, fmt.Errorf("%w: event %d polarity %d", ErrBadFrame, i, int8(e.P))
-			}
-			if e.T < 0 {
-				return frame{}, fmt.Errorf("%w: event %d negative timestamp", ErrBadFrame, i)
-			}
-			if e.T < lastT {
-				return frame{}, fmt.Errorf("%w: batch event %d at t=%d after t=%d: %v",
-					ErrBadFrame, i, e.T, lastT, events.ErrUnsorted)
-			}
-			if d.res.A > 0 && !d.res.Contains(int(e.X), int(e.Y)) {
-				return frame{}, fmt.Errorf("%w: event %d at (%d,%d) outside %dx%d",
-					ErrBadFrame, i, e.X, e.Y, d.res.A, d.res.B)
-			}
-			lastT = e.T
-			f.evs[i] = e
+			f.evs[i] = events.Event{X: int16(x), Y: int16(y), T: t, P: events.Polarity(int8(r[12]))}
+			lastT = t
 		}
 		return f, nil
 	default:
 		return frame{}, fmt.Errorf("%w: unknown frame type %d", ErrBadFrame, p[0])
+	}
+}
+
+// addrLimits returns exclusive bounds on a record's raw u16 x and y that
+// accept exactly the addresses res.Contains accepts: a raw value of 1<<15
+// or more is a negative coordinate, which no bound below 1<<15 admits. A
+// zero res disables the address check, so every raw value passes.
+func addrLimits(res events.Resolution) (limX, limY uint) {
+	if res.A <= 0 {
+		return 1 << 16, 1 << 16
+	}
+	return uint(min(res.A, 1<<15)), uint(max(min(res.B, 1<<15), 0))
+}
+
+// badEvent returns the error for record r, batch event i, the first to
+// fail parsePayload's combined test; lastT is the previous event's
+// timestamp. It applies the checks one at a time, in the order polarity,
+// negative timestamp, time order, address, so the error names the first
+// that fails.
+func (d *decoder) badEvent(i int, r []byte, lastT int64) error {
+	e := events.Event{
+		X: int16(le.Uint16(r[0:])),
+		Y: int16(le.Uint16(r[2:])),
+		T: int64(le.Uint64(r[4:])),
+		P: events.Polarity(int8(r[12])),
+	}
+	switch {
+	case !e.P.Valid():
+		return fmt.Errorf("%w: event %d polarity %d", ErrBadFrame, i, int8(e.P))
+	case e.T < 0:
+		return fmt.Errorf("%w: event %d negative timestamp", ErrBadFrame, i)
+	case e.T < lastT:
+		return fmt.Errorf("%w: batch event %d at t=%d after t=%d: %v",
+			ErrBadFrame, i, e.T, lastT, events.ErrUnsorted)
+	default:
+		return fmt.Errorf("%w: event %d at (%d,%d) outside %dx%d",
+			ErrBadFrame, i, e.X, e.Y, d.res.A, d.res.B)
 	}
 }

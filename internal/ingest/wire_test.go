@@ -3,8 +3,11 @@ package ingest
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
+	"strings"
 	"testing"
 
 	"ebbiot/internal/events"
@@ -306,6 +309,126 @@ func TestDecoderRejectsCorruption(t *testing.T) {
 			t.Errorf("unchecked resolution: got %v", err)
 		}
 	})
+	t.Run("per-event checks", testEventChecks)
+}
+
+// testEventChecks is TestDecoderRejectsCorruption's row per event check:
+// each check is applied at the first, a middle and the last event of a
+// batch, decoded with and without a resolution. A failing event must yield
+// ErrBadFrame naming the event and the check, with the text the per-event
+// oracle gives; with no resolution the address checks are off, and the
+// event decodes as sent.
+func testEventChecks(t *testing.T) {
+	base := testEvents(10, 100)
+	last := len(base) - 1
+	rows := []struct {
+		name string
+		// bad sets up the failing event at position i and returns the
+		// index the check fails at.
+		bad  func(evs []events.Event, i int) int
+		addr bool // an address check: off with no resolution
+		text string
+	}{
+		{"polarity 0", func(evs []events.Event, i int) int { evs[i].P = 0; return i }, false, "polarity 0"},
+		{"polarity 2", func(evs []events.Event, i int) int { evs[i].P = 2; return i }, false, "polarity 2"},
+		{"polarity -2", func(evs []events.Event, i int) int { evs[i].P = -2; return i }, false, "polarity -2"},
+		{"negative T", func(evs []events.Event, i int) int { evs[i].T = -1; return i }, false, "negative timestamp"},
+		{"min T", func(evs []events.Event, i int) int { evs[i].T = -1 << 63; return i }, false, "negative timestamp"},
+		{"unsorted", func(evs []events.Event, i int) int {
+			if i == 0 { // the first event has nothing before it: raise it past the second
+				evs[0].T = evs[1].T + 1
+				return 1
+			}
+			evs[i].T = evs[i-1].T - 1
+			return i
+		}, false, "after t="},
+		{"x below 0", func(evs []events.Event, i int) int { evs[i].X = -1; return i }, true, "outside 240x180"},
+		{"x at A", func(evs []events.Event, i int) int { evs[i].X = 240; return i }, true, "outside 240x180"},
+		{"y below 0", func(evs []events.Event, i int) int { evs[i].Y = -1; return i }, true, "outside 240x180"},
+		{"y at B", func(evs []events.Event, i int) int { evs[i].Y = 180; return i }, true, "outside 240x180"},
+		{"x min int16", func(evs []events.Event, i int) int { evs[i].X = -1 << 15; return i }, true, "outside 240x180"},
+		{"polarity before time", func(evs []events.Event, i int) int { evs[i].T, evs[i].P = -1, 0; return i }, false, "polarity 0"},
+		{"polarity before address", func(evs []events.Event, i int) int { evs[i].X, evs[i].P = 240, 0; return i }, false, "polarity 0"},
+		{"time before address", func(evs []events.Event, i int) int { evs[i].Y, evs[i].T = -1, -7; return i }, false, "negative timestamp"},
+		{"order before address", func(evs []events.Event, i int) int {
+			if i == 0 {
+				evs[0].T = evs[1].T + 1
+				i = 1
+			} else {
+				evs[i].T = evs[i-1].T - 1
+			}
+			evs[i].X = 240
+			return i
+		}, false, "after t="},
+	}
+	for _, res := range []events.Resolution{events.DAVIS240, {}} {
+		for _, row := range rows {
+			for _, i := range []int{0, len(base) / 2, last} {
+				t.Run(fmt.Sprintf("%s/event %d/res %dx%d", row.name, i, res.A, res.B), func(t *testing.T) {
+					evs := slices.Clone(base)
+					at := row.bad(evs, i)
+					wire := mustBatch(t, 1, evs)
+					f, err := newDecoder(bytes.NewReader(wire), res).next(nil)
+					_, werr := oracleParsePayload(wire[frameHeaderLen:], nil, res)
+					if row.addr && res.A == 0 {
+						if err != nil || !slices.Equal(f.evs, evs) {
+							t.Fatalf("no resolution: got %v, err %v; want the batch as sent", f.evs, err)
+						}
+						return
+					}
+					if !errors.Is(err, ErrBadFrame) {
+						t.Fatalf("got %v, want ErrBadFrame", err)
+					}
+					if !strings.Contains(err.Error(), fmt.Sprintf("event %d ", at)) || !strings.Contains(err.Error(), row.text) {
+						t.Fatalf("error %q does not name event %d and %q", err, at, row.text)
+					}
+					if werr == nil || err.Error() != werr.Error() {
+						t.Fatalf("error %q, oracle %v", err, werr)
+					}
+				})
+			}
+		}
+	}
+
+	// Every polarity byte but 1 and -1 is rejected.
+	for p := -128; p < 128; p++ {
+		evs := slices.Clone(base)
+		evs[3].P = events.Polarity(p)
+		_, err := newDecoder(bytes.NewReader(mustBatch(t, 1, evs)), events.DAVIS240).next(nil)
+		if valid := p == 1 || p == -1; valid != (err == nil) {
+			t.Errorf("polarity %d: err %v", p, err)
+		}
+	}
+
+	// The edges of the valid range decode unchanged.
+	edges := slices.Clone(base)
+	edges[0].X, edges[0].Y = 0, 0
+	edges[4].T = edges[3].T // a tie is in order
+	edges[last].X, edges[last].Y = 239, 179
+	for _, res := range []events.Resolution{events.DAVIS240, {}} {
+		f, err := newDecoder(bytes.NewReader(mustBatch(t, 1, edges)), res).next(nil)
+		if err != nil || !slices.Equal(f.evs, edges) {
+			t.Errorf("res %v: edges of the valid range: got %v, err %v", res, f.evs, err)
+		}
+	}
+
+	// A resolution wider than int16 admits every non-negative coordinate
+	// and still rejects negative ones.
+	wide := events.Resolution{A: 1<<16 - 1, B: 1<<16 - 1}
+	big := slices.Clone(base)
+	big[1].X, big[1].Y = 1<<15-1, 1<<15-1
+	if f, err := newDecoder(bytes.NewReader(mustBatch(t, 1, big)), wide).next(nil); err != nil || !slices.Equal(f.evs, big) {
+		t.Errorf("wide resolution, x = y = 32767: got %v, err %v", f.evs, err)
+	}
+	big[2].Y = -1 << 15
+	if _, err := newDecoder(bytes.NewReader(mustBatch(t, 1, big)), wide).next(nil); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("wide resolution, y = -32768: got %v, want ErrBadFrame", err)
+	}
+
+	// A resolution with no rows admits no event, as Contains does.
+	if _, err := newDecoder(bytes.NewReader(mustBatch(t, 1, base)), events.Resolution{A: 240, B: -1}).next(nil); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("resolution 240x-1: got %v, want ErrBadFrame", err)
+	}
 }
 
 // patchCRC recomputes the CRC of a single mutated frame in place.

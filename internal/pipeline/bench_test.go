@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"ebbiot/internal/geometry"
 	"ebbiot/internal/scene"
 	"ebbiot/internal/sensor"
+	"ebbiot/internal/store"
 )
 
 // benchRecording lazily generates one 2-second single-car recording shared
@@ -155,5 +157,45 @@ func BenchmarkRunnerMultiSensor(b *testing.B) {
 				b.ReportMetric(stats.EventsPerSec()/1e6, "Mevents/s")
 			}
 		})
+	}
+}
+
+// BenchmarkStoreSinkConsume is a fleet run's store append path: one op is
+// one window of a 16-stream fleet, sixteen two-box snapshots through
+// StoreSink.Consume into a store.Writer, as fleet-lt4's sink receives
+// them.
+func BenchmarkStoreSinkConsume(b *testing.B) {
+	const streams = 16
+	w, err := store.Open(b.TempDir(), store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sink := NewStoreSink(w)
+	snaps := make([]TrackSnapshot, streams)
+	for k := range snaps {
+		snaps[k] = TrackSnapshot{
+			Sensor: k,
+			Name:   fmt.Sprint("sensor", k),
+			Events: 700,
+			ProcUS: 40,
+			Boxes:  []geometry.Box{{X: 10 + k, Y: 20, W: 30, H: 15}, {X: 120, Y: 60 + k, W: 24, H: 12}},
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range snaps {
+			s := &snaps[k]
+			s.Frame = i
+			s.StartUS = int64(i) * 66_000
+			s.EndUS = s.StartUS + 66_000
+			if err := sink.Consume(*s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
 	}
 }

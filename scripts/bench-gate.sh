@@ -33,7 +33,7 @@ if [ $# -ne 2 ]; then
 fi
 BASE_TREE=$(cd "$1" && pwd)
 HEAD_TREE=$(cd "$2" && pwd)
-MATCH=${BENCH_MATCH:-'Median|Downsample|Histograms|Popcount|ProcessWindow|DecodeWindows|WindowLoop_Runner|WireDecode|IngestLoopback'}
+MATCH=${BENCH_MATCH:-'Median|Downsample|Histograms|Popcount|ProcessWindow|DecodeWindows|WindowLoop_Runner|StoreSinkConsume|WireDecode|IngestLoopback'}
 REPS=${BENCH_REPS:-6}
 BENCHTIME=${BENCHTIME:-300ms}
 TOL=${BENCH_TOLERANCE:-15}
@@ -41,8 +41,10 @@ MIN_NS=${BENCH_MIN_NS:-2000}
 # Packages holding gated benchmarks today; binaries whose benches don't
 # match the regex cost nothing at run time. internal/aedat and
 # internal/pipeline hold the whole-path benchmarks: AEDAT window decode and
-# the Runner replaying a recording end to end. internal/ingest holds the
-# wire batch decode and the DialSink → Server → NetSource loopback path.
+# the Runner replaying a recording end to end; internal/pipeline also holds
+# the StoreSink append path (one 16-stream window of snapshots into a
+# store.Writer). internal/ingest holds the wire batch decode and the
+# DialSink → Server → NetSource loopback path.
 PKGS="internal/imgproc internal/core internal/aedat internal/pipeline internal/ingest"
 
 WORK=$(mktemp -d)
