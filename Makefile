@@ -115,11 +115,13 @@ chaos-ingest:
 		CHAOS_SEED=$$seed $(GO) test -race -count=1 -run 'TestChaosKillResumeBitIdentical' ./internal/ingest/; \
 	done
 
-# go vet over the module and over perfbench/ (its own module, which
-# go vet ./... skips), plus gofmt: any file gofmt would rewrite fails the
-# target.
+# go vet over the module (the default build and the purego build, whose
+# pure-Go fallback files the default build on amd64 never compiles) and
+# over perfbench/ (its own module, which go vet ./... skips), plus gofmt:
+# any file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags purego ./...
 	cd perfbench && $(GO) vet ./...
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi

@@ -223,8 +223,8 @@ func (s *Server) handlePatchParams(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	k := imgproc.KernelInfo()
-	fmt.Fprintf(w, "# HELP ebbiot_kernel_info Active imgproc kernel dispatch (1 = the labelled configuration is in effect).\n# TYPE ebbiot_kernel_info gauge\nebbiot_kernel_info{cpu=%q,median=%q,popcount=%q,blockpop=%q} 1\n",
-		k.CPU, k.Median, k.Popcount, k.BlockPop)
+	fmt.Fprintf(w, "# HELP ebbiot_kernel_info Active imgproc kernel dispatch (1 = the labelled configuration is in effect).\n# TYPE ebbiot_kernel_info gauge\nebbiot_kernel_info{cpu=%q,impl=%q} 1\n",
+		k.CPU, k.Impl)
 	if s.params != nil {
 		fmt.Fprintf(w, "# HELP ebbiot_param_version Currently published ParamSet version.\n# TYPE ebbiot_param_version gauge\nebbiot_param_version %d\n", s.params.Version())
 	}

@@ -13,6 +13,7 @@ import (
 
 	"ebbiot/internal/events"
 	"ebbiot/internal/geometry"
+	"ebbiot/internal/imgproc"
 	"ebbiot/internal/pipeline"
 )
 
@@ -125,19 +126,17 @@ func TestServerEndpoints(t *testing.T) {
 		pipeline.StatusSnapshot
 		ParamVersion int64 `json:"param_version"`
 		Kernels      struct {
-			CPU      string `json:"cpu"`
-			Median   string `json:"median"`
-			Popcount string `json:"popcount"`
-			BlockPop string `json:"blockpop"`
+			CPU  string `json:"cpu"`
+			Impl string `json:"impl"`
 		} `json:"kernels"`
 	}
 	getJSON(t, srv.URL+"/stats", &stats)
 	if stats.Running {
 		t.Fatal("stats still running after Run returned")
 	}
-	if stats.Kernels.CPU == "" || stats.Kernels.Median == "" ||
-		stats.Kernels.Popcount == "" || stats.Kernels.BlockPop == "" {
-		t.Fatalf("stats kernels incomplete: %+v", stats.Kernels)
+	if k := imgproc.KernelInfo(); stats.Kernels.Impl == "" ||
+		stats.Kernels.CPU != k.CPU || stats.Kernels.Impl != k.Impl {
+		t.Fatalf("stats kernels %+v, want %+v", stats.Kernels, k)
 	}
 	if stats.Streams != 2 || stats.Windows != 16 { // 2 streams x 8 windows of 66 ms over 0.5 s
 		t.Fatalf("stats totals %+v", stats.StatusSnapshot)
@@ -229,6 +228,7 @@ func TestServerEndpoints(t *testing.T) {
 	defer mresp.Body.Close()
 	mb, _ := io.ReadAll(mresp.Body)
 	metrics := string(mb)
+	k := imgproc.KernelInfo()
 	for _, want := range []string{
 		"ebbiot_param_version 2",
 		"ebbiot_run_running 0",
@@ -236,7 +236,7 @@ func TestServerEndpoints(t *testing.T) {
 		`ebbiot_events_total{stream="cam1"} 500`,
 		`ebbiot_frame_us{stream="cam0"} 66000`,
 		"ebbiot_sink_lag",
-		"ebbiot_kernel_info{cpu=",
+		fmt.Sprintf("ebbiot_kernel_info{cpu=%q,impl=%q} 1", k.CPU, k.Impl),
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, metrics)

@@ -1,18 +1,15 @@
-// Package cpufeat detects the x86 SIMD features the hand-written assembly
-// kernels in internal/imgproc gate on. It is intentionally tiny and
+// Package cpufeat detects the x86 SIMD feature the hand-written assembly
+// kernels in internal/imgproc gate on: AVX2. It is intentionally tiny and
 // zero-dependency: a CPUID/XGETBV probe on amd64, a constant "nothing
 // detected" answer everywhere else (and under the purego build tag), so the
 // pure-Go fallback kernels are what every other platform runs.
 //
-// Detection follows the Intel rules rather than trusting feature bits in
-// isolation: AVX2 requires OSXSAVE plus XCR0 XMM+YMM state enabled by the
-// OS, and the AVX-512 bits are only believed when XCR0 additionally enables
-// the opmask and ZMM register state. A hypervisor that masks CPUID or an OS
-// that doesn't context-switch the wide registers therefore reports false,
-// and the dispatcher stays on the generic kernels.
+// Detection follows the Intel rules rather than trusting the feature bit in
+// isolation: AVX2 requires OSXSAVE and AVX plus XCR0 XMM+YMM state enabled
+// by the OS. A hypervisor that masks CPUID or an OS that doesn't
+// context-switch the YMM registers therefore reports false, and the
+// dispatcher stays on the generic kernels.
 package cpufeat
-
-import "strings"
 
 // Features is the detected x86 SIMD feature set. The zero value means
 // "nothing beyond baseline amd64" and is what non-amd64 builds report.
@@ -20,45 +17,15 @@ type Features struct {
 	// AVX2 covers the 256-bit integer instruction set the packed median
 	// and popcount kernels use (VPSHUFB, VPSRLVQ, VPSADBW and friends).
 	AVX2 bool
-	// AVX512F, AVX512BW and AVX512VL are the foundation/byte-word/vector-
-	// length extensions; the kernels require all three together (see
-	// HasAVX512) so 256-bit encodings of AVX-512 instructions are legal.
-	AVX512F  bool
-	AVX512BW bool
-	AVX512VL bool
-	// AVX512VPOPCNTDQ is the hardware per-lane popcount (VPOPCNTQ); with
-	// VL it replaces the nibble-LUT popcount in the reduction kernels.
-	AVX512VPOPCNTDQ bool
 }
 
-// HasAVX512 reports whether the F+BW+VL trio the kernels gate on is
-// present — the subset every AVX-512 production part since Skylake-SP
-// ships together.
-func (f Features) HasAVX512() bool { return f.AVX512F && f.AVX512BW && f.AVX512VL }
-
-// String renders the detected set as a compact comma-separated list
-// ("none" when empty), the form the startup log and /stats report.
+// String renders the detected set ("avx2", or "none" when empty), the
+// form the startup log and /stats report.
 func (f Features) String() string {
-	var parts []string
 	if f.AVX2 {
-		parts = append(parts, "avx2")
+		return "avx2"
 	}
-	if f.AVX512F {
-		parts = append(parts, "avx512f")
-	}
-	if f.AVX512BW {
-		parts = append(parts, "avx512bw")
-	}
-	if f.AVX512VL {
-		parts = append(parts, "avx512vl")
-	}
-	if f.AVX512VPOPCNTDQ {
-		parts = append(parts, "vpopcntdq")
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, ",")
+	return "none"
 }
 
 // detected is probed once at init; CPUID is not free and the answer cannot

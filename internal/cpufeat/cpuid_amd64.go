@@ -16,25 +16,14 @@ const (
 	cpuidAVX     = 1 << 28
 )
 
-// CPUID.7.0:EBX / ECX bits.
-const (
-	cpuid7AVX2      = 1 << 5
-	cpuid7AVX512F   = 1 << 16
-	cpuid7AVX512BW  = 1 << 30
-	cpuid7AVX512VL  = 1 << 31
-	cpuid7VPOPCNTDQ = 1 << 14 // ECX
-)
+// CPUID.7.0:EBX bits.
+const cpuid7AVX2 = 1 << 5
 
-// XCR0 state-component bits.
+// XCR0 state-component bits: the OS saves XMM and YMM state.
 const (
 	xcr0SSE      = 1 << 1
 	xcr0AVX      = 1 << 2
-	xcr0Opmask   = 1 << 5
-	xcr0ZMMHi256 = 1 << 6
-	xcr0Hi16ZMM  = 1 << 7
-
-	xcr0AVXState    = xcr0SSE | xcr0AVX
-	xcr0AVX512State = xcr0AVXState | xcr0Opmask | xcr0ZMMHi256 | xcr0Hi16ZMM
+	xcr0AVXState = xcr0SSE | xcr0AVX
 )
 
 func detect() Features {
@@ -52,14 +41,6 @@ func detect() Features {
 	if xlo&xcr0AVXState != xcr0AVXState {
 		return Features{}
 	}
-	_, ebx7, ecx7, _ := cpuid(7, 0)
-	var f Features
-	f.AVX2 = ebx7&cpuid7AVX2 != 0
-	if xlo&xcr0AVX512State == xcr0AVX512State {
-		f.AVX512F = ebx7&cpuid7AVX512F != 0
-		f.AVX512BW = ebx7&cpuid7AVX512BW != 0
-		f.AVX512VL = ebx7&cpuid7AVX512VL != 0
-		f.AVX512VPOPCNTDQ = ecx7&cpuid7VPOPCNTDQ != 0
-	}
-	return f
+	_, ebx7, _, _ := cpuid(7, 0)
+	return Features{AVX2: ebx7&cpuid7AVX2 != 0}
 }

@@ -156,7 +156,7 @@ func TestRangedKernelsSparsityLevels(t *testing.T) {
 			for _, arm := range arms {
 				t.Run(arm.name, func(t *testing.T) {
 					if arm.force {
-						defer ForceGeneric()()
+						defer forceImpl(&genericImpl)()
 					}
 					for _, p := range []int{1, 3, 5} {
 						// Exact region, a loose superset region, and the
@@ -182,7 +182,7 @@ func TestRangedKernelsSparsityLevels(t *testing.T) {
 					if err := PackedMedianFilter(dstA, src, p, ar); err != nil {
 						t.Fatal(err)
 					}
-					restore := ForceGeneric()
+					restore := forceImpl(&genericImpl)
 					err := PackedMedianFilter(dstG, src, p, ar)
 					restore()
 					if err != nil {

@@ -1,9 +1,7 @@
 package imgproc
 
 import (
-	"fmt"
 	"math/bits"
-	"os"
 	"sync"
 	"sync/atomic"
 
@@ -12,10 +10,10 @@ import (
 
 // kernelImpl is one resolved set of packed-kernel entry points. The generic
 // implementation is always compiled and is the differential oracle for the
-// assembly ones; on amd64, dispatch_amd64.go contributes AVX2/AVX-512
-// variants and init picks the best the CPU supports.
+// assembly one; on amd64, dispatch_amd64.go contributes the AVX2 arm and
+// init picks it when the CPU supports it.
 type kernelImpl struct {
-	name string // "generic", "avx2", "avx512"
+	name string // "generic" or "avx2"
 
 	// median3 / median5 emit one run of output words [ka, kb] under the
 	// same contract as median3Run / median5Run (clean flanking words, nil
@@ -24,21 +22,18 @@ type kernelImpl struct {
 	// kernels directly, so the generic arm pays no scratch or indirect-call
 	// overhead, and runs shorter than simdMinRun skip the dispatch the same
 	// way (the wrappers also self-check the length as a safety net).
-	median3    func(s *medianScratch, out, ra, rb, rc []uint64, ka, kb int)
-	median5    func(s *medianScratch, out, r0, r1, r2, r3, r4 []uint64, ka, kb int)
-	medianName string
+	median3 func(s *medianScratch, out, ra, rb, rc []uint64, ka, kb int)
+	median5 func(s *medianScratch, out, r0, r1, r2, r3, r4 []uint64, ka, kb int)
 
 	// popcntWords returns the total popcount of p.
 	popcntWords func(p []uint64) int
-	popcntName  string
 
 	// blockPop adds the popcount of each of len(acc) s1-wide bit blocks
 	// (starting at bit offset off of row) into acc and returns their sum.
 	// nil means "no accelerated version": callers keep their inline loops,
 	// so the generic arm pays no scratch or call overhead. Callers must
 	// check s1 <= blockPopMaxS1 before using it.
-	blockPop     func(row []uint64, off, s1 int, acc []int) int
-	blockPopName string
+	blockPop func(row []uint64, off, s1 int, acc []int) int
 }
 
 // blockPopMaxS1 is the widest block the vectorized block popcount handles:
@@ -53,14 +48,8 @@ const blockPopMaxS1 = 14
 const simdMinRun = 4
 
 var genericImpl = kernelImpl{
-	name:         "generic",
-	median3:      nil,
-	median5:      nil,
-	medianName:   "generic",
-	popcntWords:  popcntWordsGeneric,
-	popcntName:   "generic",
-	blockPop:     nil,
-	blockPopName: "generic",
+	name:        "generic",
+	popcntWords: popcntWordsGeneric,
 }
 
 func popcntWordsGeneric(p []uint64) int {
@@ -86,79 +75,44 @@ func blockPopGeneric(row []uint64, off, s1 int, acc []int) int {
 }
 
 var (
-	// available lists the usable implementations, best first; archImpls is
-	// supplied by dispatch_amd64.go / dispatch_generic.go.
-	available = append(archImpls(), &genericImpl)
+	// available lists the usable implementations, best first: the arm
+	// archImpl supplies (dispatch_amd64.go / dispatch_generic.go), if any,
+	// then the generic oracle.
+	available = availableImpls()
 
 	// current is the active implementation, swapped atomically so test
 	// overrides are race-free against concurrent kernel calls (both arms
 	// produce bit-identical output, so a racing caller may use either).
 	current atomic.Pointer[kernelImpl]
-
-	// envForced records a recognised EBBIOT_KERNELS override, for KernelInfo.
-	envForced string
 )
 
-func init() {
-	pick := available[0]
-	if want := os.Getenv("EBBIOT_KERNELS"); want != "" {
-		for _, im := range available {
-			if im.name == want {
-				pick = im
-				envForced = want
-				break
-			}
-		}
+func availableImpls() []*kernelImpl {
+	if im := archImpl(); im != nil {
+		return []*kernelImpl{im, &genericImpl}
 	}
-	current.Store(pick)
+	return []*kernelImpl{&genericImpl}
 }
+
+func init() { current.Store(available[0]) }
 
 // kernels returns the active implementation. init has always run by the
 // time any kernel is callable, so the pointer is never nil.
 func kernels() *kernelImpl { return current.Load() }
 
-// ForceGeneric routes every dispatched kernel to the portable pure-Go
-// implementations and returns a function restoring the previous choice.
-// It is the test hook behind the differential SIMD-vs-generic checks; the
-// purego build tag forces the same thing at compile time.
-func ForceGeneric() (restore func()) {
-	old := current.Swap(&genericImpl)
-	return func() { current.Store(old) }
-}
-
 // Kernels describes the dispatch decision: the detected CPU feature set and
-// the implementation chosen per entry point. It is logged at startup by
-// ebbiot-run and surfaced through /stats and /metrics.
+// the active implementation. It is logged at startup by ebbiot-run and
+// surfaced through /stats and /metrics.
 type Kernels struct {
-	CPU      string `json:"cpu"`
-	Median   string `json:"median"`
-	Popcount string `json:"popcount"`
-	BlockPop string `json:"blockpop"`
-	// Forced is the EBBIOT_KERNELS value when it selected the active
-	// implementation, empty under automatic dispatch.
-	Forced string `json:"forced,omitempty"`
+	CPU  string `json:"cpu"`
+	Impl string `json:"impl"`
 }
 
-// KernelInfo reports the currently active kernel implementations.
+// KernelInfo reports the currently active kernel implementation.
 func KernelInfo() Kernels {
-	im := kernels()
-	return Kernels{
-		CPU:      cpufeat.Detect().String(),
-		Median:   im.medianName,
-		Popcount: im.popcntName,
-		BlockPop: im.blockPopName,
-		Forced:   envForced,
-	}
+	return Kernels{CPU: cpufeat.Detect().String(), Impl: kernels().name}
 }
 
-func (k Kernels) String() string {
-	s := fmt.Sprintf("cpu %s, median %s, popcount %s, blockpop %s",
-		k.CPU, k.Median, k.Popcount, k.BlockPop)
-	if k.Forced != "" {
-		s += " (forced " + k.Forced + ")"
-	}
-	return s
-}
+func (k Kernels) String() string { return "cpu " + k.CPU + ", impl " + k.Impl }
 
 // medianScratch is the per-call staging area of the assembly median kernels:
 // padded vertical-count bit-plane rows plus an all-zero stand-in for nil

@@ -8,9 +8,8 @@ import (
 	"ebbiot/internal/cpufeat"
 )
 
-// The assembly kernels in simd_amd64.s. All of them require the feature
-// set their wrapper gates on; none touches memory outside the slices whose
-// base pointers it is handed.
+// The assembly kernels in simd_amd64.s. All of them require AVX2; none
+// touches memory outside the slices whose base pointers it is handed.
 
 // median3AsmAVX2 stages the vertical-count CSA planes of three window rows
 // (n words each, nil rows replaced by an all-zero row) into v0/v1 at
@@ -35,12 +34,6 @@ func median5AsmAVX2(out, v0, v1, v2, r0, r1, r2, r3, r4 *uint64, n int)
 //go:noescape
 func popcntWordsAsmAVX2(p *uint64, n int) int
 
-// popcntWordsAsmAVX512 is the VPOPCNTQ (AVX-512 VPOPCNTDQ+VL, 256-bit
-// lanes) variant. Requires n >= 8.
-//
-//go:noescape
-func popcntWordsAsmAVX512(p *uint64, n int) int
-
 // blockPopAsmAVX2 adds the popcount of each of n s1-wide bit blocks of row
 // (starting at bit offset off) into acc[0..n) and returns their sum. Four
 // blocks are extracted per 64-bit fetch with per-lane variable shifts, so
@@ -49,12 +42,6 @@ func popcntWordsAsmAVX512(p *uint64, n int) int
 //
 //go:noescape
 func blockPopAsmAVX2(row *uint64, rowLen, off, s1 int, acc *int, n int) int
-
-// blockPopAsmAVX512 is the VPOPCNTQ variant of blockPopAsmAVX2, same
-// contract.
-//
-//go:noescape
-func blockPopAsmAVX512(row *uint64, rowLen, off, s1 int, acc *int, n int) int
 
 func median3RunAVX2(s *medianScratch, out, ra, rb, rc []uint64, ka, kb int) {
 	n := kb - ka + 1
@@ -113,13 +100,6 @@ func popcntWordsAVX2(p []uint64) int {
 	return popcntWordsAsmAVX2(&p[0], len(p))
 }
 
-func popcntWordsAVX512(p []uint64) int {
-	if len(p) < simdMinPopWords {
-		return popcntWordsGeneric(p)
-	}
-	return popcntWordsAsmAVX512(&p[0], len(p))
-}
-
 // simdMinBlocks gates the vector block popcount per row segment.
 const simdMinBlocks = 8
 
@@ -130,56 +110,29 @@ func blockPopAVX2(row []uint64, off, s1 int, acc []int) int {
 	return blockPopAsmAVX2(&row[0], len(row), off, s1, &acc[0], len(acc))
 }
 
-func blockPopAVX512(row []uint64, off, s1 int, acc []int) int {
-	if len(acc) < simdMinBlocks {
-		return blockPopGeneric(row, off, s1, acc)
-	}
-	return blockPopAsmAVX512(&row[0], len(row), off, s1, &acc[0], len(acc))
+// avx2Impl is the assembly arm: the AVX2 bit-plane median networks and the
+// VPSHUFB nibble-lookup popcount reductions.
+var avx2Impl = kernelImpl{
+	name:        "avx2",
+	median3:     median3RunAVX2,
+	median5:     median5RunAVX2,
+	popcntWords: popcntWordsAVX2,
+	blockPop:    blockPopAVX2,
 }
 
-// archImpls returns the implementations this CPU can run, best first. The
-// medians are AVX2 (the bit-plane networks are pure 256-bit logic; wider
-// vectors would cross the dirty-run granularity for no gain); the popcount
-// reductions get a VPOPCNTQ upgrade when AVX-512 VL+VPOPCNTDQ is present.
-func archImpls() []*kernelImpl {
-	f := cpufeat.Detect()
-	if !f.AVX2 {
+// archImpl returns avx2Impl when the CPU reports AVX2 and the assembly
+// passes popcntSelfCheck, and nil otherwise.
+func archImpl() *kernelImpl {
+	if !cpufeat.Detect().AVX2 || !popcntSelfCheck(&avx2Impl) {
 		return nil
 	}
-	avx2 := &kernelImpl{
-		name:         "avx2",
-		median3:      median3RunAVX2,
-		median5:      median5RunAVX2,
-		medianName:   "avx2",
-		popcntWords:  popcntWordsAVX2,
-		popcntName:   "avx2",
-		blockPop:     blockPopAVX2,
-		blockPopName: "avx2",
-	}
-	impls := []*kernelImpl{avx2}
-	if f.HasAVX512() && f.AVX512VPOPCNTDQ {
-		avx512 := &kernelImpl{
-			name:         "avx512",
-			median3:      median3RunAVX2,
-			median5:      median5RunAVX2,
-			medianName:   "avx2",
-			popcntWords:  popcntWordsAVX512,
-			popcntName:   "avx512",
-			blockPop:     blockPopAVX512,
-			blockPopName: "avx512",
-		}
-		impls = []*kernelImpl{avx512, avx2}
-	}
-	for len(impls) > 0 && !popcntSelfCheck(impls[0]) {
-		impls = impls[1:]
-	}
-	return impls
+	return &avx2Impl
 }
 
-// popcntSelfCheck is a cheap init-time sanity probe, run inside archImpls
+// popcntSelfCheck is a cheap init-time sanity probe, run inside archImpl
 // (before dispatch.go's init picks an implementation): if the assembly
-// popcount disagrees with the scalar one on a fixed vector, drop to the
-// next implementation rather than corrupt every downstream reduction. It
+// popcount disagrees with the scalar one on a fixed vector, dispatch stays
+// on the generic kernels rather than corrupt every downstream reduction. It
 // guards against an OS/hypervisor that advertises a feature it cannot
 // actually execute correctly (the full differential guarantee comes from
 // the test suite, not this probe).

@@ -2,7 +2,7 @@
 
 package imgproc
 
-// archImpls reports no architecture-specific kernel implementations: on
+// archImpl reports no architecture-specific kernel implementation: on
 // non-amd64 platforms and under the purego build tag only the portable
 // generic kernels exist.
-func archImpls() []*kernelImpl { return nil }
+func archImpl() *kernelImpl { return nil }

@@ -128,7 +128,7 @@ func FuzzPackedKernels(f *testing.F) {
 		// active (possibly SIMD) arm bit for bit. On machines without SIMD
 		// both arms are generic and this degenerates to a self-check.
 		func() {
-			defer ForceGeneric()()
+			defer forceImpl(&genericImpl)()
 			pdstG := NewPackedBitmap(w, h)
 			for _, ar := range []*ActiveRegion{nil, exact, loose} {
 				garbageFill(pdstG)

@@ -13,8 +13,7 @@
 //   - The median kernels stage vertical-count bit-planes through scratch
 //     rows padded with one zero word per side, so the horizontal ±1/±2
 //     column shifts can always read word k-1 and k+1 unconditionally.
-//   - Popcount is VPSHUFB nibble lookup + VPSADBW on AVX2, VPOPCNTQ on
-//     AVX-512 (VPOPCNTDQ+VL, 256-bit encodings).
+//   - Popcount is VPSHUFB nibble lookup + VPSADBW.
 
 // Byte popcount table for VPSHUFB: popLUT[i] = bits.OnesCount(i), i < 16,
 // repeated per 128-bit lane.
@@ -390,54 +389,6 @@ pw2sum:
 	VZEROUPPER
 	RET
 
-// func popcntWordsAsmAVX512(p *uint64, n int) int
-TEXT ·popcntWordsAsmAVX512(SB), NOSPLIT, $0-24
-	MOVQ  p+0(FP), SI
-	MOVQ  n+8(FP), CX
-	VPXOR Y12, Y12, Y12
-	VPXOR Y11, Y11, Y11
-	XORQ  AX, AX
-	MOVQ  CX, DX
-	ANDQ  $-8, DX
-	TESTQ DX, DX
-	JZ    pw5tail
-
-pw5loop:
-	VMOVDQU  (SI)(AX*8), Y0
-	VMOVDQU  32(SI)(AX*8), Y1
-	VPOPCNTQ Y0, Y0
-	VPOPCNTQ Y1, Y1
-	VPADDQ   Y0, Y12, Y12
-	VPADDQ   Y1, Y11, Y11
-	ADDQ     $8, AX
-	CMPQ     AX, DX
-	JL       pw5loop
-
-pw5tail:
-	VPADDQ Y11, Y12, Y12
-	XORQ   R8, R8
-	CMPQ   AX, CX
-	JGE    pw5sum
-
-pw5tailloop:
-	MOVQ    (SI)(AX*8), R9
-	POPCNTQ R9, R9
-	ADDQ    R9, R8
-	INCQ    AX
-	CMPQ    AX, CX
-	JL      pw5tailloop
-
-pw5sum:
-	VEXTRACTI128 $1, Y12, X0
-	VPADDQ       X0, X12, X0
-	VPSRLDQ      $8, X0, X1
-	VPADDQ       X1, X0, X0
-	VMOVQ        X0, AX
-	ADDQ         R8, AX
-	MOVQ         AX, ret+16(FP)
-	VZEROUPPER
-	RET
-
 // func blockPopAsmAVX2(row *uint64, rowLen, off, s1 int, acc *int, n int) int
 //
 // Four s1-wide blocks per iteration: one 64-bit fetch at the (byte-
@@ -537,101 +488,6 @@ bp2tok:
 	JL      bp2tailloop
 
 bp2sum:
-	VEXTRACTI128 $1, Y10, X0
-	VPADDQ       X0, X10, X0
-	VPSRLDQ      $8, X0, X1
-	VPADDQ       X1, X0, X0
-	VMOVQ        X0, AX
-	ADDQ         R15, AX
-	MOVQ         AX, ret+48(FP)
-	VZEROUPPER
-	RET
-
-// func blockPopAsmAVX512(row *uint64, rowLen, off, s1 int, acc *int, n int) int
-//
-// blockPopAsmAVX2 with the nibble-LUT popcount replaced by VPOPCNTQ.
-TEXT ·blockPopAsmAVX512(SB), NOSPLIT, $0-56
-	MOVQ    row+0(FP), SI
-	MOVQ    rowLen+8(FP), R9
-	SHLQ    $3, R9
-	SUBQ    $8, R9
-	MOVQ    off+16(FP), R8
-	MOVQ    s1+24(FP), R10
-	MOVQ    acc+32(FP), DI
-	VPXOR   Y10, Y10, Y10
-	MOVQ    R10, CX
-	MOVQ    $1, R12
-	SHLQ    CX, R12
-	DECQ    R12
-	VMOVQ   R12, X0
-	VPBROADCASTQ X0, Y12
-	VMOVQ   R10, X0
-	VPBROADCASTQ X0, Y11
-	VPMULUDQ idx0123<>(SB), Y11, Y11
-	LEAQ    (R10)(R10*2), R13
-	ADDQ    R10, R13
-	MOVQ    n+40(FP), DX
-	ANDQ    $-4, DX
-	XORQ    BX, BX
-	XORQ    R15, R15
-	TESTQ   DX, DX
-	JZ      bp5tail
-
-bp5loop:
-	MOVQ R8, AX
-	SHRQ $3, AX
-	CMPQ AX, R9
-	JLE  bp5ok
-	MOVQ R9, AX
-
-bp5ok:
-	MOVQ     (SI)(AX*1), R11
-	SHLQ     $3, AX
-	MOVQ     R8, CX
-	SUBQ     AX, CX
-	SHRQ     CX, R11
-	VMOVQ    R11, X0
-	VPBROADCASTQ X0, Y0
-	VPSRLVQ  Y11, Y0, Y0
-	VPAND    Y12, Y0, Y0
-	VPOPCNTQ Y0, Y1
-	VMOVDQU  (DI)(BX*8), Y2
-	VPADDQ   Y1, Y2, Y2
-	VMOVDQU  Y2, (DI)(BX*8)
-	VPADDQ   Y1, Y10, Y10
-	ADDQ     R13, R8
-	ADDQ     $4, BX
-	CMPQ     BX, DX
-	JL       bp5loop
-
-bp5tail:
-	MOVQ n+40(FP), DX
-	CMPQ BX, DX
-	JGE  bp5sum
-
-bp5tailloop:
-	MOVQ R8, AX
-	SHRQ $3, AX
-	CMPQ AX, R9
-	JLE  bp5tok
-	MOVQ R9, AX
-
-bp5tok:
-	MOVQ    (SI)(AX*1), R11
-	SHLQ    $3, AX
-	MOVQ    R8, CX
-	SUBQ    AX, CX
-	SHRQ    CX, R11
-	ANDQ    R12, R11
-	POPCNTQ R11, R11
-	ADDQ    R11, (DI)(BX*8)
-	ADDQ    R11, R15
-	ADDQ    R10, R8
-	INCQ    BX
-	CMPQ    BX, DX
-	JL      bp5tailloop
-
-bp5sum:
 	VEXTRACTI128 $1, Y10, X0
 	VPADDQ       X0, X10, X0
 	VPSRLDQ      $8, X0, X1

@@ -81,10 +81,3 @@ func BenchmarkHistogramsArms(b *testing.B) {
 		})
 	}
 }
-
-// forceImpl swaps im in as the active implementation for the duration of a
-// benchmark, returning the restore closure.
-func forceImpl(im *kernelImpl) func() {
-	prev := current.Swap(im)
-	return func() { current.Store(prev) }
-}

@@ -1,7 +1,6 @@
 package imgproc
 
 import (
-	"fmt"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -62,7 +61,7 @@ func TestSIMDMedianDifferential(t *testing.T) {
 					if err := PackedMedianFilter(dstA, src, p, tc.ar); err != nil {
 						t.Fatal(err)
 					}
-					restore := ForceGeneric()
+					restore := forceImpl(&genericImpl)
 					err := PackedMedianFilter(dstB, src, p, tc.ar)
 					restore()
 					if err != nil {
@@ -96,7 +95,7 @@ func TestSIMDHistogramsDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					restore := ForceGeneric()
+					restore := forceImpl(&genericImpl)
 					hxB, hyB, err := PackedHistograms(nil, nil, src, sc.s1, sc.s2, reg)
 					restore()
 					if err != nil {
@@ -117,7 +116,7 @@ func TestSIMDPopcountDifferential(t *testing.T) {
 	for _, w := range []int{1, 63, 64, 65, 200, 640, 1024, 2048} {
 		for _, d := range []float64{0, 0.3, 1} {
 			src := simdRandomBitmap(rng, w, 20, d)
-			restore := ForceGeneric()
+			restore := forceImpl(&genericImpl)
 			wantOnes := src.CountOnes()
 			restore()
 			if got := src.CountOnes(); got != wantOnes {
@@ -128,7 +127,7 @@ func TestSIMDPopcountDifferential(t *testing.T) {
 				x1 := x0 + 1 + rng.Intn(w-x0)
 				y0 := rng.Intn(20)
 				y1 := y0 + 1 + rng.Intn(20-y0)
-				restore := ForceGeneric()
+				restore := forceImpl(&genericImpl)
 				want := src.CountRange(x0, y0, x1, y1)
 				restore()
 				if got := src.CountRange(x0, y0, x1, y1); got != want {
@@ -153,7 +152,7 @@ func TestSIMDMedianRunEdges(t *testing.T) {
 			if err := PackedMedianFilter(dstA, src, p, nil); err != nil {
 				t.Fatal(err)
 			}
-			restore := ForceGeneric()
+			restore := forceImpl(&genericImpl)
 			err := PackedMedianFilter(dstB, src, p, nil)
 			restore()
 			if err != nil {
@@ -168,22 +167,22 @@ func TestSIMDMedianRunEdges(t *testing.T) {
 
 func TestKernelInfo(t *testing.T) {
 	k := KernelInfo()
-	if k.CPU == "" || k.Median == "" || k.Popcount == "" || k.BlockPop == "" {
-		t.Fatalf("KernelInfo has empty fields: %+v", k)
+	if k.CPU == "" || k.Impl != available[0].name {
+		t.Fatalf("KernelInfo %+v, want a CPU and impl %q", k, available[0].name)
 	}
 	t.Logf("active kernels: %s", k)
 
-	restore := ForceGeneric()
+	restore := forceImpl(&genericImpl)
 	g := KernelInfo()
-	if g.Median != "generic" || g.Popcount != "generic" || g.BlockPop != "generic" {
-		t.Fatalf("ForceGeneric not reflected in KernelInfo: %+v", g)
-	}
 	restore()
-	if got := KernelInfo(); got.Median != k.Median || got.Popcount != k.Popcount {
+	if g.Impl != "generic" {
+		t.Fatalf("forced generic not reflected in KernelInfo: %+v", g)
+	}
+	if got := KernelInfo(); got != k {
 		t.Fatalf("restore did not reinstate kernels: %+v != %+v", got, k)
 	}
-	if s := k.String(); s == "" {
-		t.Fatal("Kernels.String empty")
+	if s, want := k.String(), "cpu "+k.CPU+", impl "+k.Impl; s != want {
+		t.Fatalf("Kernels.String = %q, want %q", s, want)
 	}
 }
 
@@ -235,7 +234,7 @@ func TestBlockPopGenericOracle(t *testing.T) {
 		}
 		check("generic", blockPopGeneric)
 		if bp := kernels().blockPop; bp != nil {
-			check(kernels().blockPopName, bp)
+			check(kernels().name, bp)
 		}
 	}
 }
@@ -261,21 +260,20 @@ func TestPopcntWordsImpls(t *testing.T) {
 	}
 }
 
-// TestAvailableImpls sanity-checks the dispatch table itself.
+// TestAvailableImpls sanity-checks the dispatch table itself: at most one
+// architecture arm, then the generic oracle.
 func TestAvailableImpls(t *testing.T) {
-	if len(available) == 0 {
-		t.Fatal("no kernel implementations available")
+	if len(available) == 0 || len(available) > 2 {
+		t.Fatalf("%d kernel implementations available, want 1 or 2", len(available))
 	}
 	last := available[len(available)-1]
 	if last != &genericImpl {
 		t.Fatalf("generic must be the final fallback, got %q", last.name)
 	}
-	seen := map[string]bool{}
 	for _, im := range available {
-		if im.name == "" || seen[im.name] {
-			t.Fatalf("bad or duplicate impl name %q", im.name)
+		if im.name == "" {
+			t.Fatal("impl without a name")
 		}
-		seen[im.name] = true
 		if im.popcntWords == nil {
 			t.Fatalf("impl %q missing popcount kernel", im.name)
 		}
@@ -286,11 +284,8 @@ func TestAvailableImpls(t *testing.T) {
 			t.Fatalf("impl %q provides only one median kernel", im.name)
 		}
 	}
-	t.Logf("available: %v", func() []string {
-		var names []string
-		for _, im := range available {
-			names = append(names, fmt.Sprintf("%s", im.name))
-		}
-		return names
-	}())
+	if len(available) == 2 && available[0].name == available[1].name {
+		t.Fatalf("duplicate impl name %q", available[0].name)
+	}
+	t.Logf("available: %s", available[0].name)
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -679,6 +680,51 @@ func TestWriterRejectsInvalidSnapshots(t *testing.T) {
 	if err := w.Append(snap(0, 0, 66_000)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Append after Close = %v, want ErrClosed", err)
 	}
+}
+
+// TestAppendAllocFree guards the append hot path: once its scratch buffer
+// has grown, a warm Append encodes the frame header and the payload into it
+// and hands the record to the buffered writer in one piece, allocating
+// nothing.
+func TestAppendAllocFree(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector allocates on its own account")
+	}
+	w, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	s := snap(0, 0, 66_000)
+	if err := w.Append(s); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.Frame++
+		s.StartUS += 66_000
+		s.EndUS += 66_000
+		if err := w.Append(s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Append allocates %v times per record, want 0", allocs)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race, whose
+// instrumentation allocates on its own account.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return true // unknown: assume allocation counts cannot be relied on
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }
 
 // TestEmptyRunDiscarded pins the Close contract: a run that recorded

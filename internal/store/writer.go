@@ -245,18 +245,16 @@ func (w *Writer) Append(s Snapshot) error {
 	if err := s.validate(); err != nil {
 		return err
 	}
-	w.scratch = encodeSnapshot(w.scratch[:0], s)
-	payload := w.scratch
+	// The frame header is encoded in place ahead of the payload, so the
+	// whole record goes out in one Write from the reused scratch buffer.
+	w.scratch = encodeSnapshot(append(w.scratch[:0], make([]byte, frameLen)...), s)
+	record, payload := w.scratch, w.scratch[frameLen:]
 	if len(payload) > maxRecordBytes {
 		return fmt.Errorf("store: record payload %d bytes exceeds %d", len(payload), maxRecordBytes)
 	}
-	var frame [frameLen]byte
-	le.PutUint32(frame[0:4], uint32(len(payload)))
-	le.PutUint32(frame[4:8], payloadCRC(payload))
-	if _, err := w.bw.Write(frame[:]); err != nil {
-		return fmt.Errorf("store: append: %w", err)
-	}
-	if _, err := w.bw.Write(payload); err != nil {
+	le.PutUint32(record[0:4], uint32(len(payload)))
+	le.PutUint32(record[4:8], payloadCRC(payload))
+	if _, err := w.bw.Write(record); err != nil {
 		return fmt.Errorf("store: append: %w", err)
 	}
 	w.acc.add(leafHash(payload))
