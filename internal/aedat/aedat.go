@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 
 	"ebbiot/internal/events"
 )
@@ -59,7 +60,7 @@ func Write(w io.Writer, res events.Resolution, evs []events.Event) error {
 	if err := res.Validate(); err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(w)
+	bw := bufio.NewWriterSize(w, bufferSize)
 	h := header{Magic: magic, Width: uint16(res.A), Height: uint16(res.B), Count: uint64(len(evs))}
 	if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
 		return fmt.Errorf("aedat: writing header: %w", err)
@@ -77,49 +78,92 @@ func Write(w io.Writer, res events.Resolution, evs []events.Event) error {
 // one before (prev for the first event), and returns the last timestamp
 // encoded and the number of records written. Order is checked here, once,
 // as the deltas are formed: a negative delta is events.ErrUnsorted.
+//
+// Records are formed straight in bw's free space, as many as it holds at
+// a time, and committed with one Write each: a batch of n events costs
+// about n·eventSize/bw.Size() Writes, not n. On error, exactly the records
+// before the failing event are written, and n counts them.
 func encode(bw *bufio.Writer, res events.Resolution, prev int64, evs []events.Event) (int64, int, error) {
-	var buf [eventSize]byte
-	for i, e := range evs {
-		if !res.Contains(int(e.X), int(e.Y)) {
-			return prev, i, fmt.Errorf("aedat: event %d at (%d,%d) outside %dx%d", i, e.X, e.Y, res.A, res.B)
+	for i := 0; i < len(evs); {
+		if bw.Available() < eventSize {
+			if err := bw.Flush(); err != nil {
+				return prev, i, fmt.Errorf("aedat: writing event %d: %w", i, err)
+			}
 		}
-		dt := e.T - prev
-		if dt < 0 {
-			return prev, i, fmt.Errorf("aedat: event %d at t=%d after t=%d: %w", i, e.T, prev, events.ErrUnsorted)
+		buf := bw.AvailableBuffer()
+		chunk := evs[i:min(len(evs), i+cap(buf)/eventSize)]
+		buf = buf[:len(chunk)*eventSize]
+		last, n := prev, 0
+		for _, e := range chunk {
+			dt := e.T - last
+			// A negative delta wraps past the range too.
+			if !res.Contains(int(e.X), int(e.Y)) || uint64(dt) > 0xFFFFFFFF {
+				break
+			}
+			rec := buf[n*eventSize : (n+1)*eventSize]
+			binary.LittleEndian.PutUint16(rec[0:2], uint16(e.X))
+			binary.LittleEndian.PutUint16(rec[2:4], uint16(e.Y))
+			binary.LittleEndian.PutUint32(rec[4:8], uint32(dt))
+			rec[8], rec[9] = 0, 0
+			if e.P == events.On {
+				rec[8] = 1
+			}
+			last = e.T
+			n++
 		}
-		if dt > 0xFFFFFFFF {
-			return prev, i, fmt.Errorf("aedat: event %d timestamp delta %d out of range", i, dt)
-		}
-		binary.LittleEndian.PutUint16(buf[0:2], uint16(e.X))
-		binary.LittleEndian.PutUint16(buf[2:4], uint16(e.Y))
-		binary.LittleEndian.PutUint32(buf[4:8], uint32(dt))
-		if e.P == events.On {
-			buf[8] = 1
-		} else {
-			buf[8] = 0
-		}
-		buf[9] = 0
-		if _, err := bw.Write(buf[:]); err != nil {
+		// buf fits the free space, so Write only copies it in place; it
+		// fails only on an error an earlier Flush left behind, having
+		// written nothing.
+		if _, err := bw.Write(buf[:n*eventSize]); err != nil {
 			return prev, i, fmt.Errorf("aedat: writing event %d: %w", i, err)
 		}
-		prev = e.T
+		prev = last
+		i += n
+		if n < len(chunk) {
+			return prev, i, badEvent(i, evs[i], prev, res)
+		}
 	}
 	return prev, len(evs), nil
 }
 
+// badEvent is encode's error for event i, which failed a check: its
+// address, its order after prev, or the range of its delta, tested in
+// that order. It stays out of encode's loop to keep that loop small.
+func badEvent(i int, e events.Event, prev int64, res events.Resolution) error {
+	if !res.Contains(int(e.X), int(e.Y)) {
+		return fmt.Errorf("aedat: event %d at (%d,%d) outside %dx%d", i, e.X, e.Y, res.A, res.B)
+	}
+	if dt := e.T - prev; dt > 0 {
+		return fmt.Errorf("aedat: event %d timestamp delta %d out of range", i, dt)
+	}
+	return fmt.Errorf("aedat: event %d at t=%d after t=%d: %w", i, e.T, prev, events.ErrUnsorted)
+}
+
 // maxPrealloc caps how many events Read reserves from the header's count
-// before any event is decoded; a forged count then costs at most this much
-// up front, and append grows the slice for genuine longer recordings.
+// before any event is decoded when r is not a regular file; a forged count
+// then costs at most this much up front, and append grows the slice for
+// genuine longer recordings.
 const maxPrealloc = 1 << 20
 
+// headerSize is the encoded length of header.
+const headerSize = 20
+
 // Read decodes a full recording from r through the same loop as
-// Reader.NextWindowInto.
+// Reader.NextWindowInto. It reserves room for the header's count of
+// events up front, but never for more than a regular file has room for,
+// nor for more than maxPrealloc from any other reader.
 func Read(r io.Reader) (events.Resolution, []events.Event, error) {
+	limit := uint64(maxPrealloc)
+	if f, ok := r.(*os.File); ok {
+		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+			limit = uint64(max(fi.Size()-headerSize, 0)) / eventSize
+		}
+	}
 	dec, err := NewReader(r)
 	if err != nil {
 		return events.Resolution{}, nil, err
 	}
-	evs := make([]events.Event, 0, min(dec.Remaining(), maxPrealloc))
+	evs := make([]events.Event, 0, min(dec.Remaining(), limit))
 	evs, err = dec.decode(evs, 0, true)
 	if err != io.EOF {
 		return dec.Resolution(), nil, err
@@ -127,10 +171,10 @@ func Read(r io.Reader) (events.Resolution, []events.Event, error) {
 	return dec.Resolution(), evs, nil
 }
 
-// readBufferSize is the Reader's buffer: large enough that a dense window
-// (~30 KB of records on the ENG scenes) costs at most one read call, where
-// bufio's 4 KiB default cost several.
-const readBufferSize = 64 << 10
+// bufferSize is the Reader's and the writers' buffer: large enough that a
+// dense window (~30 KB of records on the ENG scenes) costs at most one
+// read or write call, where bufio's 4 KiB default cost several.
+const bufferSize = 64 << 10
 
 // polarity maps a record's polarity byte to the event polarity: 1 is ON,
 // every other value OFF. A table lookup instead of a branch, because ON and
@@ -154,7 +198,7 @@ type Reader struct {
 
 // NewReader parses the header and returns a streaming decoder.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, readBufferSize)
+	br := bufio.NewReaderSize(r, bufferSize)
 	var h header
 	if err := binary.Read(br, binary.LittleEndian, &h); err != nil {
 		return nil, fmt.Errorf("aedat: reading header: %w", err)
@@ -252,7 +296,7 @@ func NewWriter(w io.WriteSeeker, res events.Resolution) (*Writer, error) {
 	if err := res.Validate(); err != nil {
 		return nil, err
 	}
-	bw := bufio.NewWriter(w)
+	bw := bufio.NewWriterSize(w, bufferSize)
 	h := header{Magic: magic, Width: uint16(res.A), Height: uint16(res.B)}
 	if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
 		return nil, fmt.Errorf("aedat: writing header: %w", err)

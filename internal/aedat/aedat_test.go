@@ -12,9 +12,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/iotest"
 	"testing/quick"
+	"unsafe"
 
 	"ebbiot/internal/events"
 )
@@ -143,6 +146,174 @@ func TestReadForgedCount(t *testing.T) {
 			t.Errorf("count %d: NextWindowInto decoded %d events, want %d", count, len(evs), len(sample()))
 		}
 	}
+
+	// From a regular file, Read reserves at most the records the file can
+	// hold: the bytes allocated stay within the read buffer, those records
+	// and some slack, where the 1 Mi-event cap alone reserves 24 MiB.
+	path := filepath.Join(t.TempDir(), "forged.aer")
+	for _, count := range []uint64{1 << 62, maxPrealloc + 1} {
+		data := bytes.Clone(buf.Bytes())
+		binary.LittleEndian.PutUint64(data[countOffset:], count)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err = Read(f)
+		runtime.ReadMemStats(&after)
+		f.Close()
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("count %d from a file: Read err = %v, want io.ErrUnexpectedEOF", count, err)
+		}
+		records := (len(data) - headerSize) / eventSize
+		bound := bufferSize + records*int(unsafe.Sizeof(events.Event{})) + 16<<10
+		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(bound) {
+			t.Errorf("count %d from a file of %d records: Read allocated %d bytes, want at most %d", count, records, got, bound)
+		}
+	}
+}
+
+// failAfter is a WriteSeeker over a file that fails every Write once n
+// bytes have gone through.
+type failAfter struct {
+	*os.File
+	n int
+}
+
+var errDisk = errors.New("disk full")
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		w, _ := f.File.Write(p[:f.n])
+		f.n = 0
+		return w, errDisk
+	}
+	f.n -= len(p)
+	return f.File.Write(p)
+}
+
+// TestAppendErrorKeepsCount checks encode's error contract on batches
+// larger than the write buffer: each check (address, order, delta range)
+// fails with its own text at the failing event's index, and Count and the
+// file hold exactly the records before it, wherever it falls relative to
+// the buffer's fills. A failing writer reports the first event it could
+// not take, and Count stops there.
+func TestAppendErrorKeepsCount(t *testing.T) {
+	// The buffer's first fill holds first records (the header takes the
+	// rest), each later fill bufferSize/eventSize; n spans three fills.
+	first := (bufferSize - headerSize) / eventSize
+	second := first + bufferSize/eventSize
+	n := second + bufferSize/eventSize + 17
+	good := make([]events.Event, n)
+	for i := range good {
+		good[i] = events.Event{X: int16(i % 240), Y: int16(i % 180), T: int64(i) * 7, P: events.On}
+		if i%3 == 0 {
+			good[i].P = events.Off
+		}
+	}
+	bad := []struct {
+		name string
+		set  func(evs []events.Event, k int)
+		text string
+	}{
+		{"address", func(evs []events.Event, k int) { evs[k].X = 240 }, "aedat: event %d at (240,%d) outside 240x180"},
+		{"order", func(evs []events.Event, k int) { evs[k].T = -1 }, "aedat: event %d at t=-1 after t=%d: " + events.ErrUnsorted.Error()},
+		{"delta", func(evs []events.Event, k int) { evs[k].T += 1 << 32 }, "aedat: event %d timestamp delta %d out of range"},
+	}
+	dir := t.TempDir()
+	for _, b := range bad {
+		for _, k := range []int{0, 1, first - 1, first, first + 1, second, n - 1} {
+			evs := slices.Clone(good)
+			b.set(evs, k)
+			var want string
+			switch b.name {
+			case "address":
+				want = fmt.Sprintf(b.text, k, evs[k].Y)
+			case "order":
+				prev := int64(0)
+				if k > 0 {
+					prev = evs[k-1].T
+				}
+				want = fmt.Sprintf(b.text, k, prev)
+			case "delta":
+				prev := int64(0)
+				if k > 0 {
+					prev = evs[k-1].T
+				}
+				want = fmt.Sprintf(b.text, k, evs[k].T-prev)
+			}
+			path := filepath.Join(dir, fmt.Sprintf("%s-%d.aer", b.name, k))
+			f, err := os.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := NewWriter(f, events.DAVIS240)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Append(evs); err == nil || err.Error() != want {
+				t.Errorf("%s at %d: Append err = %v, want %q", b.name, k, err, want)
+			}
+			if w.Count() != uint64(k) {
+				t.Errorf("%s at %d: Count = %d after the error", b.name, k, w.Count())
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			got := readFile(t, path)
+			if !slices.Equal(got, evs[:k]) {
+				t.Errorf("%s at %d: the file holds %d events, want the %d before the error", b.name, k, len(got), k)
+			}
+		}
+	}
+
+	for _, limit := range []int{headerSize + 5, bufferSize + 25, 2*bufferSize + 3} {
+		f, err := os.Create(filepath.Join(dir, "fail.aer"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := NewWriter(&failAfter{File: f, n: limit}, events.DAVIS240)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = w.Append(good)
+		f.Close()
+		if !errors.Is(err, errDisk) {
+			t.Fatalf("limit %d: Append err = %v, want errDisk", limit, err)
+		}
+		if want := fmt.Sprintf("aedat: writing event %d: disk full", w.Count()); err.Error() != want {
+			t.Errorf("limit %d: Append err %q, want %q", limit, err, want)
+		}
+		// Every record counted was taken by the buffer, whose failed flush
+		// held more than the writer took and at most one buffer's worth.
+		if c := headerSize + int(w.Count())*eventSize; c <= limit || c > limit+bufferSize {
+			t.Errorf("limit %d: Count %d covers %d bytes", limit, w.Count(), c)
+		}
+		count := w.Count()
+		if err := w.Append(good[n-1:]); !errors.Is(err, errDisk) || w.Count() != count {
+			t.Errorf("limit %d: Append after a failed flush: err %v, Count %d, was %d", limit, err, w.Count(), count)
+		}
+	}
+}
+
+// readFile decodes the recording at path.
+func readFile(t *testing.T, path string) []events.Event {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	_, evs, err := Read(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return evs
 }
 
 func TestStreamingReaderWindows(t *testing.T) {
@@ -293,6 +464,9 @@ func TestFileSizeMatchesFormula(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := 20 + len(evs)*10 // header 8+2+2+8, 10 bytes per event
+	if headerSize != 20 || eventSize != 10 {
+		t.Errorf("headerSize %d, eventSize %d: the format says 20 and 10", headerSize, eventSize)
+	}
 	if buf.Len() != want {
 		t.Errorf("encoded size = %d, want %d", buf.Len(), want)
 	}
@@ -397,12 +571,9 @@ func BenchmarkDecodeWindows(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
 }
 
-// headerSize is the encoded header length; countOffset is where its event
-// count sits (after the magic, width and height).
-const (
-	headerSize  = 20
-	countOffset = 12
-)
+// countOffset is where the header's event count sits (after the magic,
+// width and height).
+const countOffset = 12
 
 // record encodes one raw event record; any polarity byte is allowed.
 func record(x, y uint16, dt uint32, p byte) []byte {
@@ -628,7 +799,7 @@ type oracleCase struct {
 // edgePad is the filler that starts the body 26 bytes before the end of the
 // Reader's first 64 KiB fill (header included), so body records straddle
 // the buffer edge.
-const edgePad = (readBufferSize - headerSize - 26) / eventSize
+const edgePad = (bufferSize - headerSize - 26) / eventSize
 
 func oracleCases() []oracleCase {
 	rng := rand.New(rand.NewSource(3))

@@ -64,7 +64,7 @@ var lockSystems = []struct {
 
 // lockInput generates a 10 s replica of the preset and cuts it into
 // lockWindowUS windows straight from the simulator.
-func lockInput(t *testing.T, preset dataset.Preset, fullS float64, seed uint64) [][]events.Event {
+func lockInput(t *testing.T, preset dataset.Preset, fullS float64, seed uint64) (*dataset.Recording, [][]events.Event) {
 	t.Helper()
 	spec, err := dataset.For(preset, 10/fullS, seed)
 	if err != nil {
@@ -82,7 +82,7 @@ func lockInput(t *testing.T, preset dataset.Preset, fullS float64, seed uint64) 
 		}
 		wins = append(wins, evs)
 	}
-	return wins
+	return rec, wins
 }
 
 // trackDigest feeds the windows through sys and hashes every reported box,
@@ -111,7 +111,7 @@ func trackDigest(t *testing.T, sys core.System, wins [][]events.Event) string {
 func TestBehaviourLock(t *testing.T) {
 	mask := roe.New(dataset.TreeROEENG())
 	for _, rec := range lockRecordings {
-		wins := lockInput(t, rec.preset, rec.fullS, rec.seed)
+		_, wins := lockInput(t, rec.preset, rec.fullS, rec.seed)
 		if len(wins) != lockWindows {
 			t.Fatalf("%s: %d windows, want %d", rec.name, len(wins), lockWindows)
 		}

@@ -11,8 +11,9 @@
 package scene
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ebbiot/internal/events"
 	"ebbiot/internal/geometry"
@@ -174,26 +175,32 @@ func (s *Scene) Validate() error {
 
 // At returns the states of all objects active at time t, ordered by
 // ascending Z (far to near) so a renderer can paint in depth order.
-func (s *Scene) At(tUS int64) []State {
-	var out []State
+func (s *Scene) At(tUS int64) []State { return s.AppendAt(nil, tUS) }
+
+// AppendAt appends At's states to dst and returns the extended slice, so a
+// caller that samples every tick can reuse one buffer. Only the appended
+// states are ordered. A Scene holds no scratch of its own: one Scene may
+// be sampled from several goroutines at once.
+func (s *Scene) AppendAt(dst []State, tUS int64) []State {
+	base := len(dst)
 	for i := range s.Objects {
 		o := &s.Objects[i]
 		if !o.Active(tUS) {
 			continue
 		}
-		out = append(out, State{
+		dst = append(dst, State{
 			ID: o.ID, Kind: o.Kind, Box: o.BoxAt(tUS),
 			VX: o.VX, VY: 0, Z: o.Z,
 			EdgeDensity: o.EdgeDensity, InteriorDensity: o.InteriorDensity,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Z != out[j].Z {
-			return out[i].Z < out[j].Z
+	slices.SortFunc(dst[base:], func(a, b State) int {
+		if a.Z != b.Z {
+			return cmp.Compare(a.Z, b.Z)
 		}
-		return out[i].ID < out[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
-	return out
+	return dst
 }
 
 // LabeledBox is a ground-truth annotation: the visible pixel box of one

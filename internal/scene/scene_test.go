@@ -1,6 +1,7 @@
 package scene
 
 import (
+	"slices"
 	"testing"
 
 	"ebbiot/internal/events"
@@ -53,6 +54,21 @@ func TestSceneAtDepthOrder(t *testing.T) {
 	}
 	if states[0].Z > states[1].Z {
 		t.Error("states must be ordered far-to-near")
+	}
+}
+
+// TestAppendAtKeepsPrefix checks that AppendAt orders only what it
+// appends: a reversed prefix survives, and the appended states are At's.
+func TestAppendAtKeepsPrefix(t *testing.T) {
+	sc := CrossingScene(events.DAVIS240, 5_000_000)
+	prefix := sc.At(1_000_000)
+	prefix[0], prefix[1] = prefix[1], prefix[0]
+	got := sc.AppendAt(slices.Clone(prefix), 1_000_000)
+	if !slices.Equal(got[:2], prefix) {
+		t.Error("AppendAt reordered the prefix")
+	}
+	if !slices.Equal(got[2:], sc.At(1_000_000)) {
+		t.Error("AppendAt appended other states than At returns")
 	}
 }
 

@@ -19,8 +19,14 @@
 //     processor interrupts (the "sensor as memory" trick of Section II-A).
 //
 // Determinism: all randomness comes from the seeded xrand generator in the
-// config, so a (scene, config) pair always yields the identical event
-// stream.
+// config, drawn in a fixed order, so a (scene, config) pair always yields
+// the byte-identical event stream, and the dataset replicas built on it
+// stay byte-identical across releases. A window is simulated tick by tick,
+// and its events are put in stable time order one tick at a time: every
+// event of a tick is stamped in [tick, tickEnd), after every earlier
+// tick's and before every later one's (a last tick cut short by the window
+// end included), so the ticks in turn give exactly the stable time order
+// of the whole window.
 package sensor
 
 import (
@@ -91,6 +97,16 @@ type Simulator struct {
 	lastFire []int64
 	// cursor is the end of the last generated window.
 	cursor int64
+	// candidates is the last window's event count before the refractory
+	// filter; Events sizes its result from it.
+	candidates int
+	// Per-tick scratch, reused from tick to tick: the scene's object
+	// states, their rounded boxes, and the nearer boxes that overlap the
+	// object being simulated. It lives here rather than on the Scene,
+	// which several simulators on different goroutines may share.
+	states []scene.State
+	near   []geometry.Box
+	occ    []geometry.Box
 }
 
 // New constructs a simulator for the given scene.
@@ -117,7 +133,7 @@ func (s *Simulator) Cursor() int64 { return s.cursor }
 // Events generates the sorted event stream for the window [t0, t1). t0 must
 // equal the current cursor (windows are contiguous) and t1 > t0.
 func (s *Simulator) Events(t0, t1 int64) ([]events.Event, error) {
-	return s.EventsInto(nil, t0, t1)
+	return s.EventsInto(make([]events.Event, 0, s.candidates+s.candidates/8), t0, t1)
 }
 
 // EventsInto is Events appending into a caller-owned buffer, so streaming
@@ -134,31 +150,48 @@ func (s *Simulator) EventsInto(buf []events.Event, t0, t1 int64) ([]events.Event
 	base := len(buf)
 	out := buf
 	for tick := t0; tick < t1; tick += s.cfg.TickUS {
-		tickEnd := tick + s.cfg.TickUS
-		if tickEnd > t1 {
-			tickEnd = t1
-		}
+		tickEnd := min(tick+s.cfg.TickUS, t1)
+		from := len(out)
 		out = s.tick(out, tick, tickEnd)
+		sortTick(out[from:]) // the window's order, a tick at a time (package doc)
 	}
-	events.SortByTime(out[base:])
+	s.candidates = len(out) - base
 	kept := s.applyRefractory(out[base:])
 	s.cursor = t1
 	return out[:base+len(kept)], nil
 }
 
+// sortTick puts one tick's events in stable time order. A tick holds a few
+// dozen events, where an insertion sort on the timestamps is fastest;
+// longer ticks take the general stable sort, which gives the same order.
+func sortTick(evs []events.Event) {
+	if len(evs) > 64 {
+		events.SortByTime(evs)
+		return
+	}
+	for i := 1; i < len(evs); i++ {
+		e := evs[i]
+		j := i
+		for ; j > 0 && evs[j-1].T > e.T; j-- {
+			evs[j] = evs[j-1]
+		}
+		evs[j] = e
+	}
+}
+
 // tick appends this tick's candidate events (before refractory filtering).
 func (s *Simulator) tick(out []events.Event, t0, t1 int64) []events.Event {
 	dtSec := float64(t1-t0) / 1e6
-	states := s.sc.At(t0)
+	s.states = s.sc.AppendAt(s.states[:0], t0)
 	bounds := geometry.NewBox(0, 0, s.cfg.Res.A, s.cfg.Res.B)
 
 	// Moving objects, far to near; collect near-object masks for occlusion.
-	nearBoxes := make([]geometry.Box, len(states))
-	for i, st := range states {
-		nearBoxes[i] = st.Box.Round()
+	s.near = s.near[:0]
+	for i := range s.states {
+		s.near = append(s.near, s.states[i].Box.Round())
 	}
-	for i, st := range states {
-		out = s.objectEvents(out, st, nearBoxes[i+1:], bounds, t0, t1, dtSec)
+	for i := range s.states {
+		out = s.objectEvents(out, &s.states[i], s.near[i+1:], bounds, t0, t1, dtSec)
 	}
 
 	// Distractor clutter.
@@ -189,7 +222,12 @@ func (s *Simulator) tick(out []events.Event, t0, t1 int64) []events.Event {
 // strong responses on its leading and trailing vertical edges and on the
 // horizontal outline, weak texture events in the interior. occluders are
 // the boxes of nearer objects whose pixels mask this object.
-func (s *Simulator) objectEvents(out []events.Event, st scene.State, occluders []geometry.Box, bounds geometry.Box, t0, t1 int64, dtSec float64) []events.Event {
+//
+// Every pixel the object covers draws one Bernoulli test, in a fixed
+// order; a pixel that fires then draws its polarity where it has none of
+// its own, and, unless masked, its timestamp. Each of the three pixel
+// sets is one run of tests, made by xrand.FirstHit from hit to hit.
+func (s *Simulator) objectEvents(out []events.Event, st *scene.State, occluders []geometry.Box, bounds geometry.Box, t0, t1 int64, dtSec float64) []events.Event {
 	box := st.Box.Round().Clamp(bounds)
 	if box.Empty() {
 		return out
@@ -202,82 +240,84 @@ func (s *Simulator) objectEvents(out []events.Event, st scene.State, occluders [
 	if motionPx <= 0 {
 		return out
 	}
-
-	occluded := func(x, y int) bool {
-		for _, ob := range occluders {
-			if ob.Contains(x, y) {
-				return true
-			}
+	// Only the nearer boxes that overlap this one can mask its pixels.
+	s.occ = s.occ[:0]
+	for _, ob := range occluders {
+		if ob.Overlaps(box) {
+			s.occ = append(s.occ, ob)
 		}
-		return false
 	}
+	span := float64(t1 - t0)
+	rng := s.rng
 
-	emit := func(x, y int, p events.Polarity) {
-		if !bounds.Contains(x, y) || occluded(x, y) {
-			return
-		}
-		t := t0 + int64(s.rng.Float64()*float64(t1-t0))
-		out = append(out, events.Event{X: int16(x), Y: int16(y), T: t, P: p})
-	}
-
-	// Leading and trailing vertical edges. For rightward motion the right
-	// edge is leading (ON for a bright object entering dark background) and
-	// the left edge trailing (OFF).
+	// Leading and trailing vertical edges, row by row: the leading pixel's
+	// test, then the trailing pixel's. For rightward motion the right edge
+	// is leading (ON for a bright object entering dark background) and the
+	// left edge trailing (OFF).
 	leadX, trailX := box.MaxX()-1, box.X
 	leadP, trailP := events.On, events.Off
 	if st.VX < 0 {
 		leadX, trailX = box.X, box.MaxX()-1
 		// Polarity semantics stay with the edge role, not the side.
 	}
-	pEdge := st.EdgeDensity * motionPx
-	for y := box.Y; y < box.MaxY(); y++ {
-		if s.rng.Bool(clampProb(pEdge)) {
-			emit(leadX, y, leadP)
+	pEdge := xrand.Threshold(st.EdgeDensity * motionPx)
+	for k, n := 0, 2*box.H; ; k++ {
+		if k += rng.FirstHit(n-k, pEdge); k >= n {
+			break
 		}
-		if s.rng.Bool(clampProb(pEdge)) {
-			emit(trailX, y, trailP)
-		}
-	}
-	// Horizontal outline (top and bottom edges) fires at a reduced rate —
-	// contrast changes there only where the outline is not parallel to the
-	// motion, so scale by half.
-	pOutline := clampProb(0.5 * st.EdgeDensity * motionPx)
-	for x := box.X; x < box.MaxX(); x++ {
-		if s.rng.Bool(pOutline) {
-			emit(x, box.MaxY()-1, randomPolarity(s.rng))
-		}
-		if s.rng.Bool(pOutline) {
-			emit(x, box.Y, randomPolarity(s.rng))
+		if y := box.Y + k/2; k%2 == 0 {
+			out = s.emit(out, leadX, y, leadP, t0, span)
+		} else {
+			out = s.emit(out, trailX, y, trailP, t0, span)
 		}
 	}
-	// Interior texture: each interior pixel fires with probability
-	// InteriorDensity per pixel of motion. Large flat-sided vehicles have
-	// low densities, producing the fragmented binary images of Fig. 3.
-	pInt := clampProb(st.InteriorDensity * motionPx)
-	if pInt > 0 {
-		for y := box.Y + 1; y < box.MaxY()-1; y++ {
-			for x := box.X + 1; x < box.MaxX()-1; x++ {
-				if s.rng.Bool(pInt) {
-					emit(x, y, randomPolarity(s.rng))
-				}
+	// Horizontal outline, column by column: the bottom pixel's test, then
+	// the top pixel's. It fires at a reduced rate — contrast changes there
+	// only where the outline is not parallel to the motion, so scale by
+	// half.
+	pOutline := xrand.Threshold(0.5 * st.EdgeDensity * motionPx)
+	for k, n := 0, 2*box.W; ; k++ {
+		if k += rng.FirstHit(n-k, pOutline); k >= n {
+			break
+		}
+		y := box.Y
+		if k%2 == 0 {
+			y = box.MaxY() - 1
+		}
+		out = s.emit(out, box.X+k/2, y, randomPolarity(rng), t0, span)
+	}
+	// Interior texture, row-major: each interior pixel fires with
+	// probability InteriorDensity per pixel of motion. Large flat-sided
+	// vehicles have low densities, producing the fragmented binary images
+	// of Fig. 3. A zero probability draws nothing.
+	w, h := box.W-2, box.H-2
+	if pInt := xrand.Threshold(st.InteriorDensity * motionPx); pInt > 0 && w > 0 && h > 0 {
+		for k, n := 0, w*h; ; k++ {
+			if k += rng.FirstHit(n-k, pInt); k >= n {
+				break
 			}
+			out = s.emit(out, box.X+1+k%w, box.Y+1+k/w, randomPolarity(rng), t0, span)
 		}
 	}
 	return out
 }
 
-func clampProb(p float64) float64 {
-	if p > 1 {
-		return 1
+// emit appends the event of a fired pixel (x, y) inside the array, unless
+// one of the nearer boxes in s.occ masks it, stamped uniformly in
+// [t0, t0+span). A masked pixel draws no timestamp.
+func (s *Simulator) emit(out []events.Event, x, y int, p events.Polarity, t0 int64, span float64) []events.Event {
+	for _, ob := range s.occ {
+		if ob.Contains(x, y) {
+			return out
+		}
 	}
-	if p < 0 {
-		return 0
-	}
-	return p
+	t := t0 + int64(s.rng.Float64()*span)
+	return append(out, events.Event{X: int16(x), Y: int16(y), T: t, P: p})
 }
 
+// randomPolarity is ON with probability 1/2: Bool(0.5) in integer form.
 func randomPolarity(r *xrand.Rand) events.Polarity {
-	if r.Bool(0.5) {
+	if r.Uint64()>>11 < 1<<52 {
 		return events.On
 	}
 	return events.Off

@@ -1,11 +1,14 @@
 package sensor
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"ebbiot/internal/events"
 	"ebbiot/internal/geometry"
 	"ebbiot/internal/scene"
+	"ebbiot/internal/xrand"
 )
 
 func quietConfig(seed uint64) Config {
@@ -339,5 +342,65 @@ func TestHumanSlowObjectFewEvents(t *testing.T) {
 	car := mk(scene.KindCar, 32, 18, 70, 0.18)
 	if human*5 > car {
 		t.Errorf("human events (%d) should be far fewer than car events (%d)", human, car)
+	}
+}
+
+// TestSortTickMatchesStableSort checks the per-tick sort, on both sides of
+// its insertion-sort cutoff, against the general stable sort: timestamps
+// drawn from a narrow range force ties, whose input order must survive.
+func TestSortTickMatchesStableSort(t *testing.T) {
+	rng := xrand.New(5)
+	for n := 0; n <= 200; n++ {
+		evs := make([]events.Event, n)
+		for i := range evs {
+			evs[i] = events.Event{X: int16(i), Y: int16(i >> 8), T: int64(rng.Intn(n/3 + 1)), P: events.On}
+		}
+		want := slices.Clone(evs)
+		events.SortByTime(want)
+		sortTick(evs)
+		if !slices.Equal(evs, want) {
+			t.Fatalf("%d events: sortTick order differs from the stable sort", n)
+		}
+	}
+}
+
+// TestSharedSceneAcrossGoroutines runs simulators over one Scene on
+// separate goroutines, as a multi-sensor scene run does: each keeps its
+// scratch to itself, so each gives the stream it gives alone (and -race
+// finds no shared write).
+func TestSharedSceneAcrossGoroutines(t *testing.T) {
+	sc := scene.CrossingScene(events.DAVIS240, 2_000_000)
+	run := func(seed uint64) []events.Event {
+		sim, err := New(DefaultConfig(seed), sc)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		var all []events.Event
+		for t0 := int64(0); t0 < 1_000_000; t0 += 66_000 {
+			evs, err := sim.Events(t0, t0+66_000)
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			all = append(all, evs...)
+		}
+		return all
+	}
+	want := [][]events.Event{run(1), run(2), run(3)}
+	got := make([][]events.Event, len(want))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = run(uint64(i + 1))
+		}()
+	}
+	wg.Wait()
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Errorf("simulator %d: concurrent stream differs from its solo run", i)
+		}
 	}
 }

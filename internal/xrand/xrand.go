@@ -7,7 +7,10 @@
 // xoshiro256** pair is a fixed published algorithm.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // splitMix64 advances the given state and returns the next output of the
 // SplitMix64 generator (Steele, Lea & Flood 2014). It is used only to seed
@@ -42,19 +45,19 @@ func New(seed uint64) *Rand {
 	return &r
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
+// next is one xoshiro256** step on a state held in locals: it returns the
+// output and the advanced state.
+func next(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	s2 ^= s0
+	s3 ^= s1
+	return bits.RotateLeft64(s1*5, 7) * 9, s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)
+}
 
-// Uint64 returns the next 64 uniformly distributed bits.
-func (r *Rand) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+// Uint64 returns the next 64 uniformly distributed bits. It stays within
+// the inlining budget: the simulator draws once per object pixel per tick.
+func (r *Rand) Uint64() (out uint64) {
+	out, r.s[0], r.s[1], r.s[2], r.s[3] = next(r.s[0], r.s[1], r.s[2], r.s[3])
+	return out
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -97,6 +100,40 @@ func (r *Rand) IntRange(lo, hi int) int {
 
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool { return r.Float64() < p }
+
+// Threshold returns Bool's probability in integer form: the number of
+// Float64's 2^53 equally likely values k/2^53 that lie below p, which is
+// ceil(p·2^53) clamped to [0, 2^53], and 0 for NaN. Because Float64 is
+// exactly (Uint64()>>11)/2^53, the test Uint64()>>11 < Threshold(p) draws
+// what Bool(p) draws, for every p, with one integer compare per draw.
+func Threshold(p float64) uint64 {
+	switch {
+	case p >= 1:
+		return 1 << 53
+	case p > 0:
+		return uint64(math.Ceil(p * (1 << 53)))
+	}
+	return 0 // p <= 0 or NaN
+}
+
+// FirstHit runs up to n Bernoulli tests at threshold th (see Threshold),
+// one per Uint64, and returns the index of the first that hits, having
+// drawn index+1 values, or n, having drawn n values, when none does: the
+// draws and answers of the same tests made one Uint64()>>11 < th at a
+// time. The state stays in registers across the run, so a long run of
+// unlikely tests, such as the pixels of one object, is one tight loop.
+func (r *Rand) FirstHit(n int, th uint64) int {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	i := 0
+	for ; i < n; i++ {
+		var out uint64
+		if out, s0, s1, s2, s3 = next(s0, s1, s2, s3); out>>11 < th {
+			break
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return i
+}
 
 // NormFloat64 returns a standard normal variate using the Box-Muller
 // transform (polar form avoided for stream stability — trig form consumes a
@@ -146,14 +183,6 @@ func (r *Rand) Poisson(mean float64) int {
 			return k
 		}
 		k++
-	}
-}
-
-// Shuffle permutes the first n elements using swap, via Fisher-Yates.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
 	}
 }
 

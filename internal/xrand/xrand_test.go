@@ -174,16 +174,73 @@ func TestBool(t *testing.T) {
 	}
 }
 
-func TestShuffleIsPermutation(t *testing.T) {
-	r := New(31)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make([]bool, 10)
-	for _, v := range xs {
-		if v < 0 || v >= 10 || seen[v] {
-			t.Fatalf("shuffle not a permutation: %v", xs)
+// TestThresholdMatchesBool checks the integer Bernoulli test against Bool:
+// around each threshold, k < Threshold(p) must agree with k/2^53 < p for
+// the k that decide it, and on one stream of draws the two tests must
+// answer alike, edge cases included (p <= 0, p >= 1, NaN).
+func TestThresholdMatchesBool(t *testing.T) {
+	const one = 1 << 53
+	ps := []float64{
+		math.NaN(), math.Inf(-1), -1, math.Copysign(0, -1), 0,
+		math.SmallestNonzeroFloat64, 0x1p-54, 0x1p-53, math.Nextafter(0x1p-53, 1),
+		1e-9, 0.003, 0.05, 0.25, 0.5, math.Nextafter(1, 0), 1, math.Nextafter(1, 2), 2, math.Inf(1),
+	}
+	r := New(41)
+	for i := 0; i < 1000; i++ {
+		p := float64(r.Uint64()>>11) / one
+		ps = append(ps, p, math.Nextafter(p, 0), math.Nextafter(p, 1), 1.7*r.Float64()-0.3)
+	}
+	for _, p := range ps {
+		th := Threshold(p)
+		if th > one {
+			t.Fatalf("Threshold(%v) = %d, above 2^53", p, th)
 		}
-		seen[v] = true
+		for _, k := range []uint64{0, 1, th - 1, th, th + 1, one - 1} {
+			if k >= one {
+				continue // th-1 wrapped below 0, or th+1 past the last k
+			}
+			if got, want := k < th, float64(k)/one < p; got != want {
+				t.Errorf("p=%v k=%d: k < Threshold(p) is %v, k/2^53 < p is %v", p, k, got, want)
+			}
+		}
+	}
+	a, b := New(43), New(43)
+	for i := 0; i < 20000; i++ {
+		p := ps[i%len(ps)]
+		if got, want := b.Uint64()>>11 < Threshold(p), a.Bool(p); got != want {
+			t.Fatalf("draw %d, p=%v: integer test %v, Bool %v", i, p, got, want)
+		}
+	}
+}
+
+// TestFirstHitMatchesDraws checks FirstHit against the same tests made
+// one Uint64 at a time: the same index, and the generators left in step.
+// Some rounds set the threshold to the value of the next draw itself,
+// which must not hit.
+func TestFirstHitMatchesDraws(t *testing.T) {
+	a, b := New(47), New(47)
+	pick := New(53)
+	ths := []uint64{0, 1, Threshold(0.003), Threshold(0.05), Threshold(0.5), 1 << 53}
+	for round := 0; round < 2000; round++ {
+		n := pick.Intn(300)
+		th := ths[pick.Intn(len(ths))]
+		if round%10 == 0 {
+			peek := *a
+			th = peek.Uint64() >> 11
+		}
+		want := n
+		for i := 0; i < n; i++ {
+			if b.Uint64()>>11 < th {
+				want = i
+				break
+			}
+		}
+		if got := a.FirstHit(n, th); got != want {
+			t.Fatalf("round %d: FirstHit(%d, %d) = %d, want %d", round, n, th, got, want)
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("round %d: streams out of step after FirstHit(%d, %d)", round, n, th)
+		}
 	}
 }
 
