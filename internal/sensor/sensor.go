@@ -98,7 +98,9 @@ type Simulator struct {
 	// cursor is the end of the last generated window.
 	cursor int64
 	// candidates is the last window's event count before the refractory
-	// filter; Events sizes its result from it.
+	// filter. Events reserves it plus 1/8: a window has more candidates
+	// than the one before about half the time, but in the presets fewer
+	// than 1% of windows outgrow the eighth.
 	candidates int
 	// Per-tick scratch, reused from tick to tick: the scene's object
 	// states, their rounded boxes, and the nearer boxes that overlap the
@@ -161,9 +163,10 @@ func (s *Simulator) EventsInto(buf []events.Event, t0, t1 int64) ([]events.Event
 	return out[:base+len(kept)], nil
 }
 
-// sortTick puts one tick's events in stable time order. A tick holds a few
-// dozen events, where an insertion sort on the timestamps is fastest;
-// longer ticks take the general stable sort, which gives the same order.
+// sortTick puts one tick's events in stable time order. Up to 64 events an
+// insertion sort beats events.SortByTime even on a tick in reverse time
+// order, its worst case (at 128 that order makes it slower); the presets'
+// ticks hold 10-60 events in random order, where it is about 3x faster.
 func sortTick(evs []events.Event) {
 	if len(evs) > 64 {
 		events.SortByTime(evs)
@@ -315,9 +318,8 @@ func (s *Simulator) emit(out []events.Event, x, y int, p events.Polarity, t0 int
 	return append(out, events.Event{X: int16(x), Y: int16(y), T: t, P: p})
 }
 
-// randomPolarity is ON with probability 1/2: Bool(0.5) in integer form.
 func randomPolarity(r *xrand.Rand) events.Polarity {
-	if r.Uint64()>>11 < 1<<52 {
+	if r.Bool(0.5) {
 		return events.On
 	}
 	return events.Off
