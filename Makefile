@@ -12,7 +12,7 @@ BENCHCOUNT ?= 1
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: build test race bench bench-store bench-imgproc bench-json bench-compare bench-gate vet check smoke-control smoke-ingest crash-drill chaos-ingest
+.PHONY: build test race bench bench-store bench-imgproc bench-json bench-compare bench-gate vet check smoke-control smoke-ingest smoke-store crash-drill chaos-ingest
 
 build:
 	$(GO) build ./...
@@ -26,8 +26,8 @@ race:
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./...
 
-# Store append/scan/replay benchmarks (see docs/EXPERIMENTS.md for the
-# 1-CPU container caveats).
+# Store append, per-sensor query and replay benchmarks (see
+# docs/EXPERIMENTS.md for the 1-CPU container caveats).
 bench-store:
 	$(GO) test -run xxx -bench . -benchmem ./internal/store/
 
@@ -142,5 +142,14 @@ smoke-control:
 smoke-ingest:
 	$(GO) build -o bin/ ./cmd/ebbiot-run ./cmd/ebbiot-gen
 	./scripts/smoke-ingest.sh
+
+# End-to-end store query smoke (also run by CI): a three-sensor ebbiot-run
+# recorded into a store, then every ebbiot-query read checked against the
+# live output — each per-sensor scan in order, a bounded scan, the sorted
+# merged replay — plus a clean verify, a rejected -to 0, and the run
+# selector required once a second run shares the directory.
+smoke-store:
+	$(GO) build -o bin/ ./cmd/ebbiot-run ./cmd/ebbiot-gen ./cmd/ebbiot-query
+	./scripts/smoke-store.sh
 
 check: build vet test

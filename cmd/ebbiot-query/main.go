@@ -8,7 +8,8 @@
 //	        segments, tombstones, records, time range and sensors (the
 //	        default)
 //	scan    print one sensor's snapshots whose windows overlap [-from, -to)
-//	        in frame order, as CSV rows (or JSON Lines with -json)
+//	        in frame order, as CSV rows (or JSON Lines with -json): a
+//	        one-sensor replay
 //	replay  merge any set of sensors in timestamp order and feed them back
 //	        through the pipeline sinks — the offline re-evaluation path;
 //	        prints the same per-frame trace summary as a live run and can
@@ -88,6 +89,13 @@ func run() error {
 	if *storeDir == "" {
 		return fmt.Errorf("-store is required")
 	}
+	// scan and replay both run through ReplayOptions, which treats T1 <= 0
+	// as "no upper bound"; the flag's contract is a literal exclusive
+	// bound, so reject values that would silently invert into a full
+	// replay.
+	if (*mode == "scan" || *mode == "replay") && *to <= 0 {
+		return fmt.Errorf("-to must be positive (exclusive upper bound in µs), got %d", *to)
+	}
 	switch *mode {
 	case "list":
 		return list(*storeDir)
@@ -99,12 +107,6 @@ func run() error {
 	case "replay":
 		if *speed < 0 {
 			return fmt.Errorf("-speed must be >= 0 (0 = full speed), got %v", *speed)
-		}
-		// ReplayOptions treats T1 <= 0 as "no upper bound"; the flag's
-		// contract is a literal exclusive bound, so reject values that
-		// would silently invert into a full replay.
-		if *to <= 0 {
-			return fmt.Errorf("-to must be positive (exclusive upper bound in µs), got %d", *to)
 		}
 		sensors, err := parseSensors(*sensorList)
 		if err != nil {
@@ -202,8 +204,12 @@ func scan(dir string, run uint64, sensor int, from, to int64, jsonOut bool) erro
 	if err != nil {
 		return err
 	}
-	// Scan (append order), not Replay: a single sensor needs no merge.
-	stats, err := pipeline.ScanStore(context.Background(), r, run, sensor, from, to, sink)
+	stats, err := pipeline.ReplayStoreWith(context.Background(), r, sink, pipeline.ReplayOptions{
+		Run:     run,
+		Sensors: []int{sensor},
+		T0:      from,
+		T1:      to,
+	})
 	if err != nil {
 		return err
 	}

@@ -18,7 +18,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"math"
 	"os"
 	"reflect"
 
@@ -111,11 +110,11 @@ func run() error {
 		return err
 	}
 	var replayed []pipeline.TrackSnapshot
-	if _, err := pipeline.ReplayStore(context.Background(), r, nil, 0, math.MaxInt64,
+	if _, err := pipeline.ReplayStoreWith(context.Background(), r,
 		pipeline.SinkFunc(func(snap pipeline.TrackSnapshot) error {
 			replayed = append(replayed, snap)
 			return nil
-		})); err != nil {
+		}), pipeline.ReplayOptions{}); err != nil {
 		return err
 	}
 	if !reflect.DeepEqual(live, replayed) {

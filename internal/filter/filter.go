@@ -93,58 +93,3 @@ func (f *NNFilter) Filter(evs []events.Event) []events.Event {
 
 // Ops returns the cumulative primitive-operation count.
 func (f *NNFilter) Ops() int64 { return f.ops }
-
-// ResetOps zeroes the operation counter.
-func (f *NNFilter) ResetOps() { f.ops = 0 }
-
-// RefractoryFilter drops events that arrive within a refractory period of
-// the previous event at the same pixel. It is commonly chained before the
-// NN filter to bound per-pixel event rates.
-type RefractoryFilter struct {
-	res      events.Resolution
-	periodUS int64
-	last     []int64
-}
-
-// NewRefractory returns a refractory filter with the given period.
-func NewRefractory(res events.Resolution, periodUS int64) (*RefractoryFilter, error) {
-	if err := res.Validate(); err != nil {
-		return nil, err
-	}
-	if periodUS <= 0 {
-		return nil, fmt.Errorf("filter: refractory period must be positive, got %d", periodUS)
-	}
-	last := make([]int64, res.Pixels())
-	for i := range last {
-		last[i] = -1 << 40
-	}
-	return &RefractoryFilter{res: res, periodUS: periodUS, last: last}, nil
-}
-
-// Filter returns the events that survive the refractory test, preserving
-// order. The returned slice is freshly allocated.
-func (f *RefractoryFilter) Filter(evs []events.Event) []events.Event {
-	out := make([]events.Event, 0, len(evs))
-	for _, e := range evs {
-		idx := int(e.Y)*f.res.A + int(e.X)
-		if e.T-f.last[idx] < f.periodUS {
-			continue
-		}
-		f.last[idx] = e.T
-		out = append(out, e)
-	}
-	return out
-}
-
-// PolaritySplit partitions a stream into ON and OFF sub-streams, preserving
-// order. Useful for pipelines that process polarities separately.
-func PolaritySplit(evs []events.Event) (on, off []events.Event) {
-	for _, e := range evs {
-		if e.P == events.On {
-			on = append(on, e)
-		} else {
-			off = append(off, e)
-		}
-	}
-	return on, off
-}

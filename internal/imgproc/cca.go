@@ -156,27 +156,3 @@ func Dilate(b *Bitmap, r int) *Bitmap {
 	}
 	return out
 }
-
-// Erode returns the morphological erosion of b by a square structuring
-// element of radius r: a pixel survives only if its whole neighbourhood is
-// set. Pixels outside the image count as unset.
-func Erode(b *Bitmap, r int) *Bitmap {
-	out := NewBitmap(b.W, b.H)
-	for y := 0; y < b.H; y++ {
-	pixel:
-		for x := 0; x < b.W; x++ {
-			if b.Pix[y*b.W+x] == 0 {
-				continue
-			}
-			for dy := -r; dy <= r; dy++ {
-				for dx := -r; dx <= r; dx++ {
-					if b.Get(x+dx, y+dy) == 0 {
-						continue pixel
-					}
-				}
-			}
-			out.Set(x, y)
-		}
-	}
-	return out
-}

@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"context"
-	"math"
 	"reflect"
 	"testing"
 
@@ -155,11 +154,11 @@ func TestWireReplayBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	var replayed []pipeline.TrackSnapshot
-	_, err = pipeline.ReplayStore(context.Background(), r, nil, 0, math.MaxInt64,
+	_, err = pipeline.ReplayStoreWith(context.Background(), r,
 		pipeline.SinkFunc(func(snap pipeline.TrackSnapshot) error {
 			replayed = append(replayed, snap)
 			return nil
-		}))
+		}), pipeline.ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,11 +19,12 @@
 // workers race ahead.
 //
 // Runs can outlive the process: a StoreSink persists every snapshot into
-// the embedded append-only store (internal/store), and ReplayStore feeds a
-// recorded run back through any Sink with the same per-stream ordering
-// contract — record once, re-evaluate offline forever. Sinks that buffer
-// implement Flusher and are flushed by the Runner itself, so deferred
-// write errors fail the run instead of vanishing.
+// the embedded append-only store (internal/store), and ReplayStoreWith
+// feeds a recorded run — all of it, or one sensor's window — back through
+// any Sink with the same per-stream ordering contract: record once,
+// re-evaluate offline forever. Sinks that buffer implement Flusher and are
+// flushed by the Runner itself, so deferred write errors fail the run
+// instead of vanishing.
 //
 // Runs are also observable and tunable while in flight: the Runner
 // publishes a live RunStatus (per-stream counters, stage timings, sink

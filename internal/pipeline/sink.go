@@ -24,10 +24,10 @@ type SinkFunc func(snap TrackSnapshot) error
 func (f SinkFunc) Consume(snap TrackSnapshot) error { return f(snap) }
 
 // Flusher is implemented by sinks that buffer output (CSVSink, JSONSink,
-// StoreSink). Runner.Run and ReplayStore flush the sink once the snapshot
-// stream ends and propagate the error, so deferred write failures — a full
-// disk surfacing only when the buffer drains — fail the run instead of
-// being dropped on the floor.
+// StoreSink). Runner.Run and ReplayStoreWith flush the sink once the
+// snapshot stream ends and propagate the error, so deferred write failures
+// — a full disk surfacing only when the buffer drains — fail the run
+// instead of being dropped on the floor.
 type Flusher interface {
 	Flush() error
 }
@@ -53,17 +53,6 @@ func flushSink(s Sink) error {
 	default:
 		return nil
 	}
-}
-
-// ChannelSink forwards snapshots to a channel, inheriting the Runner's
-// backpressure: an unread channel blocks the pipeline. The caller owns the
-// channel and closes it (after Run returns) if needed.
-type ChannelSink chan<- TrackSnapshot
-
-// Consume implements Sink.
-func (c ChannelSink) Consume(snap TrackSnapshot) error {
-	c <- snap
-	return nil
 }
 
 // MultiSink fans each snapshot out to several sinks in order, stopping at

@@ -63,30 +63,6 @@ func snapshotFromStore(s store.Snapshot) TrackSnapshot {
 	}
 }
 
-// ReplayStore is the offline counterpart of Runner.Run: it feeds a stored
-// run back through any Sink, so recorded deployments can be re-evaluated —
-// re-summarised through a TraceSink, re-exported as CSV/JSON, or piped
-// into new analysis code — without touching the original sensors.
-//
-// Snapshots arrive on the calling goroutine in the store's replay order:
-// globally non-decreasing EndUS, per-sensor in frame order — the same
-// per-stream ordering contract a live Runner gives its sink. The store's
-// sole run is replayed (store.ErrMultipleRuns when the directory holds
-// several; use ReplayStoreWith and ReplayOptions.Run to pick one). A nil
-// or empty sensors list replays every sensor; [t0, t1) bounds the window
-// overlap query (use 0 and math.MaxInt64 for everything). Like Runner.Run,
-// ReplayStore flushes the sink before returning and reports the first
-// error from the store, the sink, the flush or ctx.
-func ReplayStore(ctx context.Context, r *store.Reader, sensors []int, t0, t1 int64, sink Sink) (Stats, error) {
-	// Bounds are passed literally (t1 = 0 replays nothing, as it always
-	// has); the T1 <= 0 convenience below belongs to ReplayOptions only.
-	it, err := r.Replay(0, sensors, t0, t1)
-	if err != nil {
-		return Stats{}, fmt.Errorf("pipeline: replay: %w", err)
-	}
-	return drainStore(ctx, it, sink, ReplayOptions{})
-}
-
 // ReplayOptions parameterises ReplayStoreWith.
 type ReplayOptions struct {
 	// Run selects which recorded run to replay; 0 means the directory's
@@ -95,7 +71,8 @@ type ReplayOptions struct {
 	Run uint64
 	// Sensors selects the sensors to merge; nil or empty replays all.
 	Sensors []int
-	// T0, T1 bound the window-overlap query; T1 <= 0 means no upper bound.
+	// T0, T1 bound the window-overlap query [T0, T1); T1 <= 0 means no
+	// upper bound.
 	T0, T1 int64
 	// Speed, when positive, paces the replay at recorded wall-clock speed
 	// times Speed: each snapshot is withheld until its recorded EndUS has
@@ -107,7 +84,20 @@ type ReplayOptions struct {
 	Status *RunStatus
 }
 
-// ReplayStoreWith is ReplayStore with pacing and live monitoring.
+// ReplayStoreWith is the offline counterpart of Runner.Run: it feeds a
+// stored run back through any Sink, so recorded deployments can be
+// re-evaluated — re-summarised through a TraceSink, re-exported as
+// CSV/JSON, or piped into new analysis code — without touching the
+// original sensors. It is also the per-sensor query: with one sensor in
+// opts.Sensors it yields what that sensor saw in [T0, T1).
+//
+// Snapshots arrive on the calling goroutine in the store's replay order:
+// globally non-decreasing EndUS, per-sensor in frame order — the same
+// per-stream ordering contract a live Runner gives its sink. opts.Run 0
+// replays the store's sole run (store.ErrMultipleRuns when the directory
+// holds several). Like Runner.Run, ReplayStoreWith flushes the sink before
+// returning and reports the first error from the store, the sink, the
+// flush or ctx.
 func ReplayStoreWith(ctx context.Context, r *store.Reader, sink Sink, opts ReplayOptions) (Stats, error) {
 	t1 := opts.T1
 	if t1 <= 0 {
@@ -118,18 +108,6 @@ func ReplayStoreWith(ctx context.Context, r *store.Reader, sink Sink, opts Repla
 		return Stats{}, fmt.Errorf("pipeline: replay: %w", err)
 	}
 	return drainStore(ctx, it, sink, opts)
-}
-
-// ScanStore feeds one sensor's stored snapshots from one run through a
-// Sink in append order (frame order within the recorded run). run 0
-// selects the directory's sole run; a directory holding several requires
-// an explicit run ID from store.Reader.Runs.
-func ScanStore(ctx context.Context, r *store.Reader, run uint64, sensor int, t0, t1 int64, sink Sink) (Stats, error) {
-	c, err := r.Scan(run, sensor, t0, t1)
-	if err != nil {
-		return Stats{}, fmt.Errorf("pipeline: scan: %w", err)
-	}
-	return drainStore(ctx, c, sink, ReplayOptions{})
 }
 
 // drainStore pumps a store iterator into a sink, mirroring Runner.Run's

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 
@@ -59,11 +58,11 @@ func TestStoreRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		replayed := make(map[int][]TrackSnapshot)
-		stats, err := ReplayStore(context.Background(), r, nil, 0, math.MaxInt64,
+		stats, err := ReplayStoreWith(context.Background(), r,
 			SinkFunc(func(snap TrackSnapshot) error {
 				replayed[snap.Sensor] = append(replayed[snap.Sensor], snap)
 				return nil
-			}))
+			}), ReplayOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,8 +86,9 @@ func TestReplayStoreTimeAndSensorBounds(t *testing.T) {
 	}
 	const t0, t1 = 500_000, 1_200_000
 	var got []TrackSnapshot
-	if _, err := ReplayStore(context.Background(), r, []int{2}, t0, t1,
-		SinkFunc(func(snap TrackSnapshot) error { got = append(got, snap); return nil })); err != nil {
+	if _, err := ReplayStoreWith(context.Background(), r,
+		SinkFunc(func(snap TrackSnapshot) error { got = append(got, snap); return nil }),
+		ReplayOptions{Sensors: []int{2}, T0: t0, T1: t1}); err != nil {
 		t.Fatal(err)
 	}
 	var want []TrackSnapshot
@@ -114,11 +114,11 @@ func TestMultiRunStoreScopedQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReplayStore(context.Background(), r, nil, 0, math.MaxInt64, nil); !errors.Is(err, store.ErrMultipleRuns) {
-		t.Fatalf("ReplayStore over a two-run store: %v, want ErrMultipleRuns", err)
+	if _, err := ReplayStoreWith(context.Background(), r, nil, ReplayOptions{}); !errors.Is(err, store.ErrMultipleRuns) {
+		t.Fatalf("ReplayStoreWith over a two-run store: %v, want ErrMultipleRuns", err)
 	}
-	if _, err := ScanStore(context.Background(), r, 0, 1, 0, math.MaxInt64, nil); !errors.Is(err, store.ErrMultipleRuns) {
-		t.Fatalf("selector-less ScanStore over a two-run store: %v, want ErrMultipleRuns", err)
+	if _, err := ReplayStoreWith(context.Background(), r, nil, ReplayOptions{Sensors: []int{1}}); !errors.Is(err, store.ErrMultipleRuns) {
+		t.Fatalf("selector-less one-sensor replay over a two-run store: %v, want ErrMultipleRuns", err)
 	}
 	runs := r.Runs()
 	if len(runs) != 2 {
@@ -126,13 +126,14 @@ func TestMultiRunStoreScopedQueries(t *testing.T) {
 	}
 	for i, want := range []map[int][]TrackSnapshot{first, second} {
 		var got []TrackSnapshot
-		stats, err := ScanStore(context.Background(), r, runs[i].ID, 1, 0, math.MaxInt64,
-			SinkFunc(func(snap TrackSnapshot) error { got = append(got, snap); return nil }))
+		stats, err := ReplayStoreWith(context.Background(), r,
+			SinkFunc(func(snap TrackSnapshot) error { got = append(got, snap); return nil }),
+			ReplayOptions{Run: runs[i].ID, Sensors: []int{1}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if stats.Windows != int64(len(want[1])) || !reflect.DeepEqual(got, want[1]) {
-			t.Fatalf("run %d: ScanStore yielded %d snapshots, want %d", runs[i].ID, len(got), len(want[1]))
+			t.Fatalf("run %d: one-sensor replay yielded %d snapshots, want %d", runs[i].ID, len(got), len(want[1]))
 		}
 		replayed := make(map[int][]TrackSnapshot)
 		if _, err := ReplayStoreWith(context.Background(), r,

@@ -13,10 +13,13 @@
 //   - background-activity noise: every pixel fires spurious events as a
 //     Poisson process, the salt-and-pepper noise the median / NN filters
 //     must remove;
-//   - a per-pixel refractory period bounding the event rate;
-//   - latched readout: a pixel that has fired is not reset until it is read
-//     out, so the array itself stores an event-based binary image between
-//     processor interrupts (the "sensor as memory" trick of Section II-A).
+//   - a per-pixel refractory period bounding the event rate.
+//
+// The sensor's latched readout — a pixel that has fired is not reset until
+// it is read out, so the array itself stores an event-based binary image
+// between processor interrupts (the "sensor as memory" trick of Section
+// II-A) — is modelled where the frame is built, by internal/ebbi's
+// builders.
 //
 // Determinism: all randomness comes from the seeded xrand generator in the
 // config, drawn in a fixed order, so a (scene, config) pair always yields
@@ -350,55 +353,4 @@ func (s *Simulator) applyRefractory(evs []events.Event) []events.Event {
 		out = append(out, e)
 	}
 	return out
-}
-
-// Latch models the sensor's no-reset-until-readout behaviour: events
-// accumulate as set bits in the pixel array while the processor sleeps, and
-// a readout returns the binary image and clears it. This is the mechanism
-// that lets EBBIOT reuse the sensor as its frame memory.
-type Latch struct {
-	// bits is the latched binary state, row major.
-	bits []uint8
-	res  events.Resolution
-}
-
-// NewLatch returns an empty latch for the given resolution.
-func NewLatch(res events.Resolution) *Latch {
-	return &Latch{bits: make([]uint8, res.Pixels()), res: res}
-}
-
-// Accumulate latches every event's pixel. Polarity is ignored: the EBBI is
-// binary (Section II-A).
-func (l *Latch) Accumulate(evs []events.Event) {
-	for _, e := range evs {
-		if l.res.Contains(int(e.X), int(e.Y)) {
-			l.bits[int(e.Y)*l.res.A+int(e.X)] = 1
-		}
-	}
-}
-
-// ReadOut copies the latched image into dst (a slice of length A*B, row
-// major) and resets the latch, mirroring the destructive readout of the
-// sensor array. It returns the number of set pixels.
-func (l *Latch) ReadOut(dst []uint8) int {
-	n := 0
-	for i, b := range l.bits {
-		dst[i] = b
-		if b != 0 {
-			n++
-		}
-		l.bits[i] = 0
-	}
-	return n
-}
-
-// SetCount returns the number of currently latched pixels without resetting.
-func (l *Latch) SetCount() int {
-	n := 0
-	for _, b := range l.bits {
-		if b != 0 {
-			n++
-		}
-	}
-	return n
 }

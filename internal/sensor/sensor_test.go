@@ -292,30 +292,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestLatch(t *testing.T) {
-	l := NewLatch(events.Resolution{A: 4, B: 3})
-	l.Accumulate([]events.Event{
-		{X: 0, Y: 0, T: 1, P: events.On},
-		{X: 0, Y: 0, T: 2, P: events.Off}, // same pixel, still one bit
-		{X: 3, Y: 2, T: 3, P: events.On},
-		{X: 9, Y: 9, T: 4, P: events.On}, // out of range, ignored
-	})
-	if l.SetCount() != 2 {
-		t.Errorf("SetCount = %d, want 2", l.SetCount())
-	}
-	dst := make([]uint8, 12)
-	n := l.ReadOut(dst)
-	if n != 2 {
-		t.Errorf("ReadOut count = %d, want 2", n)
-	}
-	if dst[0] != 1 || dst[2*4+3] != 1 {
-		t.Error("latched pixels missing from readout")
-	}
-	if l.SetCount() != 0 {
-		t.Error("readout must reset the latch")
-	}
-}
-
 func TestHumanSlowObjectFewEvents(t *testing.T) {
 	// The paper notes humans need longer exposure: a slow walker generates
 	// far fewer events per frame than a car. Verify the rate ordering.

@@ -113,13 +113,13 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// benchScan opens a cursor over the bench store's sole run.
-func benchScan(b *testing.B, r *Reader, sensor int, t0, t1 int64) *Cursor {
-	c, err := r.Scan(0, sensor, t0, t1)
+// benchReplayOne opens a one-sensor replay of the bench store's sole run.
+func benchReplayOne(b *testing.B, r *Reader, sensor int, t0, t1 int64) Iterator {
+	it, err := r.Replay(0, []int{sensor}, t0, t1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return c
+	return it
 }
 
 func drain(b *testing.B, it Iterator, want int64) {
@@ -140,9 +140,9 @@ func drain(b *testing.B, it Iterator, want int64) {
 	}
 }
 
-// BenchmarkScanFull measures single-sensor scan latency over the whole
+// BenchmarkReplaySensorFull measures the per-sensor query over the whole
 // 100k-record store (one sensor's 25k records match).
-func BenchmarkScanFull(b *testing.B) {
+func BenchmarkReplaySensorFull(b *testing.B) {
 	dir := benchStoreDir(b)
 	r, err := OpenReader(dir)
 	if err != nil {
@@ -151,13 +151,13 @@ func BenchmarkScanFull(b *testing.B) {
 	b.SetBytes(benchRecordBytes() * benchSensors * benchFrames)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		drain(b, benchScan(b, r, 1, 0, math.MaxInt64), benchFrames)
+		drain(b, benchReplayOne(b, r, 1, 0, math.MaxInt64), benchFrames)
 	}
 }
 
-// BenchmarkScanWindow measures a narrow time-bounded query (100 frames out
-// of 25k) — the case the sparse index accelerates.
-func BenchmarkScanWindow(b *testing.B) {
+// BenchmarkReplaySensorWindow measures a narrow time-bounded per-sensor
+// query (100 frames out of 25k) — the case the sparse index accelerates.
+func BenchmarkReplaySensorWindow(b *testing.B) {
 	dir := benchStoreDir(b)
 	r, err := OpenReader(dir)
 	if err != nil {
@@ -166,7 +166,7 @@ func BenchmarkScanWindow(b *testing.B) {
 	const t0, t1 = 20_000 * 66_000, 20_100 * 66_000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		drain(b, benchScan(b, r, 1, t0, t1), 100)
+		drain(b, benchReplayOne(b, r, 1, t0, t1), 100)
 	}
 }
 
@@ -198,60 +198,6 @@ func BenchmarkReplay(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(1), "segment-reads/segment")
-}
-
-// BenchmarkReplayMultiCursor is the pre-single-pass design kept as the
-// comparison baseline: one sequential Scan cursor per sensor merged by
-// (EndUS, Sensor, Frame), paying k passes over the shared segments.
-func BenchmarkReplayMultiCursor(b *testing.B) {
-	dir := benchStoreDir(b)
-	r, err := OpenReader(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(benchRecordBytes() * benchSensors * benchFrames)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cursors := make([]*Cursor, benchSensors)
-		heads := make([]Snapshot, benchSensors)
-		live := make([]bool, benchSensors)
-		for s := 0; s < benchSensors; s++ {
-			cursors[s] = benchScan(b, r, s, 0, math.MaxInt64)
-			snap, err := cursors[s].Next()
-			if err != nil {
-				b.Fatal(err)
-			}
-			heads[s], live[s] = snap, true
-		}
-		var n int64
-		for {
-			best := -1
-			for s := range live {
-				if live[s] && (best < 0 || snapLess(&heads[s], &heads[best])) {
-					best = s
-				}
-			}
-			if best < 0 {
-				break
-			}
-			n++
-			snap, err := cursors[best].Next()
-			if err == io.EOF {
-				live[best] = false
-				continue
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			heads[best] = snap
-		}
-		for _, c := range cursors {
-			c.Close()
-		}
-		if n != benchSensors*benchFrames {
-			b.Fatalf("merged %d records, want %d", n, benchSensors*benchFrames)
-		}
-	}
 }
 
 // BenchmarkOpenReaderIndexed measures reader startup when sidecar indexes

@@ -105,7 +105,7 @@ func recoverAndAudit(t *testing.T, dir string) int64 {
 	// and their lengths consistent with one interleaved append order.
 	var counts [2]int
 	for id := 0; id < 2; id++ {
-		got := collect(t, scanRun(t, r, runs[0].ID, id, 0, math.MaxInt64))
+		got := collect(t, replayOne(t, r, runs[0].ID, id, 0, math.MaxInt64))
 		counts[id] = len(got)
 		for f, s := range got {
 			if want := snap(id, f, 66_000); !reflect.DeepEqual(s, want) {

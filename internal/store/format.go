@@ -1,9 +1,12 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -93,7 +96,7 @@ func encodeSnapshot(dst []byte, s Snapshot) []byte {
 }
 
 // peekMeta extracts the filter fields — sensor, window bounds — from a
-// payload without decoding the name or box list, so scans can reject
+// payload without decoding the name or box list, so a replay can reject
 // non-matching records allocation-free.
 func peekMeta(p []byte) (sensor int, startUS, endUS int64, err error) {
 	if len(p) < 24 {
@@ -187,9 +190,65 @@ func decodeSnapshotInto(dst *Snapshot, p []byte, d *snapDecoder) error {
 // payloadCRC is the checksum stored in each record frame.
 func payloadCRC(p []byte) uint32 { return crc32.ChecksumIEEE(p) }
 
+// errSegmentEnd marks the end of a segment's valid region: too few bytes
+// remain to hold another frame header.
+var errSegmentEnd = errors.New("store: segment end")
+
+// frameFault is a record frame that fails validation: its length overruns
+// the region or maxRecordBytes, or its payload fails the checksum. The
+// caller decides what that means — corruption for a query, the end of the
+// valid prefix for a segment scan.
+type frameFault string
+
+func (f frameFault) Error() string { return string(f) }
+
+// frameReader decodes the length+CRC32 record frames of one segment
+// region in order. It is the one decoder of a record frame, shared by the
+// replay stream and the segment scanner.
+type frameReader struct {
+	br  *bufio.Reader
+	off int64 // file offset of the next frame
+	end int64 // file offset where the region ends
+	// hdr lives here rather than on next's stack: io.ReadFull would move
+	// a local array to the heap on every record.
+	hdr     [frameLen]byte
+	payload []byte
+}
+
+// next decodes the frame at off and returns its checksum-verified payload,
+// valid until the following call, and advances off past the frame. It
+// returns errSegmentEnd when the region cannot hold another frame header,
+// a frameFault for an invalid frame (off stays at its start), and I/O
+// errors as they come.
+func (fr *frameReader) next() ([]byte, error) {
+	room := fr.end - fr.off
+	if room < frameLen {
+		return nil, errSegmentEnd
+	}
+	if _, err := io.ReadFull(fr.br, fr.hdr[:]); err != nil {
+		return nil, err
+	}
+	n := int64(le.Uint32(fr.hdr[0:4]))
+	if n > maxRecordBytes || frameLen+n > room {
+		return nil, frameFault(fmt.Sprintf("frame length %d exceeds segment bounds", n))
+	}
+	if int64(cap(fr.payload)) < n {
+		fr.payload = make([]byte, n)
+	}
+	fr.payload = fr.payload[:n]
+	if _, err := io.ReadFull(fr.br, fr.payload); err != nil {
+		return nil, err
+	}
+	if payloadCRC(fr.payload) != le.Uint32(fr.hdr[4:8]) {
+		return nil, frameFault("record checksum mismatch")
+	}
+	fr.off += frameLen + n
+	return fr.payload, nil
+}
+
 // indexEntry is one sparse index point: every record whose file offset is
 // strictly below Offset has EndUS <= CumMaxEndUS. CumMaxEndUS is a running
-// maximum and therefore monotone across entries, so a time-bounded scan
+// maximum and therefore monotone across entries, so a time-bounded query
 // binary-searches for the last entry with CumMaxEndUS <= t0 and starts
 // reading at its offset.
 type indexEntry struct {
@@ -235,7 +294,7 @@ func (m *segMeta) note(s Snapshot, off int64, recLen int64, indexEvery int) {
 	m.DataBytes = off + recLen
 }
 
-// seekOffset returns the file offset at which a scan for windows
+// seekOffset returns the file offset at which a read for windows
 // overlapping [t0, ∞) may start: records before it all end at or before
 // t0 and therefore cannot overlap.
 func (m *segMeta) seekOffset(t0 int64) int64 {

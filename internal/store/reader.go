@@ -14,11 +14,11 @@ import (
 // Reader is a point-in-time view of a store directory: run manifests,
 // segment lists and per-segment metadata are captured at OpenReader.
 // Records appended after that (by a live Writer) are not visible; reopen
-// to see them. A Reader is safe for concurrent use — each Scan/Replay
-// cursor owns its file handles.
+// to see them. A Reader is safe for concurrent use — each Replay iterator
+// owns its file handles.
 //
 // A directory holds any number of runs (one per Writer Open), each
-// described by its manifest. Scan, Replay and Prove take a run selector:
+// described by its manifest. Replay and Prove take a run selector:
 // 0 means "the sole run" and fails with ErrMultipleRuns when several are
 // present; any other value names a run listed by Runs. Segments no valid
 // manifest claims are grouped as a synthetic legacy run with ID 0: those of
@@ -296,25 +296,6 @@ func (r *Reader) Stats() Stats {
 	return st
 }
 
-// Sensors returns every sensor id with at least one stored record in any
-// run, ascending.
-func (r *Reader) Sensors() []int {
-	set := make(map[int]struct{})
-	for _, run := range r.runs {
-		for _, s := range run.segs {
-			for id := range s.meta.Sensors {
-				set[id] = struct{}{}
-			}
-		}
-	}
-	out := make([]int, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // selectRun resolves a run selector. 0 selects the directory's sole run
 // (nil segs on an empty store) and returns ErrMultipleRuns when several
 // are present; anything else must match a listed run ID.
@@ -337,124 +318,27 @@ func (r *Reader) selectRun(id uint64) (*readerRun, error) {
 	return nil, fmt.Errorf("store: unknown run %d", id)
 }
 
-// Scan returns an iterator over one run's snapshots for sensor whose
-// windows overlap [t0, t1) — i.e. StartUS < t1 && EndUS > t0 — in append
-// order, which is frame order for a stream recorded through the pipeline
-// Runner. run 0 selects the sole run (ErrMultipleRuns otherwise); use
-// t0 = 0, t1 = math.MaxInt64 for an unbounded scan.
-func (r *Reader) Scan(run uint64, sensor int, t0, t1 int64) (*Cursor, error) {
-	rr, err := r.selectRun(run)
-	if err != nil {
-		return nil, err
-	}
-	c := &Cursor{sensor: sensor, t0: t0, t1: t1}
-	var segs []readerSeg
-	if rr != nil {
-		segs = rr.segs
-	}
-	c.stream = segStream{segs: segs, t0: t0, match: c.segMayMatch}
-	return c, nil
-}
-
-// Cursor streams one sensor's matching snapshots (see Reader.Scan). The
-// sparse index lets it skip whole segments the sensor or time range never
-// touches and seek past cold prefixes inside each segment.
-type Cursor struct {
-	sensor int
-	t0, t1 int64
-	stream segStream
-	done   bool
-}
-
-// segMayMatch reports whether a segment can hold a matching record. Only
-// the lower time bound prunes here: EndUS <= t0 can never overlap, but a
-// record ending after t1 may still start before it.
-func (c *Cursor) segMayMatch(s readerSeg) bool {
-	if s.meta.Records == 0 || s.meta.MaxEndUS <= c.t0 {
-		return false
-	}
-	if c.sensor >= 0 {
-		if _, ok := s.meta.Sensors[c.sensor]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// Next returns the next matching snapshot, or io.EOF when the scan is
-// exhausted. A crash's torn tail never reaches Next — it is excluded from
-// the validated region at OpenReader — so a record failing validation
-// here means real post-seal damage (e.g. a bit flip under a sidecar index
-// that still matches the file size) and is reported as a *CorruptionError
-// naming the segment and offset, after the valid prefix has been served.
-// Run Verify to audit the whole store.
-func (c *Cursor) Next() (Snapshot, error) {
-	if c.done {
-		return Snapshot{}, io.EOF
-	}
-	for {
-		payload, err := c.stream.next()
-		if err != nil {
-			c.done = true
-			c.stream.close()
-			return Snapshot{}, err
-		}
-		// Filter on the cheap peeked fields; only matching records pay
-		// for the full decode (name and box allocations).
-		sensor, startUS, endUS, err := peekMeta(payload)
-		if err != nil {
-			c.done = true
-			c.stream.close()
-			return Snapshot{}, err
-		}
-		if (c.sensor >= 0 && sensor != c.sensor) || startUS >= c.t1 || endUS <= c.t0 {
-			continue
-		}
-		snap, err := decodeSnapshot(payload)
-		if err != nil {
-			c.done = true
-			c.stream.close()
-			return Snapshot{}, err
-		}
-		return snap, nil
-	}
-}
-
-// Close releases the cursor's file handle. Safe to call repeatedly.
-func (c *Cursor) Close() error {
-	c.done = true
-	c.stream.close()
-	return nil
-}
-
-// errSegmentEnd marks the end of one segment's valid region inside
-// segStream; next consumes it and moves to the following segment.
-var errSegmentEnd = errors.New("store: segment end")
-
-// segStream sequentially streams checksum-verified record payloads from a
-// run's segment chain: segments rejected by match are skipped, cold
-// prefixes are seeked past via the sparse index, and each surviving byte
-// is read exactly once. It is the shared low-level reader under both the
-// per-sensor Cursor and the replay merge; the counters feed ReplayStats.
+// segStream sequentially streams checksum-verified record payloads from
+// the segments a replay selected: cold prefixes are seeked past via the
+// sparse index, and each surviving byte is read exactly once. The counters
+// feed ReplayStats.
 type segStream struct {
-	segs  []readerSeg
-	t0    int64
-	match func(readerSeg) bool
+	segs []readerSeg
+	t0   int64
 
 	segIdx    int // next segment to open
 	cur       readerSeg
 	f         *os.File
-	br        *bufio.Reader
-	off       int64 // file offset of the next unread byte
-	remaining int64 // valid data bytes left in the open segment
-	payload   []byte
+	fr        frameReader
 	opened    int64
 	bytesRead int64
 }
 
 // next returns the next record payload in chain order, or io.EOF when the
 // chain is exhausted. The slice is the stream's scratch buffer, valid
-// until the following call.
+// until the following call. A frame failing validation inside a segment's
+// valid region is a *CorruptionError naming the segment and the frame's
+// file offset.
 func (s *segStream) next() ([]byte, error) {
 	for {
 		if s.f == nil {
@@ -466,34 +350,38 @@ func (s *segStream) next() ([]byte, error) {
 				return nil, io.EOF
 			}
 		}
-		payload, err := s.readRecord()
-		if err == errSegmentEnd {
-			// Valid prefix fully served; report any post-seal damage the
-			// Reader detected before moving on.
-			corrupt := s.cur.corrupt
-			s.close()
-			if corrupt != nil {
-				return nil, corrupt
-			}
-			continue
+		off := s.fr.off
+		payload, err := s.fr.next()
+		if err == nil {
+			s.bytesRead += s.fr.off - off
+			return payload, nil
 		}
-		return payload, err
+		if fault, ok := err.(frameFault); ok {
+			return nil, &CorruptionError{Segment: s.cur.n, Offset: off, Detail: string(fault)}
+		}
+		if err != errSegmentEnd {
+			return nil, fmt.Errorf("store: read: %w", err)
+		}
+		// Valid prefix fully served; report any post-seal damage the
+		// Reader detected before moving on.
+		corrupt := s.cur.corrupt
+		s.close()
+		if corrupt != nil {
+			return nil, corrupt
+		}
 	}
 }
 
-// openNextSegment advances to the next candidate segment and seeks past
-// records the index proves cannot match. Returns false when none remain.
-// A segment deleted since OpenReader captured the view is skipped (the
-// view is best-effort under concurrent retention); any other I/O failure
-// — permissions, disk errors — is surfaced rather than silently dropping
-// a whole segment from the results.
+// openNextSegment advances to the next segment and seeks past records the
+// index proves cannot match. Returns false when none remain. A segment
+// deleted since OpenReader captured the view is skipped (the view is
+// best-effort under concurrent retention); any other I/O failure —
+// permissions, disk errors — is surfaced rather than silently dropping a
+// whole segment from the results.
 func (s *segStream) openNextSegment() (bool, error) {
 	for s.segIdx < len(s.segs) {
 		seg := s.segs[s.segIdx]
 		s.segIdx++
-		if !s.match(seg) {
-			continue
-		}
 		f, err := os.Open(seg.path)
 		if err != nil {
 			if errors.Is(err, fs.ErrNotExist) {
@@ -511,90 +399,57 @@ func (s *segStream) openNextSegment() (bool, error) {
 		}
 		s.cur = seg
 		s.f = f
-		s.br = bufio.NewReaderSize(f, 1<<16)
-		s.off = off
-		s.remaining = seg.meta.DataBytes - off
+		s.fr.br = bufio.NewReaderSize(f, 1<<16)
+		s.fr.off, s.fr.end = off, seg.meta.DataBytes
 		s.opened++
 		return true, nil
 	}
 	return false, nil
 }
 
-// readRecord reads one framed record's checksum-verified payload from the
-// open segment, returning errSegmentEnd at the end of its valid region.
-// Validation failures inside the region are typed with the segment and
-// the offending record's file offset.
-func (s *segStream) readRecord() ([]byte, error) {
-	if s.remaining < frameLen {
-		return nil, errSegmentEnd
-	}
-	var frame [frameLen]byte
-	if _, err := io.ReadFull(s.br, frame[:]); err != nil {
-		return nil, fmt.Errorf("store: read: %w", err)
-	}
-	n := int64(le.Uint32(frame[0:4]))
-	sum := le.Uint32(frame[4:8])
-	if n > maxRecordBytes || frameLen+n > s.remaining {
-		return nil, &CorruptionError{Segment: s.cur.n, Offset: s.off,
-			Detail: fmt.Sprintf("frame length %d exceeds segment bounds", n)}
-	}
-	if int64(cap(s.payload)) < n {
-		s.payload = make([]byte, n)
-	}
-	s.payload = s.payload[:n]
-	if _, err := io.ReadFull(s.br, s.payload); err != nil {
-		return nil, fmt.Errorf("store: read: %w", err)
-	}
-	if payloadCRC(s.payload) != sum {
-		return nil, &CorruptionError{Segment: s.cur.n, Offset: s.off, Detail: "record checksum mismatch"}
-	}
-	s.off += frameLen + n
-	s.remaining -= frameLen + n
-	s.bytesRead += frameLen + n
-	return s.payload, nil
-}
-
 func (s *segStream) close() {
 	if s.f != nil {
 		s.f.Close()
-		s.f, s.br = nil, nil
+		s.f, s.fr.br = nil, nil
 	}
 }
 
 // Replay returns an iterator merging the given sensors' snapshots from
 // one run in (EndUS, Sensor, Frame) order across all its segments — the
 // canonical replay order: globally non-decreasing in time, per-sensor in
-// frame order, and deterministic for any on-disk interleaving. run 0
-// selects the sole run and fails with ErrMultipleRuns when the directory
-// holds several — interleaving runs into one timeline would be garbage,
-// since each run restarts the frame clock. A nil or empty sensor list
-// replays every sensor in the run.
+// frame order, and deterministic for any on-disk interleaving. Only
+// windows overlapping [t0, t1) — StartUS < t1 && EndUS > t0 — are
+// yielded; use t0 = 0, t1 = math.MaxInt64 for everything. run 0 selects
+// the sole run and fails with ErrMultipleRuns when the directory holds
+// several — interleaving runs into one timeline would be garbage, since
+// each run restarts the frame clock. A nil or empty sensor list replays
+// every sensor in the run.
 //
-// The merge is single-pass: every shared segment is opened and read
+// A one-sensor replay is the store's per-sensor query ("what did sensor k
+// see between t0 and t1?"): it yields that sensor's records in frame
+// order. Segments whose metadata shows no wanted sensor, or no record
+// ending after t0, are never opened, and the sparse index seeks past each
+// opened segment's cold prefix.
+//
+// The merge is single-pass: every selected segment is opened and read
 // exactly once, with records demultiplexed into per-sensor queues as they
-// stream by — a k-sensor replay used to run k sequential cursors over the
-// same segments (k x read amplification); now it holds one file handle
-// and reads each byte once (ReplayStats exposes the counters). The queues
-// buffer only the on-disk interleaving skew between sensors, which the
-// recording Runner bounds by its fan-in queue depth; replaying a store
-// whose sensors were written in long disjoint stretches trades that
-// memory for the eliminated re-reads.
+// stream by, whatever the number of sensors (ReplayStats exposes the
+// counters). The queues buffer only the on-disk interleaving skew between
+// sensors, which the recording Runner bounds by its fan-in queue depth;
+// replaying a store whose sensors were written in long disjoint stretches
+// trades that memory for reading each byte once.
 func (r *Reader) Replay(run uint64, sensors []int, t0, t1 int64) (Iterator, error) {
 	rr, err := r.selectRun(run)
 	if err != nil {
 		return nil, err
 	}
-	var segs []readerSeg
-	var runSensors []int
-	if rr != nil {
-		segs = rr.segs
-		runSensors = rr.info.Sensors
+	if rr == nil {
+		rr = &readerRun{}
 	}
 	if len(sensors) == 0 {
-		sensors = runSensors
+		sensors = rr.info.Sensors
 	}
-	m := &sharedMergeIterator{segs: segs, t0: t0, t1: t1, want: make(map[int]int, len(sensors)), pendingSeg: -1}
-	m.stream = segStream{segs: segs, t0: t0, match: m.segMayMatch}
+	m := &sharedMergeIterator{t0: t0, t1: t1, want: make(map[int]int, len(sensors)), pendingSeg: -1}
 	for _, id := range sensors {
 		if id < 0 {
 			return nil, fmt.Errorf("store: negative sensor id %d", id)
@@ -604,6 +459,18 @@ func (r *Reader) Replay(run uint64, sensors []int, t0, t1 int64) (Iterator, erro
 		}
 		m.want[id] = len(m.queues)
 		m.queues = append(m.queues, sensorQueue{sensor: id, pending: true})
+	}
+	m.stream.t0 = t0
+	for _, seg := range rr.segs {
+		if seg.meta.Records == 0 || seg.meta.MaxEndUS <= t0 {
+			continue
+		}
+		for id := range m.want {
+			if _, ok := seg.meta.Sensors[id]; ok {
+				m.stream.segs = append(m.stream.segs, seg)
+				break
+			}
+		}
 	}
 	return m, nil
 }
@@ -677,7 +544,6 @@ func (q *sensorQueue) pop() Snapshot {
 // damaged segments, so the demultiplexer still detects it and fails
 // loudly instead of emitting a garbled timeline.
 type sharedMergeIterator struct {
-	segs   []readerSeg
 	t0, t1 int64
 	want   map[int]int // sensor id -> queue index
 	queues []sensorQueue
@@ -691,20 +557,6 @@ type sharedMergeIterator struct {
 	// pendingSeg memoizes refreshPending on the stream's segment position.
 	pendingSeg int
 	stats      ReplayStats
-}
-
-// segMayMatch reports whether a segment can hold any record this replay
-// wants.
-func (m *sharedMergeIterator) segMayMatch(s readerSeg) bool {
-	if s.meta.Records == 0 || s.meta.MaxEndUS <= m.t0 {
-		return false
-	}
-	for id := range m.want {
-		if _, ok := s.meta.Sensors[id]; ok {
-			return true
-		}
-	}
-	return false
 }
 
 // Next implements Iterator.
@@ -783,7 +635,7 @@ func (m *sharedMergeIterator) refreshPending() {
 	if from < 0 {
 		from = 0
 	}
-	remaining := m.segs[from:]
+	remaining := m.stream.segs[from:]
 	for i := range m.queues {
 		q := &m.queues[i]
 		if !q.pending {
@@ -791,9 +643,6 @@ func (m *sharedMergeIterator) refreshPending() {
 		}
 		q.pending = false
 		for _, seg := range remaining {
-			if seg.meta.MaxEndUS <= m.t0 || seg.meta.Records == 0 {
-				continue
-			}
 			if _, ok := seg.meta.Sensors[q.sensor]; ok {
 				q.pending = true
 				break

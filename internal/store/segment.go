@@ -65,31 +65,15 @@ func scanSegmentFunc(path string, indexEvery int, onRecord func(payload []byte))
 		return meta, size, nil
 	}
 
-	br := bufio.NewReaderSize(f, 1<<16)
-	off := int64(segHeaderLen)
-	var frame [frameLen]byte
-	var payload []byte
-	for off < size {
-		if size-off < frameLen {
+	fr := frameReader{br: bufio.NewReaderSize(f, 1<<16), off: segHeaderLen, end: size}
+	for {
+		off := fr.off
+		payload, err := fr.next()
+		if _, bad := err.(frameFault); bad || err == errSegmentEnd {
 			break
 		}
-		if _, err := io.ReadFull(br, frame[:]); err != nil {
+		if err != nil {
 			return nil, 0, fmt.Errorf("store: %w", err)
-		}
-		n := int64(le.Uint32(frame[0:4]))
-		sum := le.Uint32(frame[4:8])
-		if n > maxRecordBytes || off+frameLen+n > size {
-			break
-		}
-		if int64(cap(payload)) < n {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, 0, fmt.Errorf("store: %w", err)
-		}
-		if payloadCRC(payload) != sum {
-			break
 		}
 		snap, derr := decodeSnapshot(payload)
 		if derr != nil {
@@ -98,8 +82,7 @@ func scanSegmentFunc(path string, indexEvery int, onRecord func(payload []byte))
 		if onRecord != nil {
 			onRecord(payload)
 		}
-		meta.note(snap, off, frameLen+n, indexEvery)
-		off += frameLen + n
+		meta.note(snap, off, fr.off-off, indexEvery)
 	}
 	return meta, size - meta.DataBytes, nil
 }

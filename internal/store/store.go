@@ -22,10 +22,10 @@
 //
 // Writers and readers are independent: a Reader opens a point-in-time view
 // of whatever prefix of the log is on disk and never blocks a live Writer.
-// Scan(sensor, t0, t1) yields one sensor's snapshots in append order
-// (which is frame order for streams recorded through a pipeline Runner);
-// Replay merges any set of sensors into a single stream ordered by
-// (EndUS, Sensor, Frame) across segment boundaries.
+// Every query is a Replay(run, sensors, t0, t1): it merges any set of
+// sensors into a single stream ordered by (EndUS, Sensor, Frame) across
+// segment boundaries, and with one sensor it yields that sensor's
+// snapshots in frame order.
 package store
 
 import (
@@ -70,7 +70,7 @@ type Options struct {
 	SyncEvery int
 	// IndexEvery is the sparse index stride: one index entry per
 	// IndexEvery records (default DefaultIndexEvery). Smaller strides make
-	// time-bounded scans seek more precisely at the cost of index size.
+	// time-bounded queries seek more precisely at the cost of index size.
 	IndexEvery int
 	// Retention bounds the directory's size and age (see RetentionPolicy).
 	// The zero value keeps everything. The active writer's policy governs
@@ -113,7 +113,7 @@ var ErrCorrupt = errors.New("store: corrupt record")
 // ErrClosed reports use of a closed Writer.
 var ErrClosed = errors.New("store: writer closed")
 
-// ErrMultipleRuns reports a Scan/Replay/Prove with run selector 0 ("the
+// ErrMultipleRuns reports a Replay or Prove with run selector 0 ("the
 // sole run") against a directory holding more than one run. Interleaving
 // runs into one timeline would be garbage — each run restarts the frame
 // clock — so the caller must pick a run (see Reader.Runs).

@@ -88,15 +88,15 @@ func collect(t *testing.T, it Iterator) []Snapshot {
 	}
 }
 
-// scanRun opens a cursor over one run, failing the test on a selector
-// error.
-func scanRun(t *testing.T, r *Reader, run uint64, sensor int, t0, t1 int64) *Cursor {
+// replayOne opens a one-sensor replay of one run, failing the test on a
+// selector error.
+func replayOne(t *testing.T, r *Reader, run uint64, sensor int, t0, t1 int64) Iterator {
 	t.Helper()
-	c, err := r.Scan(run, sensor, t0, t1)
+	it, err := r.Replay(run, []int{sensor}, t0, t1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return it
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -139,9 +139,6 @@ func TestWriteScanRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Sensors(); !reflect.DeepEqual(got, []int{0, 1, 2}) {
-		t.Fatalf("Sensors() = %v", got)
-	}
 	st := r.Stats()
 	if st.Runs != 1 || st.Records != 150 || st.DroppedBytes != 0 {
 		t.Fatalf("Stats() = %+v, want 1 run, 150 records, 0 dropped", st)
@@ -157,7 +154,7 @@ func TestWriteScanRoundTrip(t *testing.T) {
 		t.Fatalf("run sensors = %v", runs[0].Sensors)
 	}
 	for _, id := range []int{0, 1, 2} {
-		got := collect(t, scanRun(t, r, 0, id, 0, math.MaxInt64))
+		got := collect(t, replayOne(t, r, 0, id, 0, math.MaxInt64))
 		if len(got) != 50 {
 			t.Fatalf("sensor %d: %d records, want 50", id, len(got))
 		}
@@ -169,34 +166,83 @@ func TestWriteScanRoundTrip(t *testing.T) {
 	}
 }
 
+// TestScanTimeBoundsAndIndexSeek pins the per-sensor query: for every
+// sensor, a one-sensor Replay yields exactly the appended records whose
+// windows overlap [t0, t1), in append order. The windows put their bounds
+// on segment edges and sparse-index entries, where segment selection and
+// seekOffset decide; others match nothing; one sensor is not in the run.
 func TestScanTimeBoundsAndIndexSeek(t *testing.T) {
 	const frameUS = 66_000
 	dir := t.TempDir()
-	// Small index stride so bounded scans actually exercise seekOffset.
-	writeStore(t, dir, Options{IndexEvery: 4}, []int{0, 1}, 200, frameUS)
+	// Small segments and index stride, so bounded queries skip whole
+	// segments and seek inside the rest. Sensor 2 joins late and sensor 3
+	// drops out early, so some segments lack a sensor.
+	w, err := Open(dir, Options{SegmentBytes: 2048, IndexEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var appended []Snapshot
+	for f := 0; f < 100; f++ {
+		for _, id := range []int{0, 1, 2, 3} {
+			if (id == 2 && f < 30) || (id == 3 && f >= 40) {
+				continue
+			}
+			s := snap(id, f, frameUS)
+			if err := w.Append(s); err != nil {
+				t.Fatal(err)
+			}
+			appended = append(appended, s)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 	r, err := OpenReader(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct{ t0, t1 int64 }{
+	type window struct{ t0, t1 int64 }
+	windows := []window{
 		{0, math.MaxInt64},
 		{50 * frameUS, 60 * frameUS},
 		{0, frameUS},
-		{199 * frameUS, math.MaxInt64},
+		{99 * frameUS, math.MaxInt64},
 		{7*frameUS + 1, 9*frameUS - 1},
 		{1000 * frameUS, 2000 * frameUS}, // past the end
-		{60 * frameUS, 50 * frameUS},     // empty range
-	} {
-		got := collect(t, scanRun(t, r, 0, 1, tc.t0, tc.t1))
-		var want []Snapshot
-		for f := 0; f < 200; f++ {
-			s := snap(1, f, frameUS)
-			if s.StartUS < tc.t1 && s.EndUS > tc.t0 {
-				want = append(want, s)
-			}
+		{60 * frameUS, 50 * frameUS},     // inverted
+		{5 * frameUS, 5 * frameUS},       // empty
+	}
+	segs := r.runs[0].segs
+	entries := 0
+	for _, seg := range segs {
+		m := seg.meta
+		windows = append(windows,
+			window{m.MinEndUS, m.MaxEndUS},
+			window{0, m.MinEndUS},
+			window{m.MaxEndUS, math.MaxInt64},
+			window{m.MaxEndUS - 1, m.MaxEndUS + frameUS})
+		for _, e := range m.Entries {
+			entries++
+			windows = append(windows,
+				window{e.CumMaxEndUS, e.CumMaxEndUS + 2*frameUS},
+				window{e.CumMaxEndUS - 1, e.CumMaxEndUS + 1})
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Scan(1, %d, %d): %d records, want %d", tc.t0, tc.t1, len(got), len(want))
+	}
+	if len(segs) < 4 || entries == 0 {
+		t.Fatalf("%d segments, %d index entries: the edges are not exercised", len(segs), entries)
+	}
+	for _, sensor := range []int{0, 1, 2, 3, 9} { // the run holds no sensor 9
+		for _, w := range windows {
+			got := collect(t, replayOne(t, r, 0, sensor, w.t0, w.t1))
+			var want []Snapshot
+			for _, s := range appended {
+				if s.Sensor == sensor && s.StartUS < w.t1 && s.EndUS > w.t0 {
+					want = append(want, s)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("sensor %d over [%d, %d): %d records, want %d", sensor, w.t0, w.t1, len(got), len(want))
+			}
 		}
 	}
 }
@@ -241,7 +287,7 @@ func TestSegmentRotationAndTwoRuns(t *testing.T) {
 	}
 	// Each run is independently scannable; its frames start from 0.
 	for i, want := range []int{100, 20} {
-		got := collect(t, scanRun(t, r, runs[i].ID, 0, 0, math.MaxInt64))
+		got := collect(t, replayOne(t, r, runs[i].ID, 0, 0, math.MaxInt64))
 		if len(got) != want {
 			t.Fatalf("run %d: %d records, want %d", runs[i].ID, len(got), want)
 		}
@@ -423,7 +469,7 @@ func TestRecoveryTruncatedTailRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := collect(t, scanRun(t, r, 0, 0, 0, math.MaxInt64)); len(got) != 19 {
+	if got := collect(t, replayOne(t, r, 0, 0, 0, math.MaxInt64)); len(got) != 19 {
 		t.Fatalf("reader sees %d records after torn tail, want 19", len(got))
 	}
 	if st := r.Stats(); st.DroppedBytes == 0 {
@@ -450,7 +496,7 @@ func TestRecoveryTruncatedTailRecord(t *testing.T) {
 	if len(runs) != 2 || !runs[0].Recovered || runs[0].Records != 19 || runs[1].Records != 1 {
 		t.Fatalf("Runs() after recovery = %+v, want recovered 19-record run + 1-record run", runs)
 	}
-	got := collect(t, scanRun(t, r, runs[0].ID, 0, 0, math.MaxInt64))
+	got := collect(t, replayOne(t, r, runs[0].ID, 0, 0, math.MaxInt64))
 	if len(got) != 19 {
 		t.Fatalf("%d records in recovered run, want 19", len(got))
 	}
@@ -504,7 +550,7 @@ func TestCrashedRunBitFlippedTailRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := collect(t, scanRun(t, r, 0, 0, 0, math.MaxInt64)); len(got) != 19 {
+	if got := collect(t, replayOne(t, r, 0, 0, 0, math.MaxInt64)); len(got) != 19 {
 		t.Fatalf("%d records after recovery, want 19", len(got))
 	}
 }
@@ -535,7 +581,7 @@ func TestSealedSegmentDamageIsReportedNotRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := scanRun(t, r, 0, 0, 0, math.MaxInt64)
+	it := replayOne(t, r, 0, 0, 0, math.MaxInt64)
 	var got []Snapshot
 	var scanErr error
 	for {
@@ -593,8 +639,8 @@ func TestReplayRejectsMultiRunStore(t *testing.T) {
 	if _, err := r.Replay(0, nil, 0, math.MaxInt64); !errors.Is(err, ErrMultipleRuns) {
 		t.Fatalf("selector-less replay of 2-run store: %v, want ErrMultipleRuns", err)
 	}
-	if _, err := r.Scan(0, 0, 0, math.MaxInt64); !errors.Is(err, ErrMultipleRuns) {
-		t.Fatalf("selector-less scan of 2-run store: %v, want ErrMultipleRuns", err)
+	if _, err := r.Replay(0, []int{0}, 0, math.MaxInt64); !errors.Is(err, ErrMultipleRuns) {
+		t.Fatalf("selector-less one-sensor replay of 2-run store: %v, want ErrMultipleRuns", err)
 	}
 	// With an explicit selector each run replays independently.
 	for _, ri := range r.Runs() {
@@ -621,7 +667,7 @@ func TestReaderRebuildsMissingIndex(t *testing.T) {
 	if fb := withIdx.IndexFallbacks(); fb != 0 {
 		t.Fatalf("IndexFallbacks = %d on an intact store", fb)
 	}
-	want := collect(t, scanRun(t, withIdx, 0, 1, 10*66_000, 30*66_000))
+	want := collect(t, replayOne(t, withIdx, 0, 1, 10*66_000, 30*66_000))
 	idxFiles, err := filepath.Glob(filepath.Join(dir, "*.idx"))
 	if err != nil || len(idxFiles) == 0 {
 		t.Fatalf("no sidecar indexes written (%v)", err)
@@ -635,7 +681,7 @@ func TestReaderRebuildsMissingIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := collect(t, scanRun(t, rebuilt, 0, 1, 10*66_000, 30*66_000))
+	got := collect(t, replayOne(t, rebuilt, 0, 1, 10*66_000, 30*66_000))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("scan differs without sidecar indexes: %d vs %d records", len(got), len(want))
 	}
@@ -651,7 +697,7 @@ func TestReaderRebuildsMissingIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := collect(t, scanRun(t, r, 0, 1, 10*66_000, 30*66_000)); !reflect.DeepEqual(got, want) {
+	if got := collect(t, replayOne(t, r, 0, 1, 10*66_000, 30*66_000)); !reflect.DeepEqual(got, want) {
 		t.Fatal("scan differs with corrupt sidecar index")
 	}
 	if fb := r.IndexFallbacks(); fb != len(idxFiles) {
@@ -712,6 +758,44 @@ func TestAppendAllocFree(t *testing.T) {
 	}
 }
 
+// TestReplayAllocsFlat guards the read path: a warm one-sensor Replay
+// allocates per replay, per segment and per decoder chunk, never per
+// record, so ten times the records cost no more allocations.
+func TestReplayAllocsFlat(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector allocates on its own account")
+	}
+	allocs := func(records int) float64 {
+		dir := t.TempDir()
+		writeStore(t, dir, Options{}, []int{0}, records, 66_000)
+		r, err := OpenReader(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if got := collectCount(t, replayOne(t, r, 0, 0, 0, math.MaxInt64)); got != records {
+				t.Fatalf("replay yielded %d records, want %d", got, records)
+			}
+		})
+	}
+	if small, large := allocs(200), allocs(2000); large > small {
+		t.Fatalf("replay allocates %v times over 2000 records, %v over 200: the read path allocates per record", large, small)
+	}
+}
+
+// collectCount drains an iterator, keeping only the count.
+func collectCount(t *testing.T, it Iterator) int {
+	t.Helper()
+	defer it.Close()
+	for n := 0; ; n++ {
+		if _, err := it.Next(); err == io.EOF {
+			return n
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // raceEnabled reports whether the test binary was built with -race, whose
 // instrumentation allocates on its own account.
 func raceEnabled() bool {
@@ -755,7 +839,7 @@ func TestEmptyRunDiscarded(t *testing.T) {
 		t.Fatalf("Runs() = %+v after an empty run", r.Runs())
 	}
 	// Selector 0 on an empty store scans nothing rather than erroring.
-	if got := collect(t, scanRun(t, r, 0, 0, 0, math.MaxInt64)); len(got) != 0 {
+	if got := collect(t, replayOne(t, r, 0, 0, 0, math.MaxInt64)); len(got) != 0 {
 		t.Fatalf("empty store scan yielded %d records", len(got))
 	}
 }
@@ -800,7 +884,7 @@ func TestSyncEveryDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := collect(t, scanRun(t, r, 0, 0, 0, math.MaxInt64)); len(got) != 10 {
+	if got := collect(t, replayOne(t, r, 0, 0, 0, math.MaxInt64)); len(got) != 10 {
 		t.Fatalf("mid-run reader sees %d records with SyncEvery=1, want 10", len(got))
 	}
 	if runs := r.Runs(); len(runs) != 1 || runs[0].Finalized {
@@ -861,7 +945,7 @@ func TestLegacySegmentsReadable(t *testing.T) {
 			if probs := r.ManifestProblems(); tc.damaged != (len(probs) == 1 && strings.HasPrefix(probs[0], name)) {
 				t.Fatalf("ManifestProblems() = %v, want %s named: %v", probs, name, tc.damaged)
 			}
-			if got := collect(t, scanRun(t, r, 0, 1, 0, math.MaxInt64)); len(got) != 40 {
+			if got := collect(t, replayOne(t, r, 0, 1, 0, math.MaxInt64)); len(got) != 40 {
 				t.Fatalf("legacy scan yielded %d records, want 40", len(got))
 			}
 			it, err := r.Replay(0, nil, 0, math.MaxInt64)

@@ -120,7 +120,7 @@ func TestRetentionRoundTrip(t *testing.T) {
 		t.Fatalf("%d segment files on disk for %d live segments", len(segs), runs[0].Segments)
 	}
 	// The surviving records are the newest contiguous suffix.
-	got := collect(t, scanRun(t, r, 0, 0, 0, math.MaxInt64))
+	got := collect(t, replayOne(t, r, 0, 0, 0, math.MaxInt64))
 	if int64(len(got)) != runs[0].Records {
 		t.Fatalf("scan yielded %d records, run reports %d", len(got), runs[0].Records)
 	}
@@ -250,7 +250,7 @@ func TestIndexSidecarCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return collect(t, scanRun(t, r, 0, 1, t0, t1))
+		return collect(t, replayOne(t, r, 0, 1, t0, t1))
 	}
 	for _, damage := range []struct {
 		name string
@@ -292,7 +292,7 @@ func TestIndexSidecarCorruption(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := collect(t, scanRun(t, r, 0, 1, t0, t1)); !reflect.DeepEqual(got, want) {
+			if got := collect(t, replayOne(t, r, 0, 1, t0, t1)); !reflect.DeepEqual(got, want) {
 				t.Fatalf("scan with %s sidecar differs: %d vs %d records", damage.name, len(got), len(want))
 			}
 			if fb := r.IndexFallbacks(); fb != 1 {
