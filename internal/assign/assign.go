@@ -1,8 +1,7 @@
-// Package assign implements assignment solvers for track-to-measurement
-// data association. The Kalman baseline defaults to greedy nearest-first
-// association (cheap, and what an embedded implementation would ship); the
-// Hungarian solver here provides the cost-optimal reference so the impact
-// of greedy association can be measured.
+// Package assign implements the greedy track-to-measurement assignment of
+// the Kalman baseline's data association: cheap, and what an embedded
+// implementation would ship. Its tests measure it against an exhaustive
+// search for the cost-optimal assignment.
 package assign
 
 import (
@@ -51,131 +50,6 @@ func Greedy(cost [][]float64) ([]int, error) {
 		rowTo[bestR] = bestC
 		colUsed[bestC] = true
 	}
-}
-
-// Hungarian returns the minimum-total-cost assignment of rows to columns
-// (each row to at most one column and vice versa), leaving a row
-// unassigned (-1) only when every remaining column is forbidden for it.
-// The implementation is the O(n^3) shortest-augmenting-path formulation
-// with row/column potentials, padded to a square matrix internally.
-func Hungarian(cost [][]float64) ([]int, error) {
-	rows, cols, err := dims(cost)
-	if err != nil {
-		return nil, err
-	}
-	n := rows
-	if cols > n {
-		n = cols
-	}
-	// Pad to square with a large-but-finite cost so padding never beats a
-	// real finite pairing but keeps the algebra finite. Forbidden entries
-	// stay +Inf and are skipped by the scan.
-	const pad = 1e15
-	a := make([][]float64, n)
-	for i := range a {
-		a[i] = make([]float64, n)
-		for j := range a[i] {
-			switch {
-			case i < rows && j < cols:
-				a[i][j] = cost[i][j]
-			default:
-				a[i][j] = pad
-			}
-		}
-	}
-
-	// Potentials and matching, 1-indexed per the classical formulation.
-	u := make([]float64, n+1)
-	v := make([]float64, n+1)
-	p := make([]int, n+1) // p[j] = row matched to column j
-	way := make([]int, n+1)
-	for i := 1; i <= n; i++ {
-		p[0] = i
-		j0 := 0
-		minv := make([]float64, n+1)
-		used := make([]bool, n+1)
-		for j := 0; j <= n; j++ {
-			minv[j] = Inf
-		}
-		for {
-			used[j0] = true
-			i0 := p[j0]
-			delta := Inf
-			j1 := 0
-			for j := 1; j <= n; j++ {
-				if used[j] {
-					continue
-				}
-				cur := a[i0-1][j-1]
-				if math.IsInf(cur, 1) {
-					cur = pad * 2 // forbidden: strictly worse than any pad
-				}
-				cur -= u[i0] + v[j]
-				if cur < minv[j] {
-					minv[j] = cur
-					way[j] = j0
-				}
-				if minv[j] < delta {
-					delta = minv[j]
-					j1 = j
-				}
-			}
-			for j := 0; j <= n; j++ {
-				if used[j] {
-					u[p[j]] += delta
-					v[j] -= delta
-				} else {
-					minv[j] -= delta
-				}
-			}
-			j0 = j1
-			if p[j0] == 0 {
-				break
-			}
-		}
-		for j0 != 0 {
-			j1 := way[j0]
-			p[j0] = p[j1]
-			j0 = j1
-		}
-	}
-
-	rowTo := make([]int, rows)
-	for i := range rowTo {
-		rowTo[i] = -1
-	}
-	for j := 1; j <= n; j++ {
-		i := p[j]
-		if i == 0 || i > rows || j > cols {
-			continue
-		}
-		// Drop assignments that landed on forbidden pairs.
-		if math.IsInf(cost[i-1][j-1], 1) {
-			continue
-		}
-		rowTo[i-1] = j - 1
-	}
-	return rowTo, nil
-}
-
-// TotalCost sums the cost of an assignment, ignoring unassigned rows. It
-// returns an error if an assignment refers to a forbidden pair.
-func TotalCost(cost [][]float64, rowTo []int) (float64, error) {
-	total := 0.0
-	for r, c := range rowTo {
-		if c < 0 {
-			continue
-		}
-		if r >= len(cost) || c >= len(cost[r]) {
-			return 0, fmt.Errorf("assign: assignment (%d,%d) out of range", r, c)
-		}
-		v := cost[r][c]
-		if math.IsInf(v, 1) {
-			return 0, fmt.Errorf("assign: assignment (%d,%d) uses forbidden pair", r, c)
-		}
-		total += v
-	}
-	return total, nil
 }
 
 func dims(cost [][]float64) (rows, cols int, err error) {

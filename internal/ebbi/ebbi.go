@@ -95,9 +95,6 @@ func NewBuilder(cfg Config) (*Builder, error) {
 	}, nil
 }
 
-// Config returns the builder's configuration.
-func (b *Builder) Config() Config { return b.cfg }
-
 // Accumulate latches a batch of events into the current frame. Events
 // outside the sensor array are ignored; polarity is ignored (the EBBI is
 // binary). Events must belong to the current frame window; the caller

@@ -84,9 +84,6 @@ func (b *PackedBuilder) Release() {
 	b.active, b.outActive = nil, nil
 }
 
-// Config returns the builder's configuration.
-func (b *PackedBuilder) Config() Config { return b.cfg }
-
 // Reconfigure rebuilds the builder in place for a new configuration: the
 // packed double buffer is reused when the sensor resolution is unchanged,
 // all accumulation state — including the active-region tracking — resets,

@@ -235,12 +235,3 @@ func (f FBox) IoU(o FBox) float64 {
 	}
 	return inter / (f.Area() + o.Area() - inter)
 }
-
-// OverlapFraction returns intersection area divided by the area of f.
-func (f FBox) OverlapFraction(o FBox) float64 {
-	a := f.Area()
-	if a == 0 {
-		return 0
-	}
-	return f.IntersectionArea(o) / a
-}

@@ -118,14 +118,6 @@ func (p *PackedBitmap) CountOnes() int {
 	return kernels().popcntWords(p.Words)
 }
 
-// Density returns the fraction of set pixels.
-func (p *PackedBitmap) Density() float64 {
-	if p.W*p.H == 0 {
-		return 0
-	}
-	return float64(p.CountOnes()) / float64(p.W*p.H)
-}
-
 // Equal reports whether two packed bitmaps have identical size and pixels.
 func (p *PackedBitmap) Equal(o *PackedBitmap) bool {
 	if p.W != o.W || p.H != o.H {

@@ -3,6 +3,12 @@
 // centroids as measurements (state centroid (x, y), following Lin et al.,
 // the paper's reference [14]).
 //
+// The model's transition, measurement and noise matrices never couple x
+// with y, so the filter runs per axis in closed form: each axis keeps its
+// position, its velocity and the three distinct entries of its 2x2
+// covariance. resources.KFComputes and KFMemoryBits (Eq. 7) still cost the
+// paper's dense 4-state formulation.
+//
 // Data association is greedy nearest-centroid with a gating distance, and
 // track lifecycle (confirmation, misses, seeding) mirrors the overlap
 // tracker so the comparison isolates the filtering algorithm itself. Box
@@ -11,185 +17,101 @@
 package kalman
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"ebbiot/internal/assign"
 	"ebbiot/internal/geometry"
-	"ebbiot/internal/matrix"
 )
 
-// Association selects the data-association strategy.
-type Association int
+// errSingular reports an innovation variance too small to invert.
+var errSingular = errors.New("kalman: gain: singular innovation covariance")
 
-// Association strategies.
-const (
-	// AssociateGreedy is nearest-first greedy matching — what an embedded
-	// implementation ships, and the default.
-	AssociateGreedy Association = iota + 1
-	// AssociateOptimal solves the assignment exactly (Hungarian); used to
-	// measure how much greedy association costs.
-	AssociateOptimal
-)
+// axis is one coordinate of a track's Kalman state: position p and
+// velocity v with covariance [[a b] [b c]], under
+//
+//	F = | 1 1 |   H = | 1 0 |   Q = q | 1/4 1/2 |   R = r
+//	    | 0 1 |                       | 1/2  1  |
+//
+// (time unit = one frame; Q is piecewise-constant white acceleration).
+// Every product or quotient that feeds an addition is wrapped in
+// float64(), so no target fuses it into a multiply-add and the state's
+// bits are the same on every architecture.
+type axis struct {
+	p, v    float64
+	a, b, c float64
+}
 
-// Filter is one track's Kalman state: x = [cx, cy, vx, vy]^T with the
-// constant-velocity transition
-//
-//	F = | 1 0 1 0 |      H = | 1 0 0 0 |
-//	    | 0 1 0 1 |          | 0 1 0 0 |
-//	    | 0 0 1 0 |
-//	    | 0 0 0 1 |
-//
-// (time unit = one frame).
-type Filter struct {
-	// X is the 4x1 state vector.
-	X *matrix.Mat
-	// P is the 4x4 state covariance.
-	P *matrix.Mat
+// predict advances the axis one frame: x = Fx, P = FPF^T + Q.
+func (s *axis) predict(q float64) {
+	s.p += s.v
+	s.a = ((s.a + s.b) + (s.b + s.c)) + float64(q/4)
+	s.b = (s.b + s.c) + float64(q/2)
+	s.c += q
+}
+
+// gain returns the Kalman gain K = PH^T (HPH^T + R)^-1 = [k0 k1]^T, and
+// false when the innovation variance a+r is below 1e-12 in magnitude.
+func (s *axis) gain(r float64) (k0, k1 float64, ok bool) {
+	v := s.a + r
+	if math.Abs(v) < 1e-12 {
+		return 0, 0, false
+	}
+	i := 1 / v
+	return s.a * i, s.b * i, true
+}
+
+// update folds in the measurement z with gain (k0, k1): x += K(z - Hx),
+// then P = (I - KH)P, whose off-diagonal entries are averaged to keep P
+// symmetric.
+func (s *axis) update(z, k0, k1 float64) {
+	e := z - s.p
+	s.p += float64(k0 * e)
+	s.v += float64(k1 * e)
+	a, b := s.a, s.b
+	s.a = (1 - k0) * a
+	s.b = (float64((1-k0)*b) + (b - float64(k1*a))) * 0.5
+	s.c -= float64(k1 * b)
+}
+
+// filter is one track's Kalman state, x = [cx, cy, vx, vy]^T as two
+// independent axes.
+type filter struct {
+	x, y axis
 	// q and r are process and measurement noise intensities.
 	q, r float64
 }
 
-// NewFilter returns a filter initialised at the measured centroid with zero
-// velocity and large velocity uncertainty.
-func NewFilter(cx, cy, processNoise, measNoise float64) *Filter {
-	x := matrix.New(4, 1)
-	x.Set(0, 0, cx)
-	x.Set(1, 0, cy)
-	p := matrix.New(4, 4)
-	p.Set(0, 0, measNoise)
-	p.Set(1, 1, measNoise)
-	p.Set(2, 2, 100) // velocity unknown at birth
-	p.Set(3, 3, 100)
-	return &Filter{X: x, P: p, q: processNoise, r: measNoise}
+// newFilter returns a filter initialised at the measured centroid with
+// zero velocity and large velocity uncertainty.
+func newFilter(cx, cy, processNoise, measNoise float64) filter {
+	return filter{
+		x: axis{p: cx, a: measNoise, c: 100}, // velocity unknown at birth
+		y: axis{p: cy, a: measNoise, c: 100},
+		q: processNoise, r: measNoise,
+	}
 }
 
-func transition() *matrix.Mat {
-	f := matrix.Identity(4)
-	f.Set(0, 2, 1)
-	f.Set(1, 3, 1)
-	return f
+// predict advances both axes one frame.
+func (f *filter) predict() {
+	f.x.predict(f.q)
+	f.y.predict(f.q)
 }
 
-func measurement() *matrix.Mat {
-	h := matrix.New(2, 4)
-	h.Set(0, 0, 1)
-	h.Set(1, 1, 1)
-	return h
-}
-
-// processNoiseMat returns Q for a piecewise-constant white acceleration
-// model with dt = 1 frame.
-func processNoiseMat(q float64) *matrix.Mat {
-	m := matrix.New(4, 4)
-	// [dt^4/4, dt^3/2; dt^3/2, dt^2] blocks per axis with dt = 1.
-	m.Set(0, 0, q/4)
-	m.Set(0, 2, q/2)
-	m.Set(2, 0, q/2)
-	m.Set(2, 2, q)
-	m.Set(1, 1, q/4)
-	m.Set(1, 3, q/2)
-	m.Set(3, 1, q/2)
-	m.Set(3, 3, q)
-	return m
-}
-
-// Predict advances the state one frame: x = Fx, P = FPF^T + Q.
-func (f *Filter) Predict() error {
-	ft := transition()
-	x, err := ft.Mul(f.X)
-	if err != nil {
-		return fmt.Errorf("kalman: predict state: %w", err)
+// update folds in a centroid measurement (mx, my). It computes both gains
+// before it changes either axis, so a singular innovation leaves the state
+// as it was.
+func (f *filter) update(mx, my float64) error {
+	kx0, kx1, okx := f.x.gain(f.r)
+	ky0, ky1, oky := f.y.gain(f.r)
+	if !okx || !oky {
+		return errSingular
 	}
-	fp, err := ft.Mul(f.P)
-	if err != nil {
-		return fmt.Errorf("kalman: predict covariance: %w", err)
-	}
-	fpft, err := fp.Mul(ft.T())
-	if err != nil {
-		return fmt.Errorf("kalman: predict covariance: %w", err)
-	}
-	p, err := fpft.Add(processNoiseMat(f.q))
-	if err != nil {
-		return fmt.Errorf("kalman: predict covariance: %w", err)
-	}
-	f.X = x
-	f.P, err = p.Symmetrize()
-	if err != nil {
-		return fmt.Errorf("kalman: predict covariance: %w", err)
-	}
+	f.x.update(mx, kx0, kx1)
+	f.y.update(my, ky0, ky1)
 	return nil
 }
-
-// Update folds in a centroid measurement (mx, my) with the standard KF
-// equations: K = PH^T (HPH^T + R)^-1; x += K(z - Hx); P = (I - KH)P.
-func (f *Filter) Update(mx, my float64) error {
-	h := measurement()
-	z := matrix.New(2, 1)
-	z.Set(0, 0, mx)
-	z.Set(1, 0, my)
-
-	hx, err := h.Mul(f.X)
-	if err != nil {
-		return fmt.Errorf("kalman: innovation: %w", err)
-	}
-	innov, err := z.Sub(hx)
-	if err != nil {
-		return fmt.Errorf("kalman: innovation: %w", err)
-	}
-	ph, err := f.P.Mul(h.T())
-	if err != nil {
-		return fmt.Errorf("kalman: gain: %w", err)
-	}
-	hph, err := h.Mul(ph)
-	if err != nil {
-		return fmt.Errorf("kalman: gain: %w", err)
-	}
-	r := matrix.Identity(2).Scale(f.r)
-	s, err := hph.Add(r)
-	if err != nil {
-		return fmt.Errorf("kalman: gain: %w", err)
-	}
-	sInv, err := s.Inverse()
-	if err != nil {
-		return fmt.Errorf("kalman: gain: %w", err)
-	}
-	k, err := ph.Mul(sInv)
-	if err != nil {
-		return fmt.Errorf("kalman: gain: %w", err)
-	}
-	dx, err := k.Mul(innov)
-	if err != nil {
-		return fmt.Errorf("kalman: update state: %w", err)
-	}
-	f.X, err = f.X.Add(dx)
-	if err != nil {
-		return fmt.Errorf("kalman: update state: %w", err)
-	}
-	kh, err := k.Mul(h)
-	if err != nil {
-		return fmt.Errorf("kalman: update covariance: %w", err)
-	}
-	ikh, err := matrix.Identity(4).Sub(kh)
-	if err != nil {
-		return fmt.Errorf("kalman: update covariance: %w", err)
-	}
-	p, err := ikh.Mul(f.P)
-	if err != nil {
-		return fmt.Errorf("kalman: update covariance: %w", err)
-	}
-	f.P, err = p.Symmetrize()
-	if err != nil {
-		return fmt.Errorf("kalman: update covariance: %w", err)
-	}
-	return nil
-}
-
-// Centroid returns the current (cx, cy) estimate.
-func (f *Filter) Centroid() (cx, cy float64) { return f.X.At(0, 0), f.X.At(1, 0) }
-
-// Velocity returns the current (vx, vy) estimate in px/frame.
-func (f *Filter) Velocity() (vx, vy float64) { return f.X.At(2, 0), f.X.At(3, 0) }
 
 // Config parameterises the multi-track KF tracker.
 type Config struct {
@@ -207,8 +129,6 @@ type Config struct {
 	MinHits, MaxMisses int
 	// Bounds is the sensor array.
 	Bounds geometry.Box
-	// Association selects greedy (default when zero) or optimal matching.
-	Association Association
 }
 
 // DefaultConfig returns parameters matched to the OT defaults.
@@ -250,7 +170,7 @@ func (c Config) Validate() error {
 
 type track struct {
 	id     int
-	filter *Filter
+	filter filter
 	w, h   float64
 	hits   int
 	misses int
@@ -290,8 +210,8 @@ func (t *Tracker) ActiveTracks() int {
 	return n
 }
 
-// associate returns pairs[trackIndex] = proposal index (or -1) under the
-// configured strategy, with gating applied in both.
+// associate returns pairs[trackIndex] = proposal index (or -1): greedy
+// nearest-first matching within the gate.
 func (t *Tracker) associate(proposals []geometry.Box) ([]int, error) {
 	pairs := make([]int, len(t.tracks))
 	for i := range pairs {
@@ -313,10 +233,10 @@ func (t *Tracker) associate(proposals []geometry.Box) ([]int, error) {
 	cost := make([][]float64, len(live))
 	for li, ti := range live {
 		cost[li] = make([]float64, len(proposals))
-		cx, cy := t.tracks[ti].filter.Centroid()
+		f := &t.tracks[ti].filter
 		for j, p := range proposals {
 			px, py := p.Center()
-			d := math.Hypot(px-cx, py-cy)
+			d := math.Hypot(px-f.x.p, py-f.y.p)
 			if d <= t.cfg.GateDistance {
 				cost[li][j] = d
 			} else {
@@ -324,13 +244,7 @@ func (t *Tracker) associate(proposals []geometry.Box) ([]int, error) {
 			}
 		}
 	}
-	var rowTo []int
-	var err error
-	if t.cfg.Association == AssociateOptimal {
-		rowTo, err = assign.Hungarian(cost)
-	} else {
-		rowTo, err = assign.Greedy(cost)
-	}
+	rowTo, err := assign.Greedy(cost)
 	if err != nil {
 		return nil, fmt.Errorf("kalman: association: %w", err)
 	}
@@ -345,16 +259,12 @@ func (t *Tracker) associate(proposals []geometry.Box) ([]int, error) {
 func (t *Tracker) Step(proposals []geometry.Box) ([]Report, error) {
 	// Predict.
 	for i := range t.tracks {
-		if !t.tracks[i].valid {
-			continue
-		}
-		if err := t.tracks[i].filter.Predict(); err != nil {
-			return nil, err
+		if t.tracks[i].valid {
+			t.tracks[i].filter.predict()
 		}
 	}
 
-	// Association within the gate: greedy nearest-first by default, or the
-	// exact Hungarian assignment for the association ablation.
+	// Association within the gate: greedy nearest-first.
 	pairs, err := t.associate(proposals)
 	if err != nil {
 		return nil, err
@@ -369,7 +279,7 @@ func (t *Tracker) Step(proposals []geometry.Box) ([]Report, error) {
 		propUsed[pj] = true
 		tr := &t.tracks[ti]
 		px, py := proposals[pj].Center()
-		if err := tr.filter.Update(px, py); err != nil {
+		if err := tr.filter.update(px, py); err != nil {
 			return nil, err
 		}
 		sb := t.cfg.SizeBlend
@@ -409,7 +319,7 @@ func (t *Tracker) Step(proposals []geometry.Box) ([]Report, error) {
 		cx, cy := p.Center()
 		t.tracks[slot] = track{
 			id:     t.nextID,
-			filter: NewFilter(cx, cy, t.cfg.ProcessNoise, t.cfg.MeasurementNoise),
+			filter: newFilter(cx, cy, t.cfg.ProcessNoise, t.cfg.MeasurementNoise),
 			w:      float64(p.W),
 			h:      float64(p.H),
 			hits:   1,
@@ -424,7 +334,7 @@ func (t *Tracker) Step(proposals []geometry.Box) ([]Report, error) {
 		if !tr.valid {
 			continue
 		}
-		cx, cy := tr.filter.Centroid()
+		cx, cy := tr.filter.x.p, tr.filter.y.p
 		if cx < float64(t.cfg.Bounds.X)-tr.w || cx > float64(t.cfg.Bounds.MaxX())+tr.w ||
 			cy < float64(t.cfg.Bounds.Y)-tr.h || cy > float64(t.cfg.Bounds.MaxY())+tr.h {
 			t.tracks[i] = track{}
@@ -438,13 +348,12 @@ func (t *Tracker) Step(proposals []geometry.Box) ([]Report, error) {
 		if !tr.valid || tr.hits < t.cfg.MinHits {
 			continue
 		}
-		cx, cy := tr.filter.Centroid()
-		vx, vy := tr.filter.Velocity()
-		b := geometry.FBox{X: cx - tr.w/2, Y: cy - tr.h/2, W: tr.w, H: tr.h}.Round().Clamp(t.cfg.Bounds)
+		f := &tr.filter
+		b := geometry.FBox{X: f.x.p - tr.w/2, Y: f.y.p - tr.h/2, W: tr.w, H: tr.h}.Round().Clamp(t.cfg.Bounds)
 		if b.Empty() {
 			continue
 		}
-		out = append(out, Report{ID: tr.id, Box: b, VX: vx, VY: vy})
+		out = append(out, Report{ID: tr.id, Box: b, VX: f.x.v, VY: f.y.v})
 	}
 	return out, nil
 }

@@ -1,87 +1,132 @@
 package kalman
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"math"
 	"testing"
 
 	"ebbiot/internal/geometry"
+	"ebbiot/internal/xrand"
 )
 
 func TestFilterConvergesToConstantVelocity(t *testing.T) {
-	f := NewFilter(0, 0, 1.0, 4.0)
+	f := newFilter(0, 0, 1.0, 4.0)
 	// Feed measurements of an object moving at (3, -1) px/frame.
 	for k := 1; k <= 30; k++ {
-		if err := f.Predict(); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Update(3*float64(k), -1*float64(k)); err != nil {
+		f.predict()
+		if err := f.update(3*float64(k), -1*float64(k)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	vx, vy := f.Velocity()
-	if math.Abs(vx-3) > 0.2 || math.Abs(vy+1) > 0.2 {
+	if vx, vy := f.x.v, f.y.v; math.Abs(vx-3) > 0.2 || math.Abs(vy+1) > 0.2 {
 		t.Errorf("velocity = (%v, %v), want ~(3, -1)", vx, vy)
 	}
-	cx, cy := f.Centroid()
-	if math.Abs(cx-90) > 2 || math.Abs(cy+30) > 2 {
+	if cx, cy := f.x.p, f.y.p; math.Abs(cx-90) > 2 || math.Abs(cy+30) > 2 {
 		t.Errorf("centroid = (%v, %v), want ~(90, -30)", cx, cy)
 	}
 }
 
 func TestFilterSmoothsNoisyMeasurements(t *testing.T) {
-	f := NewFilter(0, 0, 0.5, 9.0)
+	f := newFilter(0, 0, 0.5, 9.0)
 	// Alternate +2/-2 noise around a fixed point; estimate should stay
 	// closer to the truth than the raw measurements.
 	noise := []float64{2, -2}
 	for k := 0; k < 40; k++ {
-		if err := f.Predict(); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Update(50+noise[k%2], 80); err != nil {
+		f.predict()
+		if err := f.update(50+noise[k%2], 80); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cx, _ := f.Centroid()
-	if math.Abs(cx-50) > 1 {
+	if cx := f.x.p; math.Abs(cx-50) > 1 {
 		t.Errorf("smoothed centroid x = %v, want ~50", cx)
 	}
 }
 
-func TestFilterCovarianceStaysSymmetric(t *testing.T) {
-	f := NewFilter(10, 10, 1, 4)
-	for k := 0; k < 20; k++ {
-		if err := f.Predict(); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Update(float64(10+k), 10); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 4; i++ {
-			for j := 0; j < 4; j++ {
-				if d := math.Abs(f.P.At(i, j) - f.P.At(j, i)); d > 1e-9 {
-					t.Fatalf("covariance asymmetric at step %d: %v", k, d)
+// TestFilterStateLock pins the filter's float64 state bit for bit: a
+// SHA-256 over both axes' position, velocity and covariance entries after
+// every predict and every update, over seeded tracks with missed
+// detections at three noise settings. Measurements are half-pixel box
+// centres, computed exactly from integers. At q = r = 1e-14 the innovation
+// variance falls below the singularity threshold within a few frames; the
+// lock records the step where update fails, and requires that the failed
+// update left the state as it was. At the ordinary settings every variance
+// must stay non-negative. The digest was recorded on the dense 4-state
+// matrix filter that this closed form replaced.
+func TestFilterStateLock(t *testing.T) {
+	const want = "c2d1fe01d3d63f559230e4195263ad186180f120faab5548a7e9cc37719f14d2"
+	h := sha256.New()
+	var buf [8]byte
+	put := func(u uint64) {
+		binary.LittleEndian.PutUint64(buf[:], u)
+		h.Write(buf[:])
+	}
+	for _, n := range []struct {
+		q, r     float64
+		ordinary bool
+	}{{1, 4, true}, {0.5, 9, true}, {1e-14, 1e-14, false}} {
+		hashState := func(f *filter) {
+			for _, s := range []*axis{&f.x, &f.y} {
+				for _, v := range []float64{s.p, s.v, s.a, s.b, s.c} {
+					put(math.Float64bits(v))
+				}
+				if n.ordinary && (s.a < 0 || s.c < 0) {
+					t.Fatalf("q=%g r=%g: negative variance in %+v", n.q, n.r, *s)
 				}
 			}
-			if f.P.At(i, i) < 0 {
-				t.Fatalf("negative variance at step %d", k)
+		}
+		fails := 0
+		for seed := uint64(1); seed <= 50; seed++ {
+			rng := xrand.New(seed)
+			x0, y0 := rng.IntRange(0, 480), rng.IntRange(0, 360)
+			vx, vy := rng.IntRange(-12, 12), rng.IntRange(-6, 6)
+			meas := func(k int) (float64, float64) {
+				return float64(x0+vx*k+rng.IntRange(-4, 4)) / 2, float64(y0+vy*k+rng.IntRange(-4, 4)) / 2
+			}
+			mx, my := meas(0)
+			f := newFilter(mx, my, n.q, n.r)
+			hashState(&f)
+			for k := 1; k <= 60; k++ {
+				f.predict()
+				hashState(&f)
+				if rng.Intn(5) == 0 {
+					continue // a missed detection: the track coasts
+				}
+				mx, my := meas(k)
+				before := f
+				if err := f.update(mx, my); err != nil {
+					if f != before {
+						t.Fatalf("q=%g r=%g seed %d: failed update changed the state", n.q, n.r, seed)
+					}
+					put(uint64(k))
+					fails++
+					break
+				}
+				hashState(&f)
 			}
 		}
+		if n.ordinary != (fails == 0) {
+			t.Errorf("q=%g r=%g: %d of 50 tracks hit a singular innovation", n.q, n.r, fails)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("filter state digest = %s, want %s", got, want)
 	}
 }
 
 func TestFilterUncertaintyGrowsWithoutMeasurements(t *testing.T) {
-	f := NewFilter(10, 10, 1, 4)
-	if err := f.Update(10, 10); err != nil {
+	f := newFilter(10, 10, 1, 4)
+	if err := f.update(10, 10); err != nil {
 		t.Fatal(err)
 	}
-	before := f.P.At(0, 0)
+	before := f.x.a
 	for k := 0; k < 5; k++ {
-		if err := f.Predict(); err != nil {
-			t.Fatal(err)
-		}
+		f.predict()
 	}
-	if f.P.At(0, 0) <= before {
-		t.Errorf("position variance should grow during coasting: %v -> %v", before, f.P.At(0, 0))
+	if f.x.a <= before {
+		t.Errorf("position variance should grow during coasting: %v -> %v", before, f.x.a)
 	}
 }
 
@@ -220,6 +265,29 @@ func TestTrackerPoolCap(t *testing.T) {
 	}
 }
 
+func TestTrackerSingularInnovation(t *testing.T) {
+	// Validate accepts any positive noise, but at q = r = 1e-14 the
+	// innovation variance falls below the singularity threshold on a
+	// track's second update. Step must fail there, on the third frame,
+	// as the dense-matrix filter did.
+	cfg := DefaultConfig()
+	cfg.ProcessNoise, cfg.MeasurementNoise = 1e-14, 1e-14
+	tr, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := geometry.NewBox(10, 60, 30, 16)
+	for i := 0; i < 3; i++ {
+		_, err = tr.Step([]geometry.Box{obj.Translate(4*i, 0)})
+		if (err != nil) != (i == 2) {
+			t.Fatalf("frame %d: err = %v, want a failure on frame 2 only", i, err)
+		}
+	}
+	if !errors.Is(err, errSingular) {
+		t.Errorf("err = %v, want %v", err, errSingular)
+	}
+}
+
 func TestReportsInsideBounds(t *testing.T) {
 	tr, err := New(DefaultConfig())
 	if err != nil {
@@ -239,14 +307,12 @@ func TestReportsInsideBounds(t *testing.T) {
 }
 
 func BenchmarkFilterPredictUpdate(b *testing.B) {
-	f := NewFilter(0, 0, 1, 4)
+	f := newFilter(0, 0, 1, 4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := f.Predict(); err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Update(float64(i), float64(i)); err != nil {
+		f.predict()
+		if err := f.update(float64(i), float64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -270,75 +336,35 @@ func BenchmarkTrackerStep(b *testing.B) {
 	}
 }
 
-func TestOptimalAssociationAvoidsGreedyTrap(t *testing.T) {
-	// Two tracks and two proposals arranged so greedy steals the wrong
-	// proposal: track A is slightly closer to proposal 2 (track B's true
-	// measurement) than to its own. Optimal assignment fixes it.
-	mk := func(a Association) *Tracker {
-		cfg := DefaultConfig()
-		cfg.Association = a
-		cfg.GateDistance = 60
-		tr, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
+func TestGreedyAssociationUnderContention(t *testing.T) {
+	// Two tracks 30 px apart (centres 100 and 130), then two proposals
+	// (centres 116 and 131) that both tracks' gates reach: greedy
+	// association must still match each track and report both.
+	cfg := DefaultConfig()
+	cfg.GateDistance = 60
+	tr, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Establish two tracks 30 px apart.
-	pa := geometry.NewBox(90, 60, 20, 12)  // center 100
-	pb := geometry.NewBox(120, 60, 20, 12) // center 130
-	scenario := func(tr *Tracker) (int, error) {
-		if _, err := tr.Step([]geometry.Box{pa, pb}); err != nil {
-			return 0, err
-		}
-		// Next frame: proposals at centers 114 and 131. Track A (100) is
-		// 14 from p1 and 31 from p2; track B (130) is 16 from p1 and 1
-		// from p2. Greedy picks (B,p2)=1 first then (A,p1)=14 -> fine.
-		// Harder: proposals at 117 and 128. A->p1 = 17, A->p2 = 28,
-		// B->p1 = 13, B->p2 = 2. Greedy: (B,p2)=2, then (A,p1)=17.
-		// To actually trap greedy we need B closer to A's proposal than A
-		// is, while B's own is still available: proposals at 112 and 135.
-		// A->p1 = 12, B->p1 = 18, B->p2 = 5 -> greedy still fine. The trap
-		// needs crossing: proposals at 126 and 104 with tracks at 100/130:
-		// A->p1(126)=26, A->p2(104)=4, B->p1=4, B->p2=26. Both methods
-		// agree on the anti-diagonal. A real trap: p at 113 only 1 prop...
-		// Use the canonical 3-cost trap via gating instead: p1 at 116,
-		// p2 at 99. A(100)->p2=1, A->p1=16; B(130)->p1=14, B->p2=31.
-		// Greedy: (A,p2)=1, then (B,p1)=14, total 15. Optimal same. Greedy
-		// and optimal genuinely differ only with asymmetric contention:
-		// A->p1=10, A->p2=11, B->p1=9, B->p2=100(gated out). Greedy picks
-		// (B,p1)=9 leaving A with p2=11 total 20; optimal picks (A,p1)=10,
-		// (B, none) ... but unassigned B then misses. Both behaviours are
-		// legitimate; assert only that the step succeeds and both tracks
-		// survive under each strategy.
-		reps, err := tr.Step([]geometry.Box{
-			geometry.NewBox(106, 60, 20, 12),
-			geometry.NewBox(121, 60, 20, 12),
-		})
-		if err != nil {
-			return 0, err
-		}
-		return len(reps), nil
+	if _, err := tr.Step([]geometry.Box{geometry.NewBox(90, 60, 20, 12), geometry.NewBox(120, 60, 20, 12)}); err != nil {
+		t.Fatal(err)
 	}
-	for _, a := range []Association{AssociateGreedy, AssociateOptimal} {
-		tr := mk(a)
-		n, err := scenario(tr)
-		if err != nil {
-			t.Fatalf("association %d: %v", a, err)
-		}
-		if n != 2 {
-			t.Errorf("association %d reported %d tracks, want 2", a, n)
-		}
+	reps, err := tr.Step([]geometry.Box{
+		geometry.NewBox(106, 60, 20, 12),
+		geometry.NewBox(121, 60, 20, 12),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reps) != 2 {
+		t.Errorf("reported %d tracks, want 2", len(reps))
 	}
 }
 
-func TestOptimalAssociationTracksCrossingObjects(t *testing.T) {
-	// Two objects approaching each other: the optimal association must
-	// keep both tracks matched every frame (total distance minimised),
-	// ending with 2 live tracks.
-	cfg := DefaultConfig()
-	cfg.Association = AssociateOptimal
-	tr, err := New(cfg)
+func TestGreedyAssociationTracksCrossingObjects(t *testing.T) {
+	// Two objects approaching each other: association must keep both
+	// tracks matched every frame, ending with 2 live tracks.
+	tr, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,6 +376,6 @@ func TestOptimalAssociationTracksCrossingObjects(t *testing.T) {
 		}
 	}
 	if tr.ActiveTracks() != 2 {
-		t.Errorf("optimal association lost a track: %d", tr.ActiveTracks())
+		t.Errorf("association lost a track: %d", tr.ActiveTracks())
 	}
 }

@@ -155,23 +155,11 @@ type StageSnapshot struct {
 	ActivePixelFraction float64 `json:"active_pixel_fraction"`
 }
 
-// Sensor returns the stream's index in the run's stream list.
-func (s *StreamStatus) Sensor() int { return s.sensor }
-
 // Name returns the stream's label.
 func (s *StreamStatus) Name() string { return s.name }
 
 // State returns the stream's lifecycle state.
 func (s *StreamStatus) State() StreamState { return StreamState(s.state.Load()) }
-
-// Windows returns the number of windows processed so far.
-func (s *StreamStatus) Windows() int64 { return s.windows.Load() }
-
-// Events returns the number of events consumed so far.
-func (s *StreamStatus) Events() int64 { return s.events.Load() }
-
-// Boxes returns the number of track boxes reported so far.
-func (s *StreamStatus) Boxes() int64 { return s.boxes.Load() }
 
 // setState transitions the stream's lifecycle state.
 func (s *StreamStatus) setState(st StreamState) { s.state.Store(int32(st)) }
@@ -238,9 +226,6 @@ func (s *StreamStatus) setStages(st core.StageTimings) {
 
 // addSourceError accounts one source failure on this stream.
 func (s *StreamStatus) addSourceError() { s.srcErrs.Add(1) }
-
-// SourceErrors returns the stream's source-failure count.
-func (s *StreamStatus) SourceErrors() int64 { return s.srcErrs.Load() }
 
 // setSourceStats publishes the source's health counters.
 func (s *StreamStatus) setSourceStats(st SourceStats) {

@@ -78,17 +78,6 @@ func (m *manifest) openSeg() int {
 	return -1
 }
 
-// liveRecords sums the records of non-expired entries.
-func (m *manifest) liveRecords() int64 {
-	var n int64
-	for _, e := range m.Segments {
-		if e.State == segSealed {
-			n += e.Records
-		}
-	}
-	return n
-}
-
 // addSensors merges ids into the manifest's sorted sensor set.
 func (m *manifest) addSensors(ids []int) {
 	set := make(map[int]struct{}, len(m.Sensors)+len(ids))

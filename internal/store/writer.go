@@ -409,16 +409,6 @@ func (w *Writer) finalizeLocked() error {
 	return w.retainLocked()
 }
 
-// Dir returns the store directory.
-func (w *Writer) Dir() string { return w.dir }
-
 // RunID returns this writer's run identifier (stable for the Writer's
 // lifetime; what Reader.Runs and the query CLI list).
 func (w *Writer) RunID() uint64 { return w.runID }
-
-// Records returns the number of records appended to the current segment.
-func (w *Writer) Records() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.meta.Records
-}
