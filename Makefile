@@ -146,8 +146,9 @@ smoke-ingest:
 # End-to-end store query smoke (also run by CI): a three-sensor ebbiot-run
 # recorded into a store, then every ebbiot-query read checked against the
 # live output — each per-sensor scan in order, a bounded scan, the sorted
-# merged replay — plus a clean verify, a rejected -to 0, and the run
-# selector required once a second run shares the directory.
+# merged replay as CSV and, from a second -json recording, as JSON Lines —
+# plus a clean verify, a rejected -to 0, and the run selector required once
+# a second run shares the directory.
 smoke-store:
 	$(GO) build -o bin/ ./cmd/ebbiot-run ./cmd/ebbiot-gen ./cmd/ebbiot-query
 	./scripts/smoke-store.sh

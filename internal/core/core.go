@@ -249,34 +249,6 @@ func (f *frontend) process(evs []events.Event) (rpn.Result, error) {
 
 func (f *frontend) trackTime(d time.Duration) { f.timings.Track += d }
 
-// reconfigure rebuilds the front end in place for new parameters: the
-// builder is reconfigured, the proposer takes the new RPN config, and frame
-// state resets — afterwards the front end is indistinguishable from a
-// freshly built one. Cumulative stage timings deliberately survive so
-// monitoring reads continuous totals across reconfigurations. On error
-// nothing is mutated.
-func (f *frontend) reconfigure(ecfg ebbi.Config, rcfg rpn.Config, mask *roe.Mask, skipBelow int) error {
-	if skipBelow < 0 {
-		return fmt.Errorf("core: skip-events-below must be non-negative, got %d", skipBelow)
-	}
-	if err := ecfg.Validate(); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	if err := rcfg.Validate(); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	if err := f.builder.Reconfigure(ecfg); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	if err := f.proposer.Reconfigure(rcfg); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	f.mask = mask
-	f.skipBelow = skipBelow
-	f.lastValid = false
-	return nil
-}
-
 // frame returns the most recent EBBI frame in byte form, unpacked into
 // scratch bitmaps on demand (visualisation is off the hot path, so the
 // conversion cost lands only on callers that ask). Valid until the next
@@ -338,27 +310,22 @@ func (e *EBBIOT) Name() string { return "EBBIOT" }
 // Config returns the pipeline's current configuration.
 func (e *EBBIOT) Config() Config { return e.cfg }
 
-// ApplyParams reconfigures the pipeline in place — the live-reconfiguration
-// hook the control plane calls at a window boundary. The semantics are a
-// clean restart: afterwards the system behaves bit-identically to a fresh
-// NewEBBIOT(cfg) — the EBBI builder and RPN are rebuilt (reusing buffers
-// where the geometry allows) and the tracker state (tracks, IDs, frame
-// count) resets — so a live parameter change is exactly equivalent to
-// relaunching the pipeline with the new parameters at that boundary, the
-// property the differential tests assert. Cumulative stage timings survive
-// for monitoring continuity. On error the system keeps running with its old
-// parameters.
+// ApplyParams retunes the pipeline live — the hook the control plane calls
+// at a window boundary — by replacing it with NewEBBIOT(cfg): the EBBI
+// builder, the RPN and the tracker state (tracks, IDs, frame count) start
+// afresh, so a live parameter change is a relaunch of the pipeline with the
+// new parameters at that boundary, the property the differential tests
+// assert. Cumulative stage timings carry over for monitoring continuity,
+// and the old EBBI double buffer goes back to its pool. On error the
+// system keeps running with its old parameters.
 func (e *EBBIOT) ApplyParams(cfg Config) error {
-	tr, err := tracker.New(cfg.Tracker)
+	next, err := NewEBBIOT(cfg)
 	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	if err := e.front.reconfigure(cfg.EBBI, cfg.RPN, cfg.Tracker.ROE, cfg.SkipEventsBelow); err != nil {
 		return err
 	}
-	e.tracker = tr
-	e.lastRPN = rpn.Result{}
-	e.cfg = cfg
+	next.front.timings = e.front.timings
+	e.Close()
+	*e = *next
 	return nil
 }
 
@@ -459,22 +426,17 @@ func (e *EBBIKF) Name() string { return "EBBI+KF" }
 // Config returns the pipeline's current configuration.
 func (e *EBBIKF) Config() KFConfig { return e.cfg }
 
-// ApplyParams reconfigures the pipeline in place with clean-restart
-// semantics, mirroring EBBIOT.ApplyParams: afterwards the system behaves
-// bit-identically to a fresh NewEBBIKF(cfg). On error the system keeps
-// running with its old parameters.
+// ApplyParams retunes the pipeline live by replacing it with
+// NewEBBIKF(cfg), as EBBIOT.ApplyParams does: stage timings carry over, and
+// on error the system keeps running with its old parameters.
 func (e *EBBIKF) ApplyParams(cfg KFConfig) error {
-	tr, err := kalman.New(cfg.Tracker)
+	next, err := NewEBBIKF(cfg)
 	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	if err := e.front.reconfigure(cfg.EBBI, cfg.RPN, cfg.ROE, cfg.SkipEventsBelow); err != nil {
 		return err
 	}
-	e.tracker = tr
-	e.mask = cfg.ROE
-	e.maxCover = cfg.ROEMaxCover
-	e.cfg = cfg
+	next.front.timings = e.front.timings
+	e.Close()
+	*e = *next
 	return nil
 }
 

@@ -84,35 +84,6 @@ func (b *PackedBuilder) Release() {
 	b.active, b.outActive = nil, nil
 }
 
-// Reconfigure rebuilds the builder in place for a new configuration: the
-// packed double buffer is reused when the sensor resolution is unchanged,
-// all accumulation state — including the active-region tracking — resets,
-// and the result is indistinguishable from a fresh NewPackedBuilder(cfg).
-// On error the builder is left untouched.
-func (b *PackedBuilder) Reconfigure(cfg Config) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if cfg.Res != b.cfg.Res {
-		imgproc.PutPacked(b.raw)
-		imgproc.PutPacked(b.filtered)
-		b.raw = imgproc.GetPacked(cfg.Res.A, cfg.Res.B)
-		b.filtered = imgproc.GetPacked(cfg.Res.A, cfg.Res.B)
-		b.active.Resize(cfg.Res.A, cfg.Res.B)
-		b.outActive.Resize(cfg.Res.A, cfg.Res.B)
-	} else {
-		b.raw.Clear()
-		b.filtered.Clear()
-		b.active.Reset()
-		b.outActive.Reset()
-	}
-	b.cfg = cfg
-	b.frameIdx = 0
-	b.count = 0
-	b.needsClear = false
-	return nil
-}
-
 // Accumulate latches a batch of events into the current frame: each in-array
 // event ORs one bit into the packed raw EBBI and marks its storage word in
 // the active region. Events outside the sensor array are ignored; polarity

@@ -116,81 +116,6 @@ func TestPackedBuilderActiveRegion(t *testing.T) {
 	}
 }
 
-// TestPackedBuilderReconfigureResetsActive is the mid-run Reconfigure
-// differential: after Reconfigure, the builder — including its
-// active-region state — must behave bit-identically to a freshly built
-// one, even though the previous window dirtied a completely different part
-// of the frame.
-func TestPackedBuilderReconfigureResetsActive(t *testing.T) {
-	cfg := DefaultConfig()
-	b, err := NewPackedBuilder(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Release()
-
-	// Dirty the top-left corner, finish, then reconfigure mid-run.
-	var first []events.Event
-	for i := 0; i < 300; i++ {
-		first = append(first, events.Event{X: int16(i % 30), Y: int16(i % 20)})
-	}
-	b.Accumulate(first)
-	if _, err := b.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	cfg2 := cfg
-	cfg2.MedianP = 5
-	if err := b.Reconfigure(cfg2); err != nil {
-		t.Fatal(err)
-	}
-
-	fresh, err := NewPackedBuilder(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Release()
-
-	// Drive both through the same windows (bottom-right activity, then an
-	// empty window): frames, regions and clocks must match exactly.
-	rng := rand.New(rand.NewSource(3))
-	for frame := 0; frame < 3; frame++ {
-		var evs []events.Event
-		if frame != 1 {
-			for i := 0; i < 400; i++ {
-				evs = append(evs, events.Event{X: int16(150 + rng.Intn(80)), Y: int16(100 + rng.Intn(70))})
-			}
-		}
-		b.Accumulate(evs)
-		fresh.Accumulate(evs)
-		got, err := b.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := fresh.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Index != want.Index || got.EventCount != want.EventCount {
-			t.Fatalf("frame %d: clock mismatch: got {%d %d} want {%d %d}",
-				frame, got.Index, got.EventCount, want.Index, want.EventCount)
-		}
-		if !got.Raw.Equal(want.Raw) || !got.Filtered.Equal(want.Filtered) {
-			t.Fatalf("frame %d: reconfigured builder diverges from fresh builder", frame)
-		}
-		gy0, gy1 := got.Active.RowSpan()
-		wy0, wy1 := want.Active.RowSpan()
-		if gy0 != wy0 || gy1 != wy1 {
-			t.Fatalf("frame %d: active span [%d,%d) != fresh [%d,%d)", frame, gy0, gy1, wy0, wy1)
-		}
-		for y := gy0; y < gy1; y++ {
-			if got.Active.RowMask(y) != want.Active.RowMask(y) {
-				t.Fatalf("frame %d row %d: active mask %x != fresh %x",
-					frame, y, got.Active.RowMask(y), want.Active.RowMask(y))
-			}
-		}
-	}
-}
-
 func TestPackedBuilderValidates(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MedianP = 2

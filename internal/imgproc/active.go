@@ -36,28 +36,12 @@ type ActiveRegion struct {
 
 // NewActiveRegion returns an empty region for a w x h packed bitmap.
 func NewActiveRegion(w, h int) *ActiveRegion {
-	a := &ActiveRegion{}
-	a.Resize(w, h)
-	return a
-}
-
-// Resize reshapes the region for a w x h bitmap and empties it.
-func (a *ActiveRegion) Resize(w, h int) {
 	stride := (w + wordBits - 1) / wordBits
-	a.h, a.stride = h, stride
-	a.wide = stride > 64
-	if stride >= 64 {
-		a.wordMask = ^uint64(0)
-	} else {
-		a.wordMask = (uint64(1) << uint(stride)) - 1
+	wordMask := ^uint64(0)
+	if stride < 64 {
+		wordMask = (uint64(1) << uint(stride)) - 1
 	}
-	if cap(a.rows) < h {
-		a.rows = make([]uint64, h)
-	} else {
-		a.rows = a.rows[:h]
-		clear(a.rows)
-	}
-	a.y0, a.y1 = h, 0
+	return &ActiveRegion{h: h, stride: stride, y0: h, rows: make([]uint64, h), wordMask: wordMask, wide: stride > 64}
 }
 
 // Reset empties the region in place, touching only the dirty span.

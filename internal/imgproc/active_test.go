@@ -1,6 +1,7 @@
 package imgproc
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -213,6 +214,32 @@ func TestRangedKernelsRandom(t *testing.T) {
 		p := 2*rng.Intn(4) + 1
 		s1, s2 := rng.Intn(8)+1, rng.Intn(8)+1
 		rangedKernelCase(t, src, regionFor(src), p, s1, s2)
+	}
+}
+
+// TestRangedKernelsWideFrames covers frames wider than 4096 pixels, where
+// the region keeps only the dirty row span (stride > 64 words): widths at,
+// just past and well past the switch, each with blobs in the first and the
+// last word of their rows plus scattered pixels.
+func TestRangedKernelsWideFrames(t *testing.T) {
+	const h = 24
+	rng := rand.New(rand.NewSource(7))
+	for _, w := range []int{4096, 4097, 4160, 5000} {
+		src := NewPackedBitmap(w, h)
+		for y := 6; y < 12; y++ {
+			for x := 0; x < 6; x++ {
+				src.Set(x, y)
+				src.Set(w-1-x, y+6)
+			}
+		}
+		for i := 0; i < 200; i++ {
+			src.Set(rng.Intn(w), rng.Intn(h))
+		}
+		t.Run(fmt.Sprintf("w=%d", w), func(t *testing.T) {
+			for _, p := range []int{3, 5, 7} {
+				rangedKernelCase(t, src, regionFor(src), p, 6, 3)
+			}
+		})
 	}
 }
 

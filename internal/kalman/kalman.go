@@ -4,10 +4,11 @@
 // the paper's reference [14]).
 //
 // The model's transition, measurement and noise matrices never couple x
-// with y, so the filter runs per axis in closed form: each axis keeps its
-// position, its velocity and the three distinct entries of its 2x2
-// covariance. resources.KFComputes and KFMemoryBits (Eq. 7) still cost the
-// paper's dense 4-state formulation.
+// with y, so the filter runs in closed form: each axis keeps its position
+// and velocity, and the two axes, which start alike and are predicted and
+// updated together, share the three distinct entries of one 2x2 covariance.
+// resources.KFComputes and KFMemoryBits (Eq. 7) still cost the paper's
+// dense 4-state formulation.
 //
 // Data association is greedy nearest-centroid with a gating distance, and
 // track lifecycle (confirmation, misses, seeding) mirrors the overlap
@@ -28,57 +29,21 @@ import (
 // errSingular reports an innovation variance too small to invert.
 var errSingular = errors.New("kalman: gain: singular innovation covariance")
 
-// axis is one coordinate of a track's Kalman state: position p and
-// velocity v with covariance [[a b] [b c]], under
+// filter is one track's Kalman state x = [cx, cy, vx, vy]^T, held as the
+// positions px, py and velocities vx, vy, each axis under
 //
 //	F = | 1 1 |   H = | 1 0 |   Q = q | 1/4 1/2 |   R = r
 //	    | 0 1 |                       | 1/2  1  |
 //
-// (time unit = one frame; Q is piecewise-constant white acceleration).
-// Every product or quotient that feeds an addition is wrapped in
-// float64(), so no target fuses it into a multiply-add and the state's
-// bits are the same on every architecture.
-type axis struct {
-	p, v    float64
-	a, b, c float64
-}
-
-// predict advances the axis one frame: x = Fx, P = FPF^T + Q.
-func (s *axis) predict(q float64) {
-	s.p += s.v
-	s.a = ((s.a + s.b) + (s.b + s.c)) + float64(q/4)
-	s.b = (s.b + s.c) + float64(q/2)
-	s.c += q
-}
-
-// gain returns the Kalman gain K = PH^T (HPH^T + R)^-1 = [k0 k1]^T, and
-// false when the innovation variance a+r is below 1e-12 in magnitude.
-func (s *axis) gain(r float64) (k0, k1 float64, ok bool) {
-	v := s.a + r
-	if math.Abs(v) < 1e-12 {
-		return 0, 0, false
-	}
-	i := 1 / v
-	return s.a * i, s.b * i, true
-}
-
-// update folds in the measurement z with gain (k0, k1): x += K(z - Hx),
-// then P = (I - KH)P, whose off-diagonal entries are averaged to keep P
-// symmetric.
-func (s *axis) update(z, k0, k1 float64) {
-	e := z - s.p
-	s.p += float64(k0 * e)
-	s.v += float64(k1 * e)
-	a, b := s.a, s.b
-	s.a = (1 - k0) * a
-	s.b = (float64((1-k0)*b) + (b - float64(k1*a))) * 0.5
-	s.c -= float64(k1 * b)
-}
-
-// filter is one track's Kalman state, x = [cx, cy, vx, vy]^T as two
-// independent axes.
+// for each axis (time unit = one frame; Q is piecewise-constant white
+// acceleration). Both axes start from the same covariance and see the same
+// q, r and predict/update sequence, so they share one covariance
+// [[a b] [b c]] and one gain. Every product or quotient that feeds an
+// addition is wrapped in float64(), so no target fuses it into a
+// multiply-add and the state's bits are the same on every architecture.
 type filter struct {
-	x, y axis
+	px, vx, py, vy float64
+	a, b, c        float64
 	// q and r are process and measurement noise intensities.
 	q, r float64
 }
@@ -86,30 +51,39 @@ type filter struct {
 // newFilter returns a filter initialised at the measured centroid with
 // zero velocity and large velocity uncertainty.
 func newFilter(cx, cy, processNoise, measNoise float64) filter {
-	return filter{
-		x: axis{p: cx, a: measNoise, c: 100}, // velocity unknown at birth
-		y: axis{p: cy, a: measNoise, c: 100},
-		q: processNoise, r: measNoise,
-	}
+	return filter{px: cx, py: cy, a: measNoise, c: 100, q: processNoise, r: measNoise}
 }
 
-// predict advances both axes one frame.
+// predict advances the state one frame: x = Fx, P = FPF^T + Q.
 func (f *filter) predict() {
-	f.x.predict(f.q)
-	f.y.predict(f.q)
+	f.px += f.vx
+	f.py += f.vy
+	f.a = ((f.a + f.b) + (f.b + f.c)) + float64(f.q/4)
+	f.b = (f.b + f.c) + float64(f.q/2)
+	f.c += f.q
 }
 
-// update folds in a centroid measurement (mx, my). It computes both gains
-// before it changes either axis, so a singular innovation leaves the state
-// as it was.
+// update folds in a centroid measurement (mx, my): with the Kalman gain
+// K = PH^T (HPH^T + R)^-1 = [k0 k1]^T, x += K(z - Hx) per axis, then
+// P = (I - KH)P, whose off-diagonal entries are averaged to keep P
+// symmetric. An innovation variance a+r below 1e-12 in magnitude is
+// singular: update then fails and leaves the state as it was.
 func (f *filter) update(mx, my float64) error {
-	kx0, kx1, okx := f.x.gain(f.r)
-	ky0, ky1, oky := f.y.gain(f.r)
-	if !okx || !oky {
+	s := f.a + f.r
+	if math.Abs(s) < 1e-12 {
 		return errSingular
 	}
-	f.x.update(mx, kx0, kx1)
-	f.y.update(my, ky0, ky1)
+	i := 1 / s
+	k0, k1 := f.a*i, f.b*i
+	ex, ey := mx-f.px, my-f.py
+	f.px += float64(k0 * ex)
+	f.vx += float64(k1 * ex)
+	f.py += float64(k0 * ey)
+	f.vy += float64(k1 * ey)
+	a, b := f.a, f.b
+	f.a = (1 - k0) * a
+	f.b = (float64((1-k0)*b) + (b - float64(k1*a))) * 0.5
+	f.c -= float64(k1 * b)
 	return nil
 }
 
@@ -236,7 +210,7 @@ func (t *Tracker) associate(proposals []geometry.Box) ([]int, error) {
 		f := &t.tracks[ti].filter
 		for j, p := range proposals {
 			px, py := p.Center()
-			d := math.Hypot(px-f.x.p, py-f.y.p)
+			d := math.Hypot(px-f.px, py-f.py)
 			if d <= t.cfg.GateDistance {
 				cost[li][j] = d
 			} else {
@@ -334,7 +308,7 @@ func (t *Tracker) Step(proposals []geometry.Box) ([]Report, error) {
 		if !tr.valid {
 			continue
 		}
-		cx, cy := tr.filter.x.p, tr.filter.y.p
+		cx, cy := tr.filter.px, tr.filter.py
 		if cx < float64(t.cfg.Bounds.X)-tr.w || cx > float64(t.cfg.Bounds.MaxX())+tr.w ||
 			cy < float64(t.cfg.Bounds.Y)-tr.h || cy > float64(t.cfg.Bounds.MaxY())+tr.h {
 			t.tracks[i] = track{}
@@ -349,11 +323,11 @@ func (t *Tracker) Step(proposals []geometry.Box) ([]Report, error) {
 			continue
 		}
 		f := &tr.filter
-		b := geometry.FBox{X: f.x.p - tr.w/2, Y: f.y.p - tr.h/2, W: tr.w, H: tr.h}.Round().Clamp(t.cfg.Bounds)
+		b := geometry.FBox{X: f.px - tr.w/2, Y: f.py - tr.h/2, W: tr.w, H: tr.h}.Round().Clamp(t.cfg.Bounds)
 		if b.Empty() {
 			continue
 		}
-		out = append(out, Report{ID: tr.id, Box: b, VX: f.x.v, VY: f.y.v})
+		out = append(out, Report{ID: tr.id, Box: b, VX: f.vx, VY: f.vy})
 	}
 	return out, nil
 }

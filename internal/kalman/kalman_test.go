@@ -21,10 +21,10 @@ func TestFilterConvergesToConstantVelocity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if vx, vy := f.x.v, f.y.v; math.Abs(vx-3) > 0.2 || math.Abs(vy+1) > 0.2 {
+	if vx, vy := f.vx, f.vy; math.Abs(vx-3) > 0.2 || math.Abs(vy+1) > 0.2 {
 		t.Errorf("velocity = (%v, %v), want ~(3, -1)", vx, vy)
 	}
-	if cx, cy := f.x.p, f.y.p; math.Abs(cx-90) > 2 || math.Abs(cy+30) > 2 {
+	if cx, cy := f.px, f.py; math.Abs(cx-90) > 2 || math.Abs(cy+30) > 2 {
 		t.Errorf("centroid = (%v, %v), want ~(90, -30)", cx, cy)
 	}
 }
@@ -40,7 +40,7 @@ func TestFilterSmoothsNoisyMeasurements(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if cx := f.x.p; math.Abs(cx-50) > 1 {
+	if cx := f.px; math.Abs(cx-50) > 1 {
 		t.Errorf("smoothed centroid x = %v, want ~50", cx)
 	}
 }
@@ -68,13 +68,13 @@ func TestFilterStateLock(t *testing.T) {
 		ordinary bool
 	}{{1, 4, true}, {0.5, 9, true}, {1e-14, 1e-14, false}} {
 		hashState := func(f *filter) {
-			for _, s := range []*axis{&f.x, &f.y} {
-				for _, v := range []float64{s.p, s.v, s.a, s.b, s.c} {
-					put(math.Float64bits(v))
-				}
-				if n.ordinary && (s.a < 0 || s.c < 0) {
-					t.Fatalf("q=%g r=%g: negative variance in %+v", n.q, n.r, *s)
-				}
+			// The shared covariance is hashed once per axis, the layout
+			// of the per-axis filter the digest was recorded on.
+			for _, v := range []float64{f.px, f.vx, f.a, f.b, f.c, f.py, f.vy, f.a, f.b, f.c} {
+				put(math.Float64bits(v))
+			}
+			if n.ordinary && (f.a < 0 || f.c < 0) {
+				t.Fatalf("q=%g r=%g: negative variance in %+v", n.q, n.r, *f)
 			}
 		}
 		fails := 0
@@ -121,12 +121,12 @@ func TestFilterUncertaintyGrowsWithoutMeasurements(t *testing.T) {
 	if err := f.update(10, 10); err != nil {
 		t.Fatal(err)
 	}
-	before := f.x.a
+	before := f.a
 	for k := 0; k < 5; k++ {
 		f.predict()
 	}
-	if f.x.a <= before {
-		t.Errorf("position variance should grow during coasting: %v -> %v", before, f.x.a)
+	if f.a <= before {
+		t.Errorf("position variance should grow during coasting: %v -> %v", before, f.a)
 	}
 }
 

@@ -49,30 +49,14 @@ import (
 
 	"ebbiot/internal/core"
 	"ebbiot/internal/geometry"
+	"ebbiot/internal/store"
 )
 
-// TrackSnapshot is one window's result from one sensor stream: the frame
-// clock position plus the tracker's reported boxes, deep-copied so the
+// TrackSnapshot is one window's result from one sensor stream. It is
+// store.Snapshot, so the record a worker builds is the record the store
+// persists and a replay yields. The worker deep-copies the boxes, so a
 // snapshot stays valid after the worker moves on to the next window.
-type TrackSnapshot struct {
-	// Sensor is the stream's index in the Runner's stream list; Name is its
-	// label ("sensor3" when unset).
-	Sensor int    `json:"sensor"`
-	Name   string `json:"name"`
-	// Frame is the window index; the window spans [StartUS, EndUS) in
-	// stream time.
-	Frame   int   `json:"frame"`
-	StartUS int64 `json:"start_us"`
-	EndUS   int64 `json:"end_us"`
-	// Events is the number of events consumed in the window.
-	Events int `json:"events"`
-	// ProcUS is the wall-clock time ProcessWindow took, in microseconds —
-	// the active slice of the paper's duty cycle.
-	ProcUS int64 `json:"proc_us"`
-	// Boxes are the reported tracks at the window end (deep copy; safe to
-	// retain).
-	Boxes []geometry.Box `json:"boxes"`
-}
+type TrackSnapshot = store.Snapshot
 
 // Observer is a per-stream hook invoked synchronously on the worker
 // goroutine after each window, before the snapshot is fanned in. Because it
@@ -83,10 +67,11 @@ type Observer func(snap TrackSnapshot, sys core.System) error
 
 // Tuner is the control plane's hook into a running stream. The worker calls
 // Tune on its own goroutine at every window boundary, before the next window
-// is pulled; the tuner may reconfigure the System in place (the systems'
-// ApplyParams hooks) and returns the frame duration tF to use for the next
-// window (0 keeps the current one) plus the parameter version in effect (0
-// when unversioned), which the live status reports.
+// is pulled; the tuner may retune the System (the systems' ApplyParams
+// hooks, which rebuild it through its constructor) and returns the frame
+// duration tF to use for the next window (0 keeps the current one) plus the
+// parameter version in effect (0 when unversioned), which the live status
+// reports.
 //
 // A Tuner instance belongs to one stream: it is only ever called from the
 // worker currently driving that stream, so it needs no locking of its own,

@@ -522,10 +522,9 @@ func TestCSVAndJSONAndTraceSinks(t *testing.T) {
 	if err := js.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"sensor":2`, `"frame":7`, `"end_us":528000`, `"boxes":[{`} {
-		if !strings.Contains(jsonBuf.String(), want) {
-			t.Errorf("JSON output %q missing %q", jsonBuf.String(), want)
-		}
+	wantJSON := `{"sensor":2,"name":"s2","frame":7,"start_us":462000,"end_us":528000,"events":123,"proc_us":0,"boxes":[{"X":10,"Y":20,"W":30,"H":16}]}` + "\n"
+	if jsonBuf.String() != wantJSON {
+		t.Errorf("JSON output %q, want %q", jsonBuf.String(), wantJSON)
 	}
 
 	ts := NewTraceSink()

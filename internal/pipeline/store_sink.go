@@ -28,16 +28,7 @@ func NewStoreSink(w *store.Writer) *StoreSink { return &StoreSink{w: w} }
 
 // Consume implements Sink.
 func (s *StoreSink) Consume(snap TrackSnapshot) error {
-	if err := s.w.Append(store.Snapshot{
-		Sensor:  snap.Sensor,
-		Name:    snap.Name,
-		Frame:   snap.Frame,
-		StartUS: snap.StartUS,
-		EndUS:   snap.EndUS,
-		Events:  snap.Events,
-		ProcUS:  snap.ProcUS,
-		Boxes:   snap.Boxes,
-	}); err != nil {
+	if err := s.w.Append(snap); err != nil {
 		return fmt.Errorf("pipeline: store sink: %w", err)
 	}
 	return nil
@@ -48,20 +39,6 @@ func (s *StoreSink) Flush() error { return s.w.Sync() }
 
 // Close seals the store. After Close the sink must not consume again.
 func (s *StoreSink) Close() error { return s.w.Close() }
-
-// snapshotFromStore converts a stored record back to the pipeline type.
-func snapshotFromStore(s store.Snapshot) TrackSnapshot {
-	return TrackSnapshot{
-		Sensor:  s.Sensor,
-		Name:    s.Name,
-		Frame:   s.Frame,
-		StartUS: s.StartUS,
-		EndUS:   s.EndUS,
-		Events:  s.Events,
-		ProcUS:  s.ProcUS,
-		Boxes:   s.Boxes,
-	}
-}
 
 // ReplayOptions parameterises ReplayStoreWith.
 type ReplayOptions struct {
@@ -141,16 +118,15 @@ loop:
 		if opts.Speed > 0 {
 			pace.wait(snap.EndUS, ctx.Done())
 		}
-		ps := snapshotFromStore(snap)
-		ss := status.Register(ps.Sensor, ps.Name)
+		ss := status.Register(snap.Sensor, snap.Name)
 		ss.setState(StreamRunning)
-		ss.record(ps)
+		ss.record(snap)
 		// The recorded window span is the stream's tF, so monitored replays
 		// report a real frame_us like live runs do.
-		ss.setTuning(ps.EndUS-ps.StartUS, 0)
+		ss.setTuning(snap.EndUS-snap.StartUS, 0)
 		if sink != nil {
 			t0 := time.Now()
-			err := sink.Consume(ps)
+			err := sink.Consume(snap)
 			status.addSinkTime(time.Since(t0))
 			if err != nil {
 				firstErr = fmt.Errorf("pipeline: sink: %w", err)

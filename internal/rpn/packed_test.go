@@ -83,49 +83,3 @@ func TestProposePackedParity(t *testing.T) {
 		}
 	}
 }
-
-// TestProposerReconfigure verifies the live-reconfiguration hook: after
-// Reconfigure the proposer is indistinguishable from a freshly built one,
-// and an invalid config is rejected without touching the current one.
-func TestProposerReconfigure(t *testing.T) {
-	img := imgproc.NewBitmap(64, 48)
-	for y := 10; y < 30; y++ {
-		for x := 12; x < 40; x++ {
-			img.Set(x, y)
-		}
-	}
-	p, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Propose(img); err != nil {
-		t.Fatal(err)
-	}
-
-	next := Config{S1: 4, S2: 2, Threshold: 2, MergeGap: 0, MinValidPixels: 6, MinW: 2, MinH: 2, Tighten: true}
-	if err := p.Reconfigure(next); err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.Propose(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := New(next)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := fresh.Propose(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Proposals, want.Proposals) {
-		t.Fatalf("reconfigured proposals %v != fresh %v", got.Proposals, want.Proposals)
-	}
-
-	if err := p.Reconfigure(Config{S1: 0, S2: 3}); err == nil {
-		t.Fatal("Reconfigure accepted an invalid config")
-	}
-	if p.Config() != next {
-		t.Fatalf("failed Reconfigure mutated the config: %+v", p.Config())
-	}
-}

@@ -107,21 +107,6 @@ func New(cfg Config) (*Proposer, error) {
 	return &Proposer{cfg: cfg}, nil
 }
 
-// Config returns the proposer's configuration.
-func (p *Proposer) Config() Config { return p.cfg }
-
-// Reconfigure swaps the proposer's configuration in place — the
-// live-reconfiguration hook behind core's ApplyParams. The scratch buffers
-// are dimensioned lazily per call, so a geometry change (s1/s2) needs no
-// explicit rebuild; on error the proposer is left untouched.
-func (p *Proposer) Reconfigure(cfg Config) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	p.cfg = cfg
-	return nil
-}
-
 // Propose runs the full RPN on a filtered EBBI. The returned Result's HX
 // and HY histograms alias the proposer's scratch buffers and are valid only
 // until the next Propose call; the Proposals themselves are freshly

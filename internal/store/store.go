@@ -35,27 +35,28 @@ import (
 	"ebbiot/internal/geometry"
 )
 
-// Snapshot is the stored form of one window's tracking result from one
-// sensor stream. It mirrors pipeline.TrackSnapshot field for field; the
-// two are kept as separate types so the store depends only on geometry and
-// the pipeline can depend on the store (for StoreSink/replay) without an
-// import cycle.
+// Snapshot is one window's tracking result from one sensor stream: the
+// frame clock position plus the tracker's reported boxes. It is the one
+// record from worker to disk — pipeline.TrackSnapshot is an alias of it —
+// so the pipeline's sinks, this store and a replay pass it on unconverted;
+// its JSON tags define the pipeline's JSON Lines output.
 type Snapshot struct {
-	// Sensor is the stream index (must be >= 0); Name its label.
-	Sensor int
-	Name   string
+	// Sensor is the stream index (must be >= 0), the stream's place in the
+	// Runner's stream list; Name is its label ("sensor3" when unset).
+	Sensor int    `json:"sensor"`
+	Name   string `json:"name"`
 	// Frame is the window index; the window spans [StartUS, EndUS) in
 	// stream time.
-	Frame   int
-	StartUS int64
-	EndUS   int64
+	Frame   int   `json:"frame"`
+	StartUS int64 `json:"start_us"`
+	EndUS   int64 `json:"end_us"`
 	// Events is the number of events consumed in the window.
-	Events int
-	// ProcUS is the wall-clock processing time of the window in
-	// microseconds.
-	ProcUS int64
+	Events int `json:"events"`
+	// ProcUS is the wall-clock time the window's processing took, in
+	// microseconds — the active slice of the paper's duty cycle.
+	ProcUS int64 `json:"proc_us"`
 	// Boxes are the reported track boxes at the window end.
-	Boxes []geometry.Box
+	Boxes []geometry.Box `json:"boxes"`
 }
 
 // Options parameterise a Writer. The zero value selects the defaults.

@@ -2,9 +2,9 @@
 # Snapshot-store query smoke test: record a deterministic ENG recording as
 # three sensors into a store, then require every query ebbiot-query offers
 # to agree with the live output — each per-sensor scan, a bounded scan, the
-# merged replay — plus a clean verify, a rejected -to 0, and the run
-# selector once a second run shares the directory. Used by
-# `make smoke-store` and CI.
+# merged replay as CSV and, for a second store recorded with -json, as JSON
+# Lines — plus a clean verify, a rejected -to 0, and the run selector once
+# a second run shares the directory. Used by `make smoke-store` and CI.
 set -euo pipefail
 
 RUN=${RUN:-bin/ebbiot-run}
@@ -40,6 +40,12 @@ test "$(wc -l <"$WORK/window.csv")" -lt "$(wc -l <"$WORK/live-1.csv")"
 echo "--- the merged replay holds the live rows"
 $QUERY -store "$STORE" -mode replay 2>/dev/null | sort >"$WORK/replay-sorted.csv"
 sort "$WORK/live.csv" | cmp - "$WORK/replay-sorted.csv"
+
+echo "--- a -json run's merged replay holds its live JSON Lines"
+$RUN -in "$WORK/eng.aer" -sensors 3 -workers 2 -json -store "$WORK/store-json" >"$WORK/live.jsonl" 2>/dev/null
+test -s "$WORK/live.jsonl"
+$QUERY -store "$WORK/store-json" -mode replay -json 2>/dev/null | sort >"$WORK/replay-sorted.jsonl"
+sort "$WORK/live.jsonl" | cmp - "$WORK/replay-sorted.jsonl"
 
 echo "--- verify is clean"
 $QUERY -store "$STORE" -mode verify -q
