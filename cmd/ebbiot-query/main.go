@@ -17,7 +17,8 @@
 //	        paced on the recorded clock (1 = recorded speed) and with -http
 //	        the control plane's monitoring endpoints (/healthz, /stats,
 //	        /streams/{id}, /metrics) observe it live, exactly like a live
-//	        run — /params answers 404 since a replay has no live parameters
+//	        run — /params answers 404 since a replay has no live parameters;
+//	        without -http no live status is kept
 //	verify  audit every run against its manifest: recompute each sealed
 //	        segment's Merkle root over the record hashes, re-derive the
 //	        chained roots through tombstones, and validate sidecar indexes.
@@ -237,11 +238,13 @@ func replay(dir string, run uint64, sensors []int, from, to int64, jsonOut bool,
 	defer stop()
 	context.AfterFunc(ctx, stop)
 
-	// Live monitoring: the replay publishes into a RunStatus, which serves
-	// the same observation endpoints as a live run (no /params — a replay
-	// has no live parameters to retune).
-	status := pipeline.NewRunStatus(1)
+	// Live monitoring, only with -http: the replay publishes into a
+	// RunStatus, which serves the same observation endpoints as a live run
+	// (no /params — a replay has no live parameters to retune). Without a
+	// status the replay publishes nothing and runs at store speed.
+	var status *pipeline.RunStatus
 	if httpAddr != "" {
+		status = pipeline.NewRunStatus(1)
 		addr, shutdown, err := control.Serve(httpAddr, control.NewServer(nil, status).Handler(),
 			func(serr error) { fmt.Fprintln(os.Stderr, "ebbiot-query: monitor server:", serr) })
 		if err != nil {

@@ -199,3 +199,61 @@ func BenchmarkStoreSinkConsume(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkReplayStoreWith is perfbench's replay-eng read phase in
+// miniature: one recorded run of one sensor, "eng-0", holding 1,130
+// one-box records, replayed whole by ReplayStoreWith into a counting sink.
+// "unmonitored" passes no RunStatus, as perfbench and a plain
+// ebbiot-query replay do; "monitored" passes a fresh one per replay, as
+// ebbiot-query -http does. One op is one whole replay.
+func BenchmarkReplayStoreWith(b *testing.B) {
+	const records = 1130
+	dir := b.TempDir()
+	w, err := store.Open(dir, store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < records; i++ {
+		start := int64(i) * 66_000
+		if err := w.Append(TrackSnapshot{
+			Name: "eng-0", Frame: i, StartUS: start, EndUS: start + 66_000,
+			Events: 3_000, ProcUS: 120,
+			Boxes: []geometry.Box{{X: 40 + i%150, Y: 60, W: 30, H: 15}},
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	rd, err := store.OpenReader(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, monitored := range []bool{false, true} {
+		name := "unmonitored"
+		if monitored {
+			name = "monitored"
+		}
+		b.Run(name, func(b *testing.B) {
+			n := 0
+			sink := SinkFunc(func(TrackSnapshot) error { n++; return nil })
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var opts ReplayOptions
+				if monitored {
+					opts.Status = NewRunStatus(1)
+				}
+				if _, err := ReplayStoreWith(context.Background(), rd, sink, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if n != records*b.N {
+				b.Fatalf("replayed %d records, want %d", n, records*b.N)
+			}
+			b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "records/s")
+		})
+	}
+}

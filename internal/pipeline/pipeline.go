@@ -210,6 +210,7 @@ func (r *Runner) Run(ctx context.Context, streams []Stream, sink Sink) (Stats, e
 		workers = len(streams)
 	}
 
+	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -369,8 +370,12 @@ dispatch:
 		fail(fmt.Errorf("pipeline: sink flush: %w", err))
 	}
 
-	if firstErr == nil && ctx.Err() != nil {
-		firstErr = ctx.Err()
+	// The caller's context, not the derived one: cancelling the caller's
+	// closes its Done channel before it cancels the derived context, and a
+	// stream watching the caller's channel (a PacedSource) can run out in
+	// that gap. The caller's Err waits until its cancellation completes.
+	if firstErr == nil {
+		firstErr = parent.Err()
 	}
 	// Contained failures (panics) let the rest of the run finish, but a
 	// run with failed streams is still a failed run: report them so
@@ -466,6 +471,7 @@ func (r *Runner) runStream(ctx context.Context, idx int, st *Stream, results cha
 		if err != nil {
 			return fmt.Errorf("pipeline: %s: %s: %w", name, st.System.Name(), err)
 		}
+		procEnd := time.Now()
 		snap := TrackSnapshot{
 			Sensor:  idx,
 			Name:    name,
@@ -473,12 +479,13 @@ func (r *Runner) runStream(ctx context.Context, idx int, st *Stream, results cha
 			StartUS: win.Start,
 			EndUS:   win.End,
 			Events:  len(win.Events),
-			ProcUS:  time.Since(procStart).Microseconds(),
+			ProcUS:  procEnd.Sub(procStart).Microseconds(),
 			// Deep copy: the System's slice is fresh per the core.System
 			// contract, but copying here makes the snapshot safe even for
 			// systems that violate it.
 			Boxes: append([]geometry.Box(nil), reported...),
 		}
+		ss.noteProgress(procEnd)
 		ss.record(snap)
 		if timer, ok := st.System.(core.StageTimer); ok {
 			ss.setStages(timer.StageTimings())

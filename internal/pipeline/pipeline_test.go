@@ -514,15 +514,21 @@ func TestCSVAndJSONAndTraceSinks(t *testing.T) {
 		t.Errorf("CSV output %q, want %q", csvBuf.String(), wantCSV)
 	}
 
+	// A window that reported no track carries nil boxes (the Runner's deep
+	// copy of an empty list); JSON Lines prints it as an empty array.
+	empty := TrackSnapshot{Sensor: 2, Name: "s2", Frame: 8, StartUS: 528_000, EndUS: 594_000, Events: 5}
 	var jsonBuf bytes.Buffer
 	js := NewJSONSink(&jsonBuf)
-	if err := js.Consume(snap); err != nil {
-		t.Fatal(err)
+	for _, s := range []TrackSnapshot{snap, empty} {
+		if err := js.Consume(s); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := js.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	wantJSON := `{"sensor":2,"name":"s2","frame":7,"start_us":462000,"end_us":528000,"events":123,"proc_us":0,"boxes":[{"X":10,"Y":20,"W":30,"H":16}]}` + "\n"
+	wantJSON := `{"sensor":2,"name":"s2","frame":7,"start_us":462000,"end_us":528000,"events":123,"proc_us":0,"boxes":[{"X":10,"Y":20,"W":30,"H":16}]}` + "\n" +
+		`{"sensor":2,"name":"s2","frame":8,"start_us":528000,"end_us":594000,"events":5,"proc_us":0,"boxes":[]}` + "\n"
 	if jsonBuf.String() != wantJSON {
 		t.Errorf("JSON output %q, want %q", jsonBuf.String(), wantJSON)
 	}

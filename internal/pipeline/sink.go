@@ -7,6 +7,7 @@ import (
 	"io"
 	"sort"
 
+	"ebbiot/internal/geometry"
 	"ebbiot/internal/trace"
 )
 
@@ -122,8 +123,12 @@ func NewJSONSink(w io.Writer) *JSONSink {
 	return &JSONSink{bw: bw, enc: json.NewEncoder(bw)}
 }
 
-// Consume implements Sink.
+// Consume implements Sink. A window with no boxes prints "boxes":[], the
+// same shape as every other window, whether its list is nil or empty.
 func (j *JSONSink) Consume(snap TrackSnapshot) error {
+	if snap.Boxes == nil {
+		snap.Boxes = []geometry.Box{}
+	}
 	if err := j.enc.Encode(snap); err != nil {
 		return fmt.Errorf("pipeline: json encode: %w", err)
 	}

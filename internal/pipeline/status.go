@@ -203,9 +203,10 @@ func (s *StreamStatus) failPanic(err error, stack []byte) {
 	s.mu.Unlock()
 }
 
-// record accounts one processed window.
+// record accounts one processed window. It does not stamp the progress
+// clock: only a Runner's watchdog reads it, so the Runner stamps it itself
+// (noteProgress) with the clock read that ends the window's ProcUS.
 func (s *StreamStatus) record(snap TrackSnapshot) {
-	s.noteProgress(time.Now())
 	s.windows.Add(1)
 	s.events.Add(int64(snap.Events))
 	s.boxes.Add(int64(len(snap.Boxes)))

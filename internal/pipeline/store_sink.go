@@ -57,7 +57,9 @@ type ReplayOptions struct {
 	Speed float64
 	// Status, when non-nil, receives live per-sensor progress — the same
 	// observation surface a live Runner publishes, so the control plane's
-	// HTTP server can monitor a replay exactly like a live run.
+	// HTTP server can monitor a replay exactly like a live run. When nil,
+	// nothing is published live: the replay only counts the totals it
+	// returns.
 	Status *RunStatus
 }
 
@@ -75,6 +77,10 @@ type ReplayOptions struct {
 // holds several). Like Runner.Run, ReplayStoreWith flushes the sink before
 // returning and reports the first error from the store, the sink, the
 // flush or ctx.
+//
+// Only a monitored replay (opts.Status non-nil) publishes live progress
+// and times the sink, so Stats.SinkTime is measured for it alone and is
+// zero otherwise; the other totals are the same either way.
 func ReplayStoreWith(ctx context.Context, r *store.Reader, sink Sink, opts ReplayOptions) (Stats, error) {
 	t1 := opts.T1
 	if t1 <= 0 {
@@ -87,21 +93,32 @@ func ReplayStoreWith(ctx context.Context, r *store.Reader, sink Sink, opts Repla
 	return drainStore(ctx, it, sink, opts)
 }
 
+// replayStream is one sensor seen by a replay: its live status (nil when
+// the replay is unmonitored) and the window span last published as its tF.
+type replayStream struct {
+	sensor  int
+	ss      *StreamStatus
+	frameUS int64
+}
+
 // drainStore pumps a store iterator into a sink, mirroring Runner.Run's
 // consumer-side contract: single goroutine, sink flushed at the end,
 // first error wins. With opts.Speed > 0 delivery is paced on the recorded
-// EndUS clock; with opts.Status non-nil per-sensor progress is published
-// live.
+// EndUS clock. With opts.Status non-nil per-sensor progress is published
+// live, each sensor's StreamStatus resolved once, and every Consume timed;
+// without it the totals are counted locally and a record costs no shared
+// state, atomic or clock read.
 func drainStore(ctx context.Context, it store.Iterator, sink Sink, opts ReplayOptions) (Stats, error) {
 	defer it.Close()
 	start := time.Now()
 	status := opts.Status
-	if status == nil {
-		status = NewRunStatus(1)
-	}
 	pace := pacer{speed: opts.Speed}
-	var firstErr error
-loop:
+	stats := Stats{Workers: 1}
+	streams := make(map[int]*replayStream)
+	var (
+		cur      *replayStream
+		firstErr error
+	)
 	for {
 		if err := ctx.Err(); err != nil {
 			firstErr = err
@@ -118,37 +135,62 @@ loop:
 		if opts.Speed > 0 {
 			pace.wait(snap.EndUS, ctx.Done())
 		}
-		ss := status.Register(snap.Sensor, snap.Name)
-		ss.setState(StreamRunning)
-		ss.record(snap)
-		// The recorded window span is the stream's tF, so monitored replays
-		// report a real frame_us like live runs do.
-		ss.setTuning(snap.EndUS-snap.StartUS, 0)
-		if sink != nil {
-			t0 := time.Now()
-			err := sink.Consume(snap)
-			status.addSinkTime(time.Since(t0))
-			if err != nil {
-				firstErr = fmt.Errorf("pipeline: sink: %w", err)
-				break loop
+		stats.Windows++
+		stats.Events += int64(snap.Events)
+		stats.Boxes += int64(len(snap.Boxes))
+		// Runs of records from one sensor (a whole one-sensor replay) skip
+		// the map lookup.
+		if cur == nil || cur.sensor != snap.Sensor {
+			cur = streams[snap.Sensor]
+			if cur == nil {
+				cur = &replayStream{sensor: snap.Sensor}
+				streams[snap.Sensor] = cur
+				if status != nil {
+					cur.ss = status.Register(snap.Sensor, snap.Name)
+					cur.ss.setState(StreamRunning)
+				}
 			}
+		}
+		if status != nil {
+			cur.ss.record(snap)
+			// The recorded window span is the stream's tF, so monitored
+			// replays report a real frame_us like live runs do.
+			if span := snap.EndUS - snap.StartUS; span != cur.frameUS {
+				cur.frameUS = span
+				cur.ss.setTuning(span, 0)
+			}
+		}
+		if sink == nil {
+			continue
+		}
+		if status == nil {
+			err = sink.Consume(snap)
+		} else {
+			t0 := time.Now()
+			err = sink.Consume(snap)
+			d := time.Since(t0)
+			stats.SinkTime += d
+			status.addSinkTime(d)
+		}
+		if err != nil {
+			firstErr = fmt.Errorf("pipeline: sink: %w", err)
+			break
 		}
 	}
 	if err := flushSink(sink); err != nil && firstErr == nil {
 		firstErr = fmt.Errorf("pipeline: sink flush: %w", err)
 	}
-	status.finish(firstErr)
-	snap := status.Snapshot()
-	for _, ss := range snap.PerStream {
-		st := status.Stream(ss.Sensor)
-		if firstErr == nil {
-			st.setState(StreamDone)
-		} else {
-			st.setState(StreamCanceled)
+	if status != nil {
+		final := StreamDone
+		if firstErr != nil {
+			final = StreamCanceled
 		}
+		for _, rs := range streams {
+			rs.ss.setState(final)
+		}
+		status.finish(firstErr)
 	}
-	st := status.Stats()
-	st.Workers = 1
-	st.Elapsed = time.Since(start)
-	return st, firstErr
+	stats.Streams = len(streams)
+	stats.Elapsed = time.Since(start)
+	return stats, firstErr
 }

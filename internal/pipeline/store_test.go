@@ -207,3 +207,121 @@ func TestCSVSinkFlushErrorFailsRun(t *testing.T) {
 type failWriter struct{}
 
 func (failWriter) Write(p []byte) (int, error) { return 0, errors.New("write refused") }
+
+// TestReplayStatusMatchesLiveRun records a two-stream run and replays it
+// unmonitored and monitored: either way the replay's totals are the live
+// run's, a monitored replay's per-stream status matches the live Runner's
+// field for field, and a monitored replay cancelled by its sink partway
+// reports context.Canceled with every stream it saw canceled.
+func TestReplayStatusMatchesLiveRun(t *testing.T) {
+	dir := t.TempDir()
+	sw, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := make([]Stream, 2)
+	for k := range streams {
+		src, err := NewSliceSource(syntheticStream(k, 500_000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams[k] = Stream{Source: src, System: &fakeSystem{name: "s"}}
+	}
+	r, err := NewRunner(Config{FrameUS: 66_000, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := r.Run(context.Background(), streams, NewStoreSink(sw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	liveStreams := make(map[int]StreamSnapshot)
+	for _, ss := range r.Status().Snapshot().PerStream {
+		liveStreams[ss.Sensor] = ss
+	}
+	rd, err := store.OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameTotals := func(label string, got Stats) {
+		t.Helper()
+		if got.Streams != live.Streams || got.Windows != live.Windows ||
+			got.Events != live.Events || got.Boxes != live.Boxes {
+			t.Errorf("%s replay totals (%d streams, %d windows, %d events, %d boxes), live (%d, %d, %d, %d)",
+				label, got.Streams, got.Windows, got.Events, got.Boxes,
+				live.Streams, live.Windows, live.Events, live.Boxes)
+		}
+	}
+
+	records := 0
+	count := SinkFunc(func(TrackSnapshot) error { records++; return nil })
+	stats, err := ReplayStoreWith(context.Background(), rd, count, ReplayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameTotals("unmonitored", stats)
+	if int64(records) != live.Windows {
+		t.Errorf("unmonitored replay delivered %d records, want %d", records, live.Windows)
+	}
+
+	status := NewRunStatus(1)
+	stats, err = ReplayStoreWith(context.Background(), rd, count, ReplayOptions{Status: status})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameTotals("monitored", stats)
+	snap := status.Snapshot()
+	if snap.Running || len(snap.PerStream) != len(liveStreams) {
+		t.Fatalf("monitored replay status: running %v, %d streams, want done with %d",
+			snap.Running, len(snap.PerStream), len(liveStreams))
+	}
+	for _, got := range snap.PerStream {
+		want, ok := liveStreams[got.Sensor]
+		if !ok {
+			t.Fatalf("replay status has sensor %d, the live run did not", got.Sensor)
+		}
+		if got.State != "done" {
+			t.Errorf("replay stream %d state %q, want done", got.Sensor, got.State)
+		}
+		type fields struct {
+			Windows, Events, Boxes, ProcUS, LastFrame, LastEndUS, LastEvents, LastBoxes, FrameUS int64
+		}
+		g := fields{got.Windows, got.Events, got.Boxes, got.ProcUS, got.LastFrame, got.LastEndUS, got.LastEvents, got.LastBoxes, got.FrameUS}
+		w := fields{want.Windows, want.Events, want.Boxes, want.ProcUS, want.LastFrame, want.LastEndUS, want.LastEvents, want.LastBoxes, want.FrameUS}
+		if g != w {
+			t.Errorf("replay stream %d status %+v, live %+v", got.Sensor, g, w)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	seen := make(map[int]bool)
+	stopper := SinkFunc(func(s TrackSnapshot) error {
+		seen[s.Sensor] = true
+		if len(seen) == len(liveStreams) {
+			cancel()
+		}
+		return nil
+	})
+	status = NewRunStatus(1)
+	stats, err = ReplayStoreWith(ctx, rd, stopper, ReplayOptions{Status: status})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("replay cancelled by its sink returned %v, want context.Canceled", err)
+	}
+	if stats.Windows >= live.Windows {
+		t.Fatalf("cancelled replay delivered all %d windows", stats.Windows)
+	}
+	snap = status.Snapshot()
+	if snap.Running || len(snap.PerStream) != len(seen) {
+		t.Fatalf("cancelled replay status: running %v, %d streams, sink saw %d",
+			snap.Running, len(snap.PerStream), len(seen))
+	}
+	for _, ss := range snap.PerStream {
+		if ss.State != "canceled" {
+			t.Errorf("cancelled replay stream %d state %q, want canceled", ss.Sensor, ss.State)
+		}
+	}
+}

@@ -399,7 +399,12 @@ func (s *segStream) openNextSegment() (bool, error) {
 		}
 		s.cur = seg
 		s.f = f
-		s.fr.br = bufio.NewReaderSize(f, 1<<16)
+		// One read buffer serves every segment of the replay.
+		if s.fr.br == nil {
+			s.fr.br = bufio.NewReaderSize(f, 1<<16)
+		} else {
+			s.fr.br.Reset(f)
+		}
 		s.fr.off, s.fr.end = off, seg.meta.DataBytes
 		s.opened++
 		return true, nil
@@ -410,7 +415,7 @@ func (s *segStream) openNextSegment() (bool, error) {
 func (s *segStream) close() {
 	if s.f != nil {
 		s.f.Close()
-		s.f, s.fr.br = nil, nil
+		s.f = nil
 	}
 }
 

@@ -3,8 +3,10 @@
 # three sensors into a store, then require every query ebbiot-query offers
 # to agree with the live output — each per-sensor scan, a bounded scan, the
 # merged replay as CSV and, for a second store recorded with -json, as JSON
-# Lines — plus a clean verify, a rejected -to 0, and the run selector once
-# a second run shares the directory. Used by `make smoke-store` and CI.
+# Lines — plus a monitored (-http) replay that must print what the
+# unmonitored one does, a clean verify, a rejected -to 0, and the run
+# selector once a second run shares the directory. Used by
+# `make smoke-store` and CI.
 set -euo pipefail
 
 RUN=${RUN:-bin/ebbiot-run}
@@ -38,8 +40,21 @@ fi
 test "$(wc -l <"$WORK/window.csv")" -lt "$(wc -l <"$WORK/live-1.csv")"
 
 echo "--- the merged replay holds the live rows"
-$QUERY -store "$STORE" -mode replay 2>/dev/null | sort >"$WORK/replay-sorted.csv"
+$QUERY -store "$STORE" -mode replay >"$WORK/replay.csv" 2>"$WORK/replay.log"
+sort "$WORK/replay.csv" >"$WORK/replay-sorted.csv"
 sort "$WORK/live.csv" | cmp - "$WORK/replay-sorted.csv"
+
+echo "--- a monitored replay (-http) prints the same rows and counts"
+$QUERY -store "$STORE" -mode replay -http 127.0.0.1:0 >"$WORK/replay-http.csv" 2>"$WORK/replay-http.log"
+grep -q '^monitoring on http://' "$WORK/replay-http.log"
+cmp "$WORK/replay.csv" "$WORK/replay-http.csv"
+# The per-sensor lines and the totals line, without its rate and duration.
+counts() {
+  sed -n -e '/^sensor [0-9]*: /p' \
+    -e 's/^\(replay: [0-9]* sensors, [0-9]* windows\) ([^)]*), \([0-9]* events, [0-9]* boxes\) in .*/\1, \2/p' "$1"
+}
+test "$(counts "$WORK/replay.log" | grep -c '^replay: ')" = 1
+diff <(counts "$WORK/replay.log") <(counts "$WORK/replay-http.log")
 
 echo "--- a -json run's merged replay holds its live JSON Lines"
 $RUN -in "$WORK/eng.aer" -sensors 3 -workers 2 -json -store "$WORK/store-json" >"$WORK/live.jsonl" 2>/dev/null
