@@ -14,7 +14,6 @@ package ebbiot_test
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"ebbiot/internal/core"
@@ -300,9 +299,12 @@ func BenchmarkEq5_RPNCost(b *testing.B) {
 // E8 — Eq. 6: overlap tracker cost at NT ~ 2.
 // ---------------------------------------------------------------------------
 
+// davisBounds is the DAVIS240 array the tracker cost benchmarks run on.
+var davisBounds = geometry.NewBox(0, 0, events.DAVIS240.A, events.DAVIS240.B)
+
 func BenchmarkEq6_OTCost(b *testing.B) {
 	p := resources.PaperDefaults()
-	tr, err := tracker.New(tracker.DefaultConfig())
+	tr, err := tracker.New(tracker.DefaultConfig(), davisBounds)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -326,7 +328,7 @@ func BenchmarkEq6_OTCost(b *testing.B) {
 
 func BenchmarkEq7_KFCost(b *testing.B) {
 	p := resources.PaperDefaults()
-	tr, err := kalman.New(kalman.DefaultConfig())
+	tr, err := kalman.New(kalman.DefaultConfig(), davisBounds)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -368,7 +370,7 @@ func BenchmarkEq8_EBMSCost(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ms, err := ebms.New(ebms.DefaultConfig())
+	ms, err := ebms.New(ebms.DefaultConfig(), davisBounds)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -520,7 +522,6 @@ func BenchmarkAblation_FrameDuration(b *testing.B) {
 					b.Fatal(err)
 				}
 				cfg := core.DefaultConfig().WithROE(roe.New(dataset.TreeROEENG()))
-				cfg.EBBI.FrameUS = tfMS * 1000
 				sys, err := core.NewEBBIOT(cfg)
 				if err != nil {
 					b.Fatal(err)
@@ -547,63 +548,6 @@ func benchName(tfMS int64) string {
 		return "tF=66ms"
 	default:
 		return "tF=132ms"
-	}
-}
-
-// BenchmarkAblation_SkipThreshold sweeps the near-empty window fast path on
-// an intermittent-traffic scene — a quiet low-noise sensor (~60 background
-// events per window) watching one car cross mid-recording, so most windows
-// are near-empty — reporting tracking quality against per-window processor
-// time and the fraction of windows skipped. Thresholds at or below the
-// lossless bound floor(p^2/2)+1 (5 for the paper's p = 3) cannot change any
-// reported box, so P/R must match skip=0 exactly there; higher thresholds
-// skip progressively more idle windows, cutting mean µs/window while the
-// car's own windows stay untouched (see docs/EXPERIMENTS.md for recorded
-// numbers).
-func BenchmarkAblation_SkipThreshold(b *testing.B) {
-	quiet := func() *scene.Scene {
-		return &scene.Scene{
-			Res:        events.DAVIS240,
-			DurationUS: 10_000_000,
-			Objects: []scene.Object{
-				{ID: 0, Kind: scene.KindCar, W: 32, H: 18, LaneY: 90,
-					X0: -32, VX: 60, EnterUS: 3_000_000, ExitUS: 7_500_000, Z: 1,
-					EdgeDensity: 0.9, InteriorDensity: 0.2},
-			},
-		}
-	}
-	for _, thr := range []int{0, 5, 100, 400} {
-		thr := thr
-		b.Run(fmt.Sprintf("skip=%d", thr), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sc := quiet()
-				scfg := sensor.DefaultConfig(11)
-				scfg.NoiseRatePerPixelHz = 0.02
-				sim, err := sensor.New(scfg, sc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg := core.DefaultConfig()
-				cfg.SkipEventsBelow = thr
-				sys, err := core.NewEBBIOT(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				samples, err := eval.Run(sys, sc, sim, eval.DefaultOptions())
-				if err != nil {
-					b.Fatal(err)
-				}
-				c := metrics.Evaluate(samples, 0.5)
-				b.ReportMetric(c.Precision(), "P@0.5")
-				b.ReportMetric(c.Recall(), "R@0.5")
-				st := sys.StageTimings()
-				if st.Windows > 0 {
-					b.ReportMetric(100*float64(st.Skipped)/float64(st.Windows), "skipped%")
-					b.ReportMetric(float64((st.EBBI+st.Filter+st.RPN+st.Track).Microseconds())/float64(st.Windows), "us/window")
-				}
-				sys.Close()
-			}
-		})
 	}
 }
 

@@ -38,9 +38,10 @@
 // track / sink) so kernel before/after numbers are visible straight from
 // the CLI.
 //
-// -skip-threshold arms the near-empty window fast path (windows with fewer
-// in-array events bypass the median / proposal stages; the default -1 keeps
-// the lossless bound floor(p^2/2)+1, 0 disables), with the skip count
+// Every system is built for the input's sensor resolution (the AEDAT
+// header's for -in, DAVIS240 for -scene and -listen). Windows with fewer
+// in-array events than the lossless bound floor(p^2/2)+1 of the median
+// patch size p skip the median / proposal stages, with the skip count
 // reported in the stage summary and as windows_skipped on /streams/{id} and
 // /metrics.
 //
@@ -73,7 +74,6 @@
 //	           [-store dir] [-store-segment-mb 64] [-store-sync 0]
 //	           [-store-retain-mb 0] [-store-retain-age-h 0]
 //	           [-http :8080] [-pace] [-speed 1.0]
-//	           [-skip-threshold -1]
 //	           [-ingest-token T] [-ingest-queue 64] [-ingest-policy block]
 //	           [-ingest-idle-ms 30000] [-ingest-failfast]
 //	           [-resume-grace-ms 30000] [-ack-every 8] [-watchdog-ms 0]
@@ -112,14 +112,19 @@ func main() {
 }
 
 // newSystem builds one fresh pipeline instance (each sensor stream needs its
-// own: systems are stateful) from the live parameter set, so the /params
-// endpoint reports exactly what the systems run.
+// own: systems are stateful) for the sensor resolution res from the live
+// parameter set, so the /params endpoint reports exactly what the systems
+// run.
 func newSystem(name string, res events.Resolution, ps control.ParamSet) (core.System, error) {
 	switch strings.ToUpper(name) {
 	case "EBBIOT":
-		return core.NewEBBIOT(ps.Apply(core.DefaultConfig()))
+		cfg := core.DefaultConfig()
+		cfg.EBBI.Res = res
+		return core.NewEBBIOT(ps.Apply(cfg))
 	case "KF", "EBBI+KF":
-		return core.NewEBBIKF(ps.ApplyKF(core.DefaultKFConfig()))
+		cfg := core.DefaultKFConfig()
+		cfg.EBBI.Res = res
+		return core.NewEBBIKF(ps.ApplyKF(cfg))
 	case "EBMS":
 		cfg := core.DefaultEBMSConfig()
 		cfg.Res = res
@@ -169,7 +174,6 @@ func run() error {
 	httpAddr := flag.String("http", "", "serve the control plane (healthz/stats/streams/params/metrics) on this address")
 	pace := flag.Bool("pace", false, "release windows at recorded wall-clock speed instead of as fast as possible")
 	speed := flag.Float64("speed", 1.0, "pacing speed multiplier with -pace (1 = recorded speed)")
-	skipThresh := flag.Int("skip-threshold", -1, "skip windows with fewer in-array events than this (0 disables, -1 keeps the lossless default floor(p^2/2)+1)")
 	listen := flag.String("listen", "", "ingest server mode: accept framed-TCP sensor connections on this address instead of reading -in/-scene")
 	streamIDs := flag.String("streams", "", "comma-separated stream IDs the ingest server expects (required with -listen)")
 	ingestToken := flag.String("ingest-token", "", "shared-secret token every sensor handshake must present (empty disables auth)")
@@ -213,9 +217,6 @@ func run() error {
 	// retunes it when -http is given.
 	ps := control.Defaults()
 	ps.FrameUS = *frameMS * 1000
-	if *skipThresh >= 0 {
-		ps.SkipEventsBelow = *skipThresh
-	}
 	paramStore, err := control.NewParamStore(ps)
 	if err != nil {
 		return err

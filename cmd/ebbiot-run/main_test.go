@@ -4,7 +4,12 @@ import (
 	"strings"
 	"testing"
 
+	"ebbiot/internal/control"
+	"ebbiot/internal/events"
+	"ebbiot/internal/geometry"
 	"ebbiot/internal/pipeline"
+	"ebbiot/internal/scene"
+	"ebbiot/internal/sensor"
 )
 
 // TestPrintStreamOutcomes pins the exit-code discipline: every stream gets a
@@ -51,5 +56,57 @@ func TestPrintStreamOutcomesAllDone(t *testing.T) {
 	}}
 	if failed := printStreamOutcomes(&strings.Builder{}, snap); failed != nil {
 		t.Fatalf("clean run reported failures: %v", failed)
+	}
+}
+
+// TestNewSystemUsesInputResolution builds every system newSystem offers for
+// a DAVIS346 recording whose only object drives at x ≈ 270-310, y ≈
+// 200-212, beyond a 240 x 180 array on both axes: each must report it, so
+// each must be built for the resolution it is given.
+func TestNewSystemUsesInputResolution(t *testing.T) {
+	res := events.Resolution{A: 346, B: 260}
+	const durUS = 3_000_000
+	sc := &scene.Scene{
+		Res:        res,
+		DurationUS: durUS,
+		Objects: []scene.Object{{
+			ID: 0, Kind: scene.KindCar, W: 40, H: 12, LaneY: 200,
+			X0: 265, VX: 15, EnterUS: 0, ExitUS: durUS, Z: 1,
+			EdgeDensity: 0.9, InteriorDensity: 0.2,
+		}},
+	}
+	simCfg := sensor.DefaultConfig(7)
+	simCfg.Res = res
+	outside := geometry.NewBox(240, 180, res.A-240, res.B-180)
+	for _, name := range []string{"EBBIOT", "KF", "EBMS"} {
+		sim, err := sensor.New(simCfg, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := newSystem(name, res, control.Defaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		windows, seen := 0, 0
+		for start := int64(0); start < durUS; start += 66_000 {
+			evs, err := sim.Events(start, start+66_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			boxes, err := sys.ProcessWindow(evs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			windows++
+			for _, b := range boxes {
+				if !b.Empty() && outside.ContainsBox(b) {
+					seen++
+					break
+				}
+			}
+		}
+		if seen < windows/4 {
+			t.Errorf("%s reported the object in %d of %d windows", name, seen, windows)
+		}
 	}
 }

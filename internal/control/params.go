@@ -26,23 +26,21 @@ import (
 
 // ParamSet is one versioned snapshot of every live-tunable per-stream
 // parameter: the frame clock, the RPN thresholds and geometry, the overlap
-// tracker's gating, and the duty-cycle power model. Fields map onto the
-// ebbi/rpn/tracker configs via Apply; sensor resolution and ROE masks are
-// deployment-fixed and deliberately absent.
+// tracker's gating, and the duty-cycle power model. The frame clock goes to
+// the window loop through the Tuner; the other chain fields map onto the
+// ebbi/rpn/tracker configs via Apply. Sensor resolution and ROE masks are
+// deployment-fixed and deliberately absent, and the near-empty window skip
+// bound follows from median_p.
 type ParamSet struct {
 	// Version orders sets; the store assigns it monotonically on update.
 	Version int64 `json:"version"`
 
-	// FrameUS is the frame period tF in microseconds.
+	// FrameUS is the frame period tF in microseconds: the window loop's
+	// clock, returned by Tuner.Tune.
 	FrameUS int64 `json:"frame_us"`
 	// MedianP is the binary median patch size (odd, at most
 	// imgproc.MaxMedianP = 63).
 	MedianP int `json:"median_p"`
-	// SkipEventsBelow is the near-empty window fast-path threshold: windows
-	// with fewer in-array events bypass the filter/proposal stages (0
-	// disables; see core.Config.SkipEventsBelow and
-	// core.LosslessSkipThreshold for the lossless bound).
-	SkipEventsBelow int `json:"skip_events_below"`
 
 	// RPN: downsampling factors, run threshold, gap merging, validity check
 	// and minimum proposal size (see rpn.Config).
@@ -67,43 +65,38 @@ type ParamSet struct {
 	SleepPowerMW  float64 `json:"sleep_power_mw"`
 }
 
-// Defaults returns the paper's parameters as version 1, with the duty-cycle
-// power model of the evaluation (a Cortex-M class budget).
+// Defaults returns the paper's parameters as version 1 — tF = 66 ms and
+// core.DefaultConfig's chain — with the duty-cycle power model of the
+// evaluation (a Cortex-M class budget).
 func Defaults() ParamSet {
-	return FromCore(core.DefaultConfig(), 1)
-}
-
-// FromCore lifts a core configuration into a ParamSet at the given version.
-func FromCore(cfg core.Config, version int64) ParamSet {
+	cfg := core.DefaultConfig()
 	return ParamSet{
-		Version:         version,
-		FrameUS:         cfg.EBBI.FrameUS,
-		MedianP:         cfg.EBBI.MedianP,
-		SkipEventsBelow: cfg.SkipEventsBelow,
-		S1:              cfg.RPN.S1,
-		S2:              cfg.RPN.S2,
-		Threshold:       cfg.RPN.Threshold,
-		MergeGap:        cfg.RPN.MergeGap,
-		MinValidPixels:  cfg.RPN.MinValidPixels,
-		MinW:            cfg.RPN.MinW,
-		MinH:            cfg.RPN.MinH,
-		Tighten:         cfg.RPN.Tighten,
-		MaxTrackers:     cfg.Tracker.MaxTrackers,
-		MatchFraction:   cfg.Tracker.MatchFraction,
-		MinHits:         cfg.Tracker.MinHits,
-		MaxMisses:       cfg.Tracker.MaxMisses,
-		ActivePowerMW:   90,
-		SleepPowerMW:    0.5,
+		Version:        1,
+		FrameUS:        66_000,
+		MedianP:        cfg.EBBI.MedianP,
+		S1:             cfg.RPN.S1,
+		S2:             cfg.RPN.S2,
+		Threshold:      cfg.RPN.Threshold,
+		MergeGap:       cfg.RPN.MergeGap,
+		MinValidPixels: cfg.RPN.MinValidPixels,
+		MinW:           cfg.RPN.MinW,
+		MinH:           cfg.RPN.MinH,
+		Tighten:        cfg.RPN.Tighten,
+		MaxTrackers:    cfg.Tracker.MaxTrackers,
+		MatchFraction:  cfg.Tracker.MatchFraction,
+		MinHits:        cfg.Tracker.MinHits,
+		MaxMisses:      cfg.Tracker.MaxMisses,
+		ActivePowerMW:  90,
+		SleepPowerMW:   0.5,
 	}
 }
 
-// Apply overlays the tunable fields onto a base core configuration,
+// Apply overlays the tunable chain fields (all but the frame clock, which
+// the window loop takes from Tune) onto a base core configuration,
 // preserving its deployment-fixed parts (resolution, ROE, the tracker's
 // blend weights).
 func (p ParamSet) Apply(base core.Config) core.Config {
-	base.EBBI.FrameUS = p.FrameUS
 	base.EBBI.MedianP = p.MedianP
-	base.SkipEventsBelow = p.SkipEventsBelow
 	base.RPN.S1 = p.S1
 	base.RPN.S2 = p.S2
 	base.RPN.Threshold = p.Threshold
@@ -122,9 +115,7 @@ func (p ParamSet) Apply(base core.Config) core.Config {
 // ApplyKF overlays the shared fields onto an EBBI+KF configuration; the
 // OT-specific gating maps onto the KF's pool and lifecycle counters.
 func (p ParamSet) ApplyKF(base core.KFConfig) core.KFConfig {
-	base.EBBI.FrameUS = p.FrameUS
 	base.EBBI.MedianP = p.MedianP
-	base.SkipEventsBelow = p.SkipEventsBelow
 	base.RPN.S1 = p.S1
 	base.RPN.S2 = p.S2
 	base.RPN.Threshold = p.Threshold
@@ -166,8 +157,12 @@ func (p ParamSet) Hash() [32]byte {
 }
 
 // Validate checks every field through the underlying config validators (the
-// same ones construction uses), plus the control-plane-only power model.
+// same ones construction uses), plus the frame clock and the
+// control-plane-only power model.
 func (p ParamSet) Validate() error {
+	if p.FrameUS <= 0 {
+		return fmt.Errorf("control: frame_us must be positive, got %d", p.FrameUS)
+	}
 	cfg := p.Apply(core.DefaultConfig())
 	if err := cfg.EBBI.Validate(); err != nil {
 		return fmt.Errorf("control: %w", err)
@@ -177,9 +172,6 @@ func (p ParamSet) Validate() error {
 	}
 	if err := cfg.Tracker.Validate(); err != nil {
 		return fmt.Errorf("control: %w", err)
-	}
-	if p.SkipEventsBelow < 0 {
-		return fmt.Errorf("control: skip_events_below must be non-negative, got %d", p.SkipEventsBelow)
 	}
 	if p.ActivePowerMW < 0 || p.SleepPowerMW < 0 {
 		return fmt.Errorf("control: negative power model (%v active, %v sleep)", p.ActivePowerMW, p.SleepPowerMW)
@@ -260,9 +252,9 @@ func (s *ParamStore) Patch(body []byte) (ParamSet, error) {
 // System through its ApplyParams hook — unless the new version changes no
 // tracking-chain field (SameChain), in which case live tracker state is
 // left alone: a PATCH that only recalibrates the power model must not
-// cause a tracking blackout. EBBIOT and EBBI+KF systems take the full set;
-// any other system (EBMS, custom) gets only the frame-period change, which
-// is system-independent.
+// cause a tracking blackout. The frame period goes to the window loop as
+// Tune's result, for every system; EBBIOT and EBBI+KF systems are rebuilt
+// with the other chain fields, which no other system (EBMS, custom) takes.
 //
 // Each stream needs its own Tuner (the applied cursor is per-stream);
 // construct with NewTuner.

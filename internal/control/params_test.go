@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ebbiot/internal/core"
+	"ebbiot/internal/events"
 )
 
 func TestDefaultsValidate(t *testing.T) {
@@ -162,8 +163,49 @@ func TestTunerAppliesOnVersionChange(t *testing.T) {
 	if frameUS != 33_000 || version != 2 {
 		t.Fatalf("Tune after update returned (%d, v%d)", frameUS, version)
 	}
-	if got := sys.Config(); got.RPN.Threshold != 2 || got.EBBI.FrameUS != 33_000 {
+	if got := sys.Config(); got.RPN.Threshold != 2 {
 		t.Fatalf("Tune did not apply the new params: %+v", got)
+	}
+}
+
+// TestPatchMedianPRederivesSkip retunes a live EBBIOT to p = 1 over the
+// control plane: the near-empty skip bound follows the patch size down to
+// one event, so windows of four events on the corners of one 3 x 3 patch
+// are tracked — three boxes over four windows, where a bound left at p =
+// 3's 5 would skip every window and report none.
+func TestPatchMedianPRederivesSkip(t *testing.T) {
+	store, err := NewParamStore(Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.NewEBBIOT(store.Load().Apply(core.DefaultConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	tuner := NewTuner(store)
+	if _, err := store.Patch([]byte(`{"median_p": 1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := tuner.Tune(0, sys); err != nil {
+		t.Fatal(err)
+	}
+	// The patch straddles an RPN block boundary on both axes (s1 = 6,
+	// s2 = 3), so its four corners make one proposal.
+	corners := []events.Event{{X: 101, Y: 62}, {X: 103, Y: 64}, {X: 103, Y: 62}, {X: 101, Y: 64}}
+	boxes := 0
+	for w := 0; w < 4; w++ {
+		got, err := sys.ProcessWindow(corners)
+		if err != nil {
+			t.Fatal(err)
+		}
+		boxes += len(got)
+	}
+	if boxes != 3 {
+		t.Fatalf("%d boxes over 4 windows at p = 1, want 3", boxes)
+	}
+	if st := sys.StageTimings(); st.Skipped != 0 {
+		t.Fatalf("%d windows of four events skipped at p = 1", st.Skipped)
 	}
 }
 
@@ -212,5 +254,20 @@ func TestTunerSkipsRebuildForMonitoringOnlyChange(t *testing.T) {
 	}
 	if sys.Tracker().Frame() != 0 {
 		t.Fatalf("chain change did not reset the tracker (frame %d)", sys.Tracker().Frame())
+	}
+
+	// So does a tF change: the window loop owns the clock, but a tracker
+	// stepped at another tF has no valid velocities.
+	if _, err := sys.ProcessWindow(nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Patch([]byte(`{"frame_us": 33000}`)); err != nil {
+		t.Fatal(err)
+	}
+	if frameUS, _, err := tuner.Tune(0, sys); err != nil || frameUS != 33_000 {
+		t.Fatalf("Tune = (%d us, %v)", frameUS, err)
+	}
+	if sys.Tracker().Frame() != 0 {
+		t.Fatalf("tF change did not reset the tracker (frame %d)", sys.Tracker().Frame())
 	}
 }

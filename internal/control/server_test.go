@@ -204,9 +204,19 @@ func TestServerEndpoints(t *testing.T) {
 	if store.Version() != 2 {
 		t.Fatalf("invalid patch moved the store to v%d", store.Version())
 	}
-	resp, body = patchParams(t, srv.URL, `{"bogus_knob": 1}`)
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "bogus_knob") {
-		t.Fatalf("unknown-field patch: %d %s", resp.StatusCode, body)
+	resp, body = patchParams(t, srv.URL, `{"frame_us": 0}`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "frame_us") {
+		t.Fatalf("zero frame_us patch: %d %s", resp.StatusCode, body)
+	}
+	// skip_events_below is no parameter: the skip bound follows median_p.
+	for _, field := range []string{"bogus_knob", "skip_events_below"} {
+		resp, body = patchParams(t, srv.URL, `{"`+field+`": 1}`)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, field) {
+			t.Fatalf("unknown-field patch: %d %s", resp.StatusCode, body)
+		}
+	}
+	if store.Version() != 2 {
+		t.Fatalf("rejected patches moved the store to v%d", store.Version())
 	}
 
 	// Wrong method on /params.

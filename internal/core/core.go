@@ -74,7 +74,7 @@ type StageTimings struct {
 	// Windows is the number of ProcessWindow calls accumulated.
 	Windows int64
 	// Skipped counts the windows the near-empty fast path bypassed: their
-	// event count was below the configured threshold, so the median /
+	// event count was below LosslessSkipThreshold(MedianP), so the median /
 	// proposal stages never ran and the tracker stepped with no
 	// detections. Skipped windows are included in Windows.
 	Skipped int64
@@ -124,40 +124,35 @@ type StageTimer interface {
 	StageTimings() StageTimings
 }
 
-// Config parameterises the EBBIOT pipeline.
+// Config parameterises the EBBIOT pipeline. EBBI.Res is the sensor array
+// for the whole chain: the tracker gets its bounds from it.
 type Config struct {
 	EBBI    ebbi.Config
 	RPN     rpn.Config
 	Tracker tracker.Config
-	// SkipEventsBelow enables the near-empty window fast path: a window
-	// whose in-array event count is below this threshold bypasses the
-	// median / downsample / proposal stages entirely and reports no
-	// detections (the tracker still steps, so tracks age normally). 0
-	// disables. Thresholds up to LosslessSkipThreshold(MedianP) are
-	// provably lossless — the skipped stages could not have produced any
-	// proposal — while larger values trade recall on faint objects for
-	// per-window cost.
-	SkipEventsBelow int
 }
 
-// LosslessSkipThreshold returns the largest provably lossless
-// SkipEventsBelow for median patch size p: with fewer than floor(p^2/2)+1
-// set pixels in the whole array, no p x p patch can exceed the median
-// threshold, so the filtered frame — and therefore the proposal set — is
-// empty regardless.
+// LosslessSkipThreshold returns the near-empty window bound for median
+// patch size p: with fewer than floor(p^2/2)+1 set pixels in the whole
+// array, no p x p patch can exceed the median threshold, so the filtered
+// frame — and therefore the proposal set — is empty regardless. The
+// EBBI-based systems skip the median / downsample / proposal stages of any
+// window with fewer in-array events than this and step the tracker with no
+// detections, so tracks age normally and no reported box changes.
 func LosslessSkipThreshold(p int) int { return (p*p)/2 + 1 }
 
-// DefaultConfig returns the paper's full parameter set. The near-empty fast
-// path is on at its lossless threshold for the default patch size; callers
-// lowering MedianP below the default should re-derive SkipEventsBelow.
+// DefaultConfig returns the paper's full parameter set.
 func DefaultConfig() Config {
-	e := ebbi.DefaultConfig()
 	return Config{
-		EBBI:            e,
-		RPN:             rpn.DefaultConfig(),
-		Tracker:         tracker.DefaultConfig(),
-		SkipEventsBelow: LosslessSkipThreshold(e.MedianP),
+		EBBI:    ebbi.DefaultConfig(),
+		RPN:     rpn.DefaultConfig(),
+		Tracker: tracker.DefaultConfig(),
 	}
+}
+
+// arrayBounds is the tracker bounds of a sensor array.
+func arrayBounds(res events.Resolution) geometry.Box {
+	return geometry.NewBox(0, 0, res.A, res.B)
 }
 
 // WithROE returns the config with the exclusion mask installed.
@@ -172,8 +167,7 @@ type frontend struct {
 	builder  *ebbi.PackedBuilder
 	proposer *rpn.Proposer
 	mask     *roe.Mask
-	// skipBelow is the near-empty window threshold (0 = disabled); see
-	// Config.SkipEventsBelow.
+	// skipBelow is LosslessSkipThreshold of the median patch size.
 	skipBelow int
 	timings   StageTimings
 
@@ -186,10 +180,7 @@ type frontend struct {
 	rawScratch, filtScratch *imgproc.Bitmap
 }
 
-func newFrontend(ecfg ebbi.Config, rcfg rpn.Config, mask *roe.Mask, skipBelow int) (*frontend, error) {
-	if skipBelow < 0 {
-		return nil, fmt.Errorf("core: skip-events-below must be non-negative, got %d", skipBelow)
-	}
+func newFrontend(ecfg ebbi.Config, rcfg rpn.Config, mask *roe.Mask) (*frontend, error) {
 	p, err := rpn.New(rcfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -198,7 +189,7 @@ func newFrontend(ecfg ebbi.Config, rcfg rpn.Config, mask *roe.Mask, skipBelow in
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return &frontend{builder: b, proposer: p, mask: mask, skipBelow: skipBelow}, nil
+	return &frontend{builder: b, proposer: p, mask: mask, skipBelow: LosslessSkipThreshold(ecfg.MedianP)}, nil
 }
 
 // process runs accumulate + filter + mask + propose for one window,
@@ -208,7 +199,7 @@ func (f *frontend) process(evs []events.Event) (rpn.Result, error) {
 	t0 := time.Now()
 	f.builder.Accumulate(evs)
 	t1 := time.Now()
-	if f.skipBelow > 0 && f.builder.Pending() < f.skipBelow {
+	if f.builder.Pending() < f.skipBelow {
 		// Near-empty window: drop the frame without filtering. The window
 		// still counts (and the caller still steps the tracker); the
 		// activity accounting only covers processed windows.
@@ -260,14 +251,7 @@ func (f *frontend) frame() *ebbi.Frame {
 	pf := f.lastPacked
 	f.rawScratch = pf.Raw.Unpack(f.rawScratch)
 	f.filtScratch = pf.Filtered.Unpack(f.filtScratch)
-	f.lastFrame = ebbi.Frame{
-		Index:      pf.Index,
-		Start:      pf.Start,
-		End:        pf.End,
-		Raw:        f.rawScratch,
-		Filtered:   f.filtScratch,
-		EventCount: pf.EventCount,
-	}
+	f.lastFrame = ebbi.Frame{Raw: f.rawScratch, Filtered: f.filtScratch, EventCount: pf.EventCount}
 	return &f.lastFrame
 }
 
@@ -293,11 +277,11 @@ var _ StageTimer = (*EBBIOT)(nil)
 
 // NewEBBIOT builds the pipeline.
 func NewEBBIOT(cfg Config) (*EBBIOT, error) {
-	tr, err := tracker.New(cfg.Tracker)
+	tr, err := tracker.New(cfg.Tracker, arrayBounds(cfg.EBBI.Res))
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	front, err := newFrontend(cfg.EBBI, cfg.RPN, cfg.Tracker.ROE, cfg.SkipEventsBelow)
+	front, err := newFrontend(cfg.EBBI, cfg.RPN, cfg.Tracker.ROE)
 	if err != nil {
 		return nil, err
 	}
@@ -381,7 +365,8 @@ type EBBIKF struct {
 var _ System = (*EBBIKF)(nil)
 var _ StageTimer = (*EBBIKF)(nil)
 
-// KFConfig parameterises the EBBI+KF pipeline.
+// KFConfig parameterises the EBBI+KF pipeline. EBBI.Res is the sensor
+// array for the whole chain, as in Config.
 type KFConfig struct {
 	EBBI    ebbi.Config
 	RPN     rpn.Config
@@ -390,30 +375,25 @@ type KFConfig struct {
 	// comparison.
 	ROE         *roe.Mask
 	ROEMaxCover float64
-	// SkipEventsBelow enables the near-empty window fast path (see
-	// Config.SkipEventsBelow).
-	SkipEventsBelow int
 }
 
 // DefaultKFConfig returns the comparison configuration.
 func DefaultKFConfig() KFConfig {
-	e := ebbi.DefaultConfig()
 	return KFConfig{
-		EBBI:            e,
-		RPN:             rpn.DefaultConfig(),
-		Tracker:         kalman.DefaultConfig(),
-		ROEMaxCover:     0.5,
-		SkipEventsBelow: LosslessSkipThreshold(e.MedianP),
+		EBBI:        ebbi.DefaultConfig(),
+		RPN:         rpn.DefaultConfig(),
+		Tracker:     kalman.DefaultConfig(),
+		ROEMaxCover: 0.5,
 	}
 }
 
 // NewEBBIKF builds the pipeline.
 func NewEBBIKF(cfg KFConfig) (*EBBIKF, error) {
-	tr, err := kalman.New(cfg.Tracker)
+	tr, err := kalman.New(cfg.Tracker, arrayBounds(cfg.EBBI.Res))
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	front, err := newFrontend(cfg.EBBI, cfg.RPN, cfg.ROE, cfg.SkipEventsBelow)
+	front, err := newFrontend(cfg.EBBI, cfg.RPN, cfg.ROE)
 	if err != nil {
 		return nil, err
 	}
@@ -485,7 +465,8 @@ type EBMSSystem struct {
 
 var _ System = (*EBMSSystem)(nil)
 
-// EBMSConfig parameterises the EBMS pipeline.
+// EBMSConfig parameterises the EBMS pipeline. Res is the sensor array for
+// both the NN filter and the mean-shift tracker's bounds.
 type EBMSConfig struct {
 	Res events.Resolution
 	// NNP and NNSupportUS configure the nearest-neighbour filter.
@@ -513,7 +494,7 @@ func NewEBMS(cfg EBMSConfig) (*EBMSSystem, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	ms, err := ebms.New(cfg.Tracker)
+	ms, err := ebms.New(cfg.Tracker, arrayBounds(cfg.Res))
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

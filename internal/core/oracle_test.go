@@ -15,26 +15,24 @@ import (
 // oracle is the byte-per-pixel frame chain the packed systems are held
 // bit-identical to: ebbi.Builder → roe.Mask.MaskBitmap → rpn.Proposer.Propose,
 // then the same tracker step the system under test runs. It shares no frame
-// code with the packed chain, only the configuration and the near-empty
-// skip rule.
+// code with the packed chain, only the configuration, and it skips no
+// window: the systems' near-empty skip must report what it reports.
 type oracle struct {
-	builder   *ebbi.Builder
-	proposer  *rpn.Proposer
-	mask      *roe.Mask
-	skipBelow int
-	step      func([]geometry.Box) ([]geometry.Box, error)
+	builder  *ebbi.Builder
+	proposer *rpn.Proposer
+	mask     *roe.Mask
+	step     func([]geometry.Box) ([]geometry.Box, error)
 
 	// frame and lastRPN are the most recent filtered frame (valid when
-	// framed) and proposal result; skipped counts near-empty windows.
+	// framed) and proposal result.
 	frame   ebbi.Frame
 	framed  bool
 	lastRPN rpn.Result
-	skipped int64
 }
 
 var _ System = (*oracle)(nil)
 
-func newOracle(ecfg ebbi.Config, rcfg rpn.Config, mask *roe.Mask, skipBelow int, step func([]geometry.Box) ([]geometry.Box, error)) (*oracle, error) {
+func newOracle(ecfg ebbi.Config, rcfg rpn.Config, mask *roe.Mask, step func([]geometry.Box) ([]geometry.Box, error)) (*oracle, error) {
 	b, err := ebbi.NewBuilder(ecfg)
 	if err != nil {
 		return nil, err
@@ -43,16 +41,16 @@ func newOracle(ecfg ebbi.Config, rcfg rpn.Config, mask *roe.Mask, skipBelow int,
 	if err != nil {
 		return nil, err
 	}
-	return &oracle{builder: b, proposer: p, mask: mask, skipBelow: skipBelow, step: step}, nil
+	return &oracle{builder: b, proposer: p, mask: mask, step: step}, nil
 }
 
 // newEBBIOTOracle is the oracle for NewEBBIOT(cfg): overlap tracker.
 func newEBBIOTOracle(cfg Config) (*oracle, error) {
-	tr, err := tracker.New(cfg.Tracker)
+	tr, err := tracker.New(cfg.Tracker, arrayBounds(cfg.EBBI.Res))
 	if err != nil {
 		return nil, err
 	}
-	return newOracle(cfg.EBBI, cfg.RPN, cfg.Tracker.ROE, cfg.SkipEventsBelow, func(boxes []geometry.Box) ([]geometry.Box, error) {
+	return newOracle(cfg.EBBI, cfg.RPN, cfg.Tracker.ROE, func(boxes []geometry.Box) ([]geometry.Box, error) {
 		reports := tr.Step(boxes)
 		out := make([]geometry.Box, len(reports))
 		for i, r := range reports {
@@ -65,11 +63,11 @@ func newEBBIOTOracle(cfg Config) (*oracle, error) {
 // newEBBIKFOracle is the oracle for NewEBBIKF(cfg): ROE box filter, then
 // the Kalman tracker.
 func newEBBIKFOracle(cfg KFConfig) (*oracle, error) {
-	tr, err := kalman.New(cfg.Tracker)
+	tr, err := kalman.New(cfg.Tracker, arrayBounds(cfg.EBBI.Res))
 	if err != nil {
 		return nil, err
 	}
-	return newOracle(cfg.EBBI, cfg.RPN, cfg.ROE, cfg.SkipEventsBelow, func(boxes []geometry.Box) ([]geometry.Box, error) {
+	return newOracle(cfg.EBBI, cfg.RPN, cfg.ROE, func(boxes []geometry.Box) ([]geometry.Box, error) {
 		if cfg.ROE != nil {
 			boxes = cfg.ROE.FilterBoxes(boxes, cfg.ROEMaxCover)
 		}
@@ -89,22 +87,16 @@ func (o *oracle) Name() string { return "oracle" }
 
 func (o *oracle) ProcessWindow(evs []events.Event) ([]geometry.Box, error) {
 	o.builder.Accumulate(evs)
-	o.lastRPN = rpn.Result{}
-	if o.skipBelow > 0 && o.builder.Pending() < o.skipBelow {
-		o.builder.SkipWindow()
-		o.skipped++
-	} else {
-		frame, err := o.builder.Finish()
-		if err != nil {
-			return nil, fmt.Errorf("oracle: ebbi: %w", err)
-		}
-		if o.mask != nil {
-			o.mask.MaskBitmap(frame.Filtered)
-		}
-		if o.lastRPN, err = o.proposer.Propose(frame.Filtered); err != nil {
-			return nil, fmt.Errorf("oracle: rpn: %w", err)
-		}
-		o.frame, o.framed = frame, true
+	frame, err := o.builder.Finish()
+	if err != nil {
+		return nil, fmt.Errorf("oracle: ebbi: %w", err)
 	}
+	if o.mask != nil {
+		o.mask.MaskBitmap(frame.Filtered)
+	}
+	if o.lastRPN, err = o.proposer.Propose(frame.Filtered); err != nil {
+		return nil, fmt.Errorf("oracle: rpn: %w", err)
+	}
+	o.frame, o.framed = frame, true
 	return o.step(o.lastRPN.Boxes())
 }

@@ -37,7 +37,7 @@ func sceneEvents(t *testing.T, durationUS int64) []events.Event {
 
 // rebase shifts timestamps so the slice starts at t=0, the clock a fresh
 // run launched at a window boundary would see. EBBI accumulation is
-// timestamp-free, so rebasing changes nothing but the frame clock.
+// timestamp-free, so rebasing changes nothing but the window clock.
 func rebase(evs []events.Event, originUS int64) []events.Event {
 	out := make([]events.Event, len(evs))
 	for i, e := range evs {
@@ -87,9 +87,13 @@ func TestApplyParamsEquivalentToFreshRun(t *testing.T) {
 	evs := sceneEvents(t, 4_000_000)
 
 	base := DefaultConfig()
+	// nextUS is the tF the windows are cut at after the change: the window
+	// loop owns the clock, so a tF change rebuilds the system unchanged and
+	// only the windows it is fed change.
 	cases := []struct {
-		name string
-		next Config
+		name   string
+		next   Config
+		nextUS int64
 	}{
 		{"rpn-retune", func() Config {
 			c := base
@@ -97,18 +101,14 @@ func TestApplyParamsEquivalentToFreshRun(t *testing.T) {
 			c.RPN.MinValidPixels = 8
 			c.Tracker.MatchFraction = 0.4
 			return c
-		}()},
-		{"tf-change", func() Config {
-			c := base
-			c.EBBI.FrameUS = 33_000
-			return c
-		}()},
+		}(), tF1},
+		{"tf-change", base, 33_000},
 		{"geometry-change", func() Config {
 			c := base
 			c.EBBI.MedianP = 5
 			c.RPN.S1, c.RPN.S2 = 8, 4
 			return c
-		}()},
+		}(), tF1},
 	}
 
 	for _, tc := range cases {
@@ -131,7 +131,7 @@ func TestApplyParamsEquivalentToFreshRun(t *testing.T) {
 			}
 			// The post-change windows both runs consume: remaining events
 			// re-windowed at the (possibly new) tF from the boundary.
-			suffix, err := events.Windows(rebase(suffixEvs, originUS), tc.next.EBBI.FrameUS)
+			suffix, err := events.Windows(rebase(suffixEvs, originUS), tc.nextUS)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -47,28 +47,24 @@ func runWindows(t *testing.T, sys System, wins [][]events.Event) [][]geometry.Bo
 	return out
 }
 
-// TestSkipLosslessIdentical verifies the fast path's core guarantee: at the
-// lossless threshold, enabling window skipping changes nothing about the
-// reported tracks while actually skipping the near-empty windows.
+// TestSkipLosslessIdentical verifies the fast path's core guarantee:
+// skipping the near-empty windows changes nothing about the reported
+// tracks, which match the skip-free byte oracle's.
 func TestSkipLosslessIdentical(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.SkipEventsBelow = LosslessSkipThreshold(cfg.EBBI.MedianP)
 	skipSys, err := NewEBBIOT(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer skipSys.Close()
-	cfg2 := cfg
-	cfg2.SkipEventsBelow = 0
-	plainSys, err := NewEBBIOT(cfg2)
+	ref, err := newEBBIOTOracle(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer plainSys.Close()
 
-	wins := skipWindows(cfg.EBBI.FrameUS, 12, 4) // 4 strays < threshold 5
+	wins := skipWindows(66_000, 12, 4) // 4 strays < threshold 5
 	got := runWindows(t, skipSys, wins)
-	want := runWindows(t, plainSys, wins)
+	want := runWindows(t, ref, wins)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("skip-enabled boxes diverge: got %v want %v", got, want)
 	}
@@ -79,11 +75,58 @@ func TestSkipLosslessIdentical(t *testing.T) {
 	if st.Windows != 12 {
 		t.Errorf("windows = %d, want 12", st.Windows)
 	}
-	if plain := plainSys.StageTimings(); plain.Skipped != 0 {
-		t.Errorf("plain system skipped %d windows", plain.Skipped)
-	}
 	if len(got[len(got)-1]) == 0 {
 		t.Error("expected a live track at the end")
+	}
+}
+
+// TestSkipFollowsMedianP retunes a running system to p = 1, whose lossless
+// bound is a single event: windows of one to four events on the corners of
+// one 3 x 3 patch must then all be processed, and report the boxes of the
+// skip-free byte oracle at p = 1 — not the empty frames a bound left at the
+// default p = 3's 5 would give. The patch straddles an RPN block boundary
+// on both axes, so its four corners make a proposal.
+func TestSkipFollowsMedianP(t *testing.T) {
+	cfg := DefaultConfig()
+	sys, err := NewEBBIOT(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	runWindows(t, sys, skipWindows(66_000, 4, 4))
+	cfg.EBBI.MedianP = 1
+	if err := sys.ApplyParams(cfg); err != nil {
+		t.Fatal(err)
+	}
+	skipped := sys.StageTimings().Skipped
+	ref, err := newEBBIOTOracle(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	corners := [4][2]int16{{101, 62}, {103, 64}, {103, 62}, {101, 64}}
+	var wins [][]events.Event
+	for w, n := range []int{4, 4, 1, 2, 3, 4, 4, 3, 2, 1, 4, 4} {
+		evs := make([]events.Event, n)
+		for i := range evs {
+			evs[i] = events.Event{X: corners[i][0], Y: corners[i][1], T: int64(w) * 66_000}
+		}
+		wins = append(wins, evs)
+	}
+	got := runWindows(t, sys, wins)
+	want := runWindows(t, ref, wins)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("boxes at p = 1 diverge from the skip-free oracle: got %v want %v", got, want)
+	}
+	reported := 0
+	for _, boxes := range want {
+		reported += len(boxes)
+	}
+	if reported == 0 {
+		t.Error("the oracle reports no box: the windows exercise nothing")
+	}
+	if n := sys.StageTimings().Skipped - skipped; n != 0 {
+		t.Errorf("%d windows of at least one event skipped at p = 1", n)
 	}
 }
 
@@ -101,7 +144,6 @@ func TestSkipLosslessBoundary(t *testing.T) {
 		}
 		cfg := DefaultConfig()
 		cfg.EBBI.MedianP = p
-		cfg.SkipEventsBelow = n
 		sys, err := NewEBBIOT(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -124,55 +166,5 @@ func TestSkipLosslessBoundary(t *testing.T) {
 		if st := sys.StageTimings(); st.Skipped != 1 {
 			t.Fatalf("p=%d: window of %d events not skipped (skipped = %d)", p, n-1, st.Skipped)
 		}
-	}
-}
-
-// TestSkipLossyPathsAgree verifies the differential contract at a lossy
-// threshold: the packed system and the byte-per-pixel oracle must still
-// report identical tracks, because the skip decision reads the same
-// in-array count on both.
-func TestSkipLossyPathsAgree(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SkipEventsBelow = 50 // above the lossless bound, drops faint windows
-	fast, err := NewEBBIOT(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fast.Close()
-	ref, err := newEBBIOTOracle(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	wins := skipWindows(cfg.EBBI.FrameUS, 12, 30) // 30 strays: skipped only at 50
-	got := runWindows(t, fast, wins)
-	want := runWindows(t, ref, wins)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("packed and reference diverge under lossy skip: got %v want %v", got, want)
-	}
-	if fast.StageTimings().Skipped != ref.skipped {
-		t.Errorf("skip counts diverge: packed %d reference %d",
-			fast.StageTimings().Skipped, ref.skipped)
-	}
-	if fast.StageTimings().Skipped != 6 {
-		t.Errorf("skipped = %d, want 6", fast.StageTimings().Skipped)
-	}
-}
-
-// TestSkipValidation covers the construction-time and reconfigure-time
-// rejection of negative thresholds.
-func TestSkipValidation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SkipEventsBelow = -1
-	if _, err := NewEBBIOT(cfg); err == nil {
-		t.Error("negative SkipEventsBelow accepted at construction")
-	}
-	sys, err := NewEBBIOT(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	if err := sys.ApplyParams(cfg); err == nil {
-		t.Error("negative SkipEventsBelow accepted by ApplyParams")
 	}
 }

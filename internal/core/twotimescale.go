@@ -73,7 +73,6 @@ func NewTwoTimescale(cfg TwoTimescaleConfig) (*TwoTimescale, error) {
 		return nil, err
 	}
 	slowCfg := cfg.Fast
-	slowCfg.EBBI.FrameUS = cfg.Fast.EBBI.FrameUS * int64(cfg.SlowFactor)
 	// The slow tracker sees frames SlowFactor times less often; scale its
 	// miss budget down so stale tracks do not linger for seconds.
 	if slowCfg.Tracker.MaxMisses > 1 {

@@ -20,29 +20,25 @@ import (
 	"ebbiot/internal/imgproc"
 )
 
-// Config parameterises the EBBI stage.
+// Config parameterises the EBBI stage. The readout period tF is not part
+// of it: the window loop that slices events into frames owns the clock, and
+// a builder only sees the events of one window at a time.
 type Config struct {
 	Res events.Resolution
-	// FrameUS is the frame duration tF in microseconds; the paper uses
-	// 66000 (about 15 Hz).
-	FrameUS int64
 	// MedianP is the median-filter patch size p, odd and at most
 	// imgproc.MaxMedianP; the paper uses 3.
 	MedianP int
 }
 
-// DefaultConfig returns the paper's parameters: DAVIS240, tF = 66 ms, p = 3.
+// DefaultConfig returns the paper's parameters: DAVIS240, p = 3.
 func DefaultConfig() Config {
-	return Config{Res: events.DAVIS240, FrameUS: 66_000, MedianP: 3}
+	return Config{Res: events.DAVIS240, MedianP: 3}
 }
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if err := c.Res.Validate(); err != nil {
 		return err
-	}
-	if c.FrameUS <= 0 {
-		return fmt.Errorf("ebbi: frame duration must be positive, got %d", c.FrameUS)
 	}
 	if c.MedianP < 1 || c.MedianP%2 == 0 || c.MedianP > imgproc.MaxMedianP {
 		return fmt.Errorf("ebbi: median patch size must be odd and in [1, %d], got %d", imgproc.MaxMedianP, c.MedianP)
@@ -52,10 +48,6 @@ func (c Config) Validate() error {
 
 // Frame is the output of one readout interrupt.
 type Frame struct {
-	// Index is the frame sequence number (Start / FrameUS).
-	Index int
-	// Start, End bound the accumulation window [Start, End) in microseconds.
-	Start, End int64
 	// Raw is the unfiltered EBBI, kept per Eq. 1 for later classification.
 	Raw *imgproc.Bitmap
 	// Filtered is the median-filtered EBBI consumed by the RPN.
@@ -74,8 +66,6 @@ type Builder struct {
 	cfg      Config
 	raw      *imgproc.Bitmap
 	filtered *imgproc.Bitmap
-	// frameIdx is the index of the frame currently accumulating.
-	frameIdx int
 	// count is the number of events accumulated into the current frame.
 	count int
 	// needsClear defers zeroing the raw buffer until the next frame starts,
@@ -128,15 +118,7 @@ func (b *Builder) Finish() (Frame, error) {
 	if err := imgproc.MedianFilter(b.filtered, b.raw, b.cfg.MedianP); err != nil {
 		return Frame{}, fmt.Errorf("ebbi: median filter: %w", err)
 	}
-	f := Frame{
-		Index:      b.frameIdx,
-		Start:      int64(b.frameIdx) * b.cfg.FrameUS,
-		End:        int64(b.frameIdx+1) * b.cfg.FrameUS,
-		Raw:        b.raw,
-		Filtered:   b.filtered,
-		EventCount: b.count,
-	}
-	b.frameIdx++
+	f := Frame{Raw: b.raw, Filtered: b.filtered, EventCount: b.count}
 	b.count = 0
 	b.needsClear = true
 	return f, nil
@@ -147,11 +129,10 @@ func (b *Builder) Finish() (Frame, error) {
 // decision is identical on both representations.
 func (b *Builder) Pending() int { return b.count }
 
-// SkipWindow advances the frame clock without filtering, discarding the
+// SkipWindow ends the current frame without filtering, discarding the
 // accumulated raw bits via the deferred clear. See
 // PackedBuilder.SkipWindow for the losslessness argument.
 func (b *Builder) SkipWindow() {
-	b.frameIdx++
 	b.count = 0
 	b.needsClear = true
 }

@@ -8,14 +8,10 @@ import (
 )
 
 // PackedFrame is the output of one readout interrupt on the word-parallel
-// fast path: the same frame clock and event count as Frame, with the raw and
-// filtered EBBIs held packed (64 pixels per word) so the downstream RPN
-// kernels consume them without ever materializing byte-per-pixel frames.
+// fast path: the same event count as Frame, with the raw and filtered EBBIs
+// held packed (64 pixels per word) so the downstream RPN kernels consume
+// them without ever materializing byte-per-pixel frames.
 type PackedFrame struct {
-	// Index is the frame sequence number (Start / FrameUS).
-	Index int
-	// Start, End bound the accumulation window [Start, End) in microseconds.
-	Start, End int64
 	// Raw is the unfiltered EBBI, kept per Eq. 1 for later classification.
 	Raw *imgproc.PackedBitmap
 	// Filtered is the median-filtered EBBI consumed by the RPN.
@@ -32,9 +28,9 @@ type PackedFrame struct {
 // PackedBuilder is Builder for the packed fast path: events are latched
 // straight into the packed raw frame (one OR per event) and Finish runs the
 // word-parallel median, so the whole per-window frame chain stays in the
-// packed domain. Semantics — frame clock, deferred clearing, buffer
-// aliasing, zero steady-state allocation — mirror Builder exactly, and
-// differential tests hold the two paths bit-identical.
+// packed domain. Semantics — deferred clearing, buffer aliasing, zero
+// steady-state allocation — mirror Builder exactly, and differential tests
+// hold the two paths bit-identical.
 //
 // On top of the packed frames the builder maintains an
 // imgproc.ActiveRegion — a dirty row span plus per-row dirty word bitmaps,
@@ -51,7 +47,6 @@ type PackedBuilder struct {
 	// outActive is the halo-dilated copy handed out via PackedFrame.
 	active    *imgproc.ActiveRegion
 	outActive *imgproc.ActiveRegion
-	frameIdx  int
 	count     int
 	// needsClear defers zeroing the raw buffer until the next frame starts,
 	// so the PackedFrame returned by Finish stays readable until then.
@@ -137,16 +132,7 @@ func (b *PackedBuilder) Finish() (PackedFrame, error) {
 	// pixel; the dilated region therefore covers Filtered (and trivially
 	// Raw) for every downstream consumer.
 	b.outActive.SetDilated(b.active, b.cfg.MedianP/2)
-	f := PackedFrame{
-		Index:      b.frameIdx,
-		Start:      int64(b.frameIdx) * b.cfg.FrameUS,
-		End:        int64(b.frameIdx+1) * b.cfg.FrameUS,
-		Raw:        b.raw,
-		Filtered:   b.filtered,
-		Active:     b.outActive,
-		EventCount: b.count,
-	}
-	b.frameIdx++
+	f := PackedFrame{Raw: b.raw, Filtered: b.filtered, Active: b.outActive, EventCount: b.count}
 	b.count = 0
 	b.needsClear = true
 	return f, nil
@@ -157,7 +143,7 @@ func (b *PackedBuilder) Finish() (PackedFrame, error) {
 // path thresholds on before deciding to Finish.
 func (b *PackedBuilder) Pending() int { return b.count }
 
-// SkipWindow advances the frame clock without filtering: the accumulated
+// SkipWindow ends the current frame without filtering: the accumulated
 // raw bits are discarded by the usual deferred clear and no frame is
 // produced. When the pending event count is at or below floor(MedianP^2/2)
 // the median output would be all-zero — no patch can exceed the threshold —
@@ -165,7 +151,6 @@ func (b *PackedBuilder) Pending() int { return b.count }
 // proposals; callers use this to bypass the whole filter/proposal chain on
 // near-empty windows.
 func (b *PackedBuilder) SkipWindow() {
-	b.frameIdx++
 	b.count = 0
 	b.needsClear = true
 }

@@ -47,9 +47,8 @@ func TestPackedBuilderParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rf.Index != pf.Index || rf.Start != pf.Start || rf.End != pf.End || rf.EventCount != pf.EventCount {
-			t.Fatalf("frame %d: metadata mismatch: byte {%d %d %d %d} packed {%d %d %d %d}",
-				frame, rf.Index, rf.Start, rf.End, rf.EventCount, pf.Index, pf.Start, pf.End, pf.EventCount)
+		if rf.EventCount != pf.EventCount {
+			t.Fatalf("frame %d: event count mismatch: byte %d packed %d", frame, rf.EventCount, pf.EventCount)
 		}
 		if !pf.Raw.Unpack(nil).Equal(rf.Raw) {
 			t.Fatalf("frame %d: raw EBBI mismatch", frame)

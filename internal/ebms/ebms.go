@@ -48,8 +48,6 @@ type Config struct {
 	// HistoryStrideUS is the spacing between recorded positions for the
 	// velocity regression.
 	HistoryStrideUS int64
-	// Bounds is the sensor array.
-	Bounds geometry.Box
 }
 
 // DefaultConfig returns parameters tuned for the paper's traffic scenes.
@@ -62,7 +60,6 @@ func DefaultConfig() Config {
 		ExpiryUS:        200_000,
 		MergeDistance:   12,
 		HistoryStrideUS: 33_000,
-		Bounds:          geometry.NewBox(0, 0, 240, 180),
 	}
 }
 
@@ -82,9 +79,6 @@ func (c Config) Validate() error {
 	}
 	if c.HistoryStrideUS <= 0 {
 		return fmt.Errorf("ebms: HistoryStrideUS must be positive, got %d", c.HistoryStrideUS)
-	}
-	if c.Bounds.Empty() {
-		return fmt.Errorf("ebms: empty bounds")
 	}
 	return nil
 }
@@ -120,9 +114,13 @@ type Report struct {
 	Events int
 }
 
-// Tracker is the EBMS multi-cluster tracker.
+// Tracker is the EBMS multi-cluster tracker. Every product or quotient
+// that feeds an addition is wrapped in float64(), so no target fuses it into
+// a multiply-add and the clusters' bits are the same on every architecture.
 type Tracker struct {
-	cfg      Config
+	cfg Config
+	// bounds is the sensor array reports are clamped to.
+	bounds   geometry.Box
 	clusters []cluster
 	nextID   int
 	// ops approximates primitive operations under Eq. 8's accounting.
@@ -133,12 +131,12 @@ type Tracker struct {
 	eventsSeen int64
 }
 
-// New returns a Tracker.
-func New(cfg Config) (*Tracker, error) {
+// New returns a Tracker for a sensor array of the given bounds.
+func New(cfg Config, bounds geometry.Box) (*Tracker, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Tracker{cfg: cfg, clusters: make([]cluster, cfg.MaxClusters)}, nil
+	return &Tracker{cfg: cfg, bounds: bounds, clusters: make([]cluster, cfg.MaxClusters)}, nil
 }
 
 // Ops returns the cumulative approximate operation count.
@@ -190,7 +188,7 @@ func (t *Tracker) processOne(e events.Event) {
 		if dx > t.cfg.Radius+c.sx || dy > t.cfg.Radius+c.sy {
 			continue
 		}
-		d := dx*dx + dy*dy
+		d := float64(dx*dx) + float64(dy*dy)
 		if d < bestD {
 			bestD = d
 			best = i
@@ -206,11 +204,12 @@ func (t *Tracker) processOne(e events.Event) {
 	// extent estimate from the event offset.
 	c := &t.clusters[best]
 	m := t.cfg.MixFactor
-	c.cx = (1-m)*c.cx + m*ex
-	c.cy = (1-m)*c.cy + m*ey
+	c.cx = float64((1-m)*c.cx) + float64(m*ex)
+	c.cy = float64((1-m)*c.cy) + float64(m*ey)
 	adx, ady := math.Abs(ex-c.cx), math.Abs(ey-c.cy)
-	c.sx = (1-m)*c.sx + m*adx*2
-	c.sy = (1-m)*c.sy + m*ady*2
+	// x*2 compiles to x+x, so m*adx is rounded on its own as well.
+	c.sx = float64((1-m)*c.sx) + float64(float64(m*adx)*2)
+	c.sy = float64((1-m)*c.sy) + float64(float64(m*ady)*2)
 	c.count++
 	c.lastSeenUS = e.T
 	t.ops += 169 // per-event update arithmetic (Eq. 8's 169 coefficient)
@@ -300,17 +299,17 @@ func velocity(hist []sample) (vx, vy float64) {
 		st += ts
 		sx += h.x
 		sy += h.y
-		stt += ts * ts
-		stx += ts * h.x
-		sty += ts * h.y
+		stt += float64(ts * ts)
+		stx += float64(ts * h.x)
+		sty += float64(ts * h.y)
 	}
 	fn := float64(n)
-	den := fn*stt - st*st
+	den := float64(fn*stt) - float64(st*st)
 	if den < 1e-12 {
 		return 0, 0
 	}
-	vx = (fn*stx - st*sx) / den
-	vy = (fn*sty - st*sy) / den
+	vx = (float64(fn*stx) - float64(st*sx)) / den
+	vy = (float64(fn*sty) - float64(st*sy)) / den
 	return vx, vy
 }
 
@@ -326,7 +325,7 @@ func (t *Tracker) Reports() []Report {
 		vx, vy := velocity(c.history)
 		w := 2 * math.Max(c.sx, 2)
 		h := 2 * math.Max(c.sy, 2)
-		b := geometry.FBox{X: c.cx - w/2, Y: c.cy - h/2, W: w, H: h}.Round().Clamp(t.cfg.Bounds)
+		b := geometry.FBox{X: c.cx - float64(w/2), Y: c.cy - float64(h/2), W: w, H: h}.Round().Clamp(t.bounds)
 		if b.Empty() {
 			continue
 		}

@@ -27,6 +27,9 @@ func burst(rng *xrand.Rand, cx, cy int, r int, count int, t0, t1 int64) []events
 	return out
 }
 
+// davis is the DAVIS240 array every test tracks on.
+var davis = geometry.NewBox(0, 0, 240, 180)
+
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
@@ -38,7 +41,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.MixFactor = 2 },
 		func(c *Config) { c.ExpiryUS = 0 },
 		func(c *Config) { c.HistoryStrideUS = 0 },
-		func(c *Config) { c.Bounds = geometry.Box{} },
 	}
 	for i, mut := range mutations {
 		cfg := DefaultConfig()
@@ -50,7 +52,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestSingleClusterForms(t *testing.T) {
-	tr, err := New(DefaultConfig())
+	tr, err := New(DefaultConfig(), davis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +72,7 @@ func TestSingleClusterForms(t *testing.T) {
 }
 
 func TestClusterTracksMovingBurst(t *testing.T) {
-	tr, err := New(DefaultConfig())
+	tr, err := New(DefaultConfig(), davis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +102,7 @@ func TestClusterTracksMovingBurst(t *testing.T) {
 }
 
 func TestTwoClustersSeparate(t *testing.T) {
-	tr, err := New(DefaultConfig())
+	tr, err := New(DefaultConfig(), davis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +122,7 @@ func TestTwoClustersSeparate(t *testing.T) {
 func TestClusterExpiry(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ExpiryUS = 100_000
-	tr, err := New(cfg)
+	tr, err := New(cfg, davis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +145,7 @@ func TestClusterExpiry(t *testing.T) {
 func TestClustersMerge(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MergeDistance = 15
-	tr, err := New(cfg)
+	tr, err := New(cfg, davis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +179,7 @@ func TestClustersMerge(t *testing.T) {
 func TestClusterCapRespected(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxClusters = 2
-	tr, err := New(cfg)
+	tr, err := New(cfg, davis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +205,7 @@ func TestClusterCapRespected(t *testing.T) {
 func TestSupportThreshold(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SupportEvents = 50
-	tr, err := New(cfg)
+	tr, err := New(cfg, davis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +221,7 @@ func TestSupportThreshold(t *testing.T) {
 }
 
 func TestOpsAndEventsCounters(t *testing.T) {
-	tr, err := New(DefaultConfig())
+	tr, err := New(DefaultConfig(), davis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +244,7 @@ func TestOnSimulatedScene(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := New(DefaultConfig())
+	tr, err := New(DefaultConfig(), davis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +272,7 @@ func TestOnSimulatedScene(t *testing.T) {
 }
 
 func BenchmarkProcessPerEvent(b *testing.B) {
-	tr, err := New(DefaultConfig())
+	tr, err := New(DefaultConfig(), davis)
 	if err != nil {
 		b.Fatal(err)
 	}

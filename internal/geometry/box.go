@@ -67,9 +67,11 @@ func (b Box) MaxX() int { return b.X + b.W }
 func (b Box) MaxY() int { return b.Y + b.H }
 
 // Center returns the box centroid in floating point, matching the centroid
-// measurements used by the Kalman-filter tracker.
+// measurements used by the Kalman-filter tracker. The half extents are
+// wrapped in float64() so no target fuses them into a multiply-add with
+// the corner: the centroid's bits are the same on every architecture.
 func (b Box) Center() (cx, cy float64) {
-	return float64(b.X) + float64(b.W)/2, float64(b.Y) + float64(b.H)/2
+	return float64(b.X) + float64(float64(b.W)/2), float64(b.Y) + float64(float64(b.H)/2)
 }
 
 // Contains reports whether the pixel (x, y) lies inside the box.
@@ -105,22 +107,6 @@ func (b Box) Intersect(o Box) Box {
 	return Box{X: x0, Y: y0, W: x1 - x0, H: y1 - y0}
 }
 
-// Union returns the smallest box containing both b and o. If either box is
-// empty the other is returned unchanged.
-func (b Box) Union(o Box) Box {
-	if b.Empty() {
-		return o
-	}
-	if o.Empty() {
-		return b
-	}
-	x0 := min(b.X, o.X)
-	y0 := min(b.Y, o.Y)
-	x1 := max(b.MaxX(), o.MaxX())
-	y1 := max(b.MaxY(), o.MaxY())
-	return Box{X: x0, Y: y0, W: x1 - x0, H: y1 - y0}
-}
-
 // Overlaps reports whether b and o share at least one pixel.
 func (b Box) Overlaps(o Box) bool { return !b.Intersect(o).Empty() }
 
@@ -143,33 +129,9 @@ func (b Box) IoU(o Box) float64 {
 	return float64(inter) / float64(b.UnionArea(o))
 }
 
-// OverlapFraction returns the intersection area divided by the area of b.
-// The paper's overlap-based tracker declares a match when this fraction (for
-// either the tracker or the proposal box) exceeds a threshold.
-func (b Box) OverlapFraction(o Box) float64 {
-	if b.Area() == 0 {
-		return 0
-	}
-	return float64(b.IntersectionArea(o)) / float64(b.Area())
-}
-
 // Clamp returns b clipped to lie within bounds. The result may be empty.
 func (b Box) Clamp(bounds Box) Box {
 	return b.Intersect(bounds)
-}
-
-// Expand grows the box by m pixels on every side (shrinks when m < 0). The
-// result is normalised so that a fully collapsed box becomes empty rather
-// than inverted.
-func (b Box) Expand(m int) Box {
-	nb := Box{X: b.X - m, Y: b.Y - m, W: b.W + 2*m, H: b.H + 2*m}
-	if nb.W < 0 {
-		nb.W = 0
-	}
-	if nb.H < 0 {
-		nb.H = 0
-	}
-	return nb
 }
 
 // FBox is a floating-point box used where sub-pixel positions matter
@@ -195,8 +157,9 @@ func (f FBox) Round() Box {
 	}
 }
 
-// Center returns the centroid of the box.
-func (f FBox) Center() (cx, cy float64) { return f.X + f.W/2, f.Y + f.H/2 }
+// Center returns the centroid of the box. As in Box.Center, the half
+// extents are rounded before the addition so no target fuses them.
+func (f FBox) Center() (cx, cy float64) { return f.X + float64(f.W/2), f.Y + float64(f.H/2) }
 
 // Area returns the area; empty boxes have zero area.
 func (f FBox) Area() float64 {

@@ -87,15 +87,6 @@ func (b *Bitmap) CountOnes() int {
 	return n
 }
 
-// Density returns the fraction of set pixels (the paper's α when measured
-// over object patches).
-func (b *Bitmap) Density() float64 {
-	if len(b.Pix) == 0 {
-		return 0
-	}
-	return float64(b.CountOnes()) / float64(len(b.Pix))
-}
-
 // Equal reports whether two bitmaps have identical size and pixels
 // (comparing set/unset state, not raw byte values).
 func (b *Bitmap) Equal(o *Bitmap) bool {

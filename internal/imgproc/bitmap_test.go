@@ -78,17 +78,6 @@ func TestClear(t *testing.T) {
 	}
 }
 
-func TestDensity(t *testing.T) {
-	b := NewBitmap(2, 2)
-	b.Set(0, 0)
-	if got := b.Density(); got != 0.25 {
-		t.Errorf("Density = %v, want 0.25", got)
-	}
-	if got := NewBitmap(0, 0).Density(); got != 0 {
-		t.Errorf("empty bitmap density = %v", got)
-	}
-}
-
 func TestEqual(t *testing.T) {
 	a := NewBitmap(2, 2)
 	b := NewBitmap(2, 2)

@@ -74,7 +74,7 @@ func (f *filter) update(mx, my float64) error {
 		return errSingular
 	}
 	i := 1 / s
-	k0, k1 := f.a*i, f.b*i
+	k0, k1 := float64(f.a*i), float64(f.b*i)
 	ex, ey := mx-f.px, my-f.py
 	f.px += float64(k0 * ex)
 	f.vx += float64(k1 * ex)
@@ -101,8 +101,6 @@ type Config struct {
 	SizeBlend float64
 	// MinHits confirms a track; MaxMisses frees it.
 	MinHits, MaxMisses int
-	// Bounds is the sensor array.
-	Bounds geometry.Box
 }
 
 // DefaultConfig returns parameters matched to the OT defaults.
@@ -115,7 +113,6 @@ func DefaultConfig() Config {
 		SizeBlend:        0.3,
 		MinHits:          2,
 		MaxMisses:        3,
-		Bounds:           geometry.NewBox(0, 0, 240, 180),
 	}
 }
 
@@ -135,9 +132,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxMisses < 1 {
 		return fmt.Errorf("kalman: MaxMisses must be >= 1, got %d", c.MaxMisses)
-	}
-	if c.Bounds.Empty() {
-		return fmt.Errorf("kalman: empty bounds")
 	}
 	return nil
 }
@@ -160,17 +154,20 @@ type Report struct {
 
 // Tracker is the multi-object KF tracker.
 type Tracker struct {
-	cfg    Config
+	cfg Config
+	// bounds is the sensor array: tracks whose centroid leaves it by more
+	// than their extent are dropped, and reports are clamped to it.
+	bounds geometry.Box
 	tracks []track
 	nextID int
 }
 
-// New returns a Tracker.
-func New(cfg Config) (*Tracker, error) {
+// New returns a Tracker for a sensor array of the given bounds.
+func New(cfg Config, bounds geometry.Box) (*Tracker, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Tracker{cfg: cfg, tracks: make([]track, cfg.MaxTracks)}, nil
+	return &Tracker{cfg: cfg, bounds: bounds, tracks: make([]track, cfg.MaxTracks)}, nil
 }
 
 // ActiveTracks returns the number of live tracks.
@@ -257,8 +254,8 @@ func (t *Tracker) Step(proposals []geometry.Box) ([]Report, error) {
 			return nil, err
 		}
 		sb := t.cfg.SizeBlend
-		tr.w = (1-sb)*tr.w + sb*float64(proposals[pj].W)
-		tr.h = (1-sb)*tr.h + sb*float64(proposals[pj].H)
+		tr.w = float64((1-sb)*tr.w) + float64(sb*float64(proposals[pj].W))
+		tr.h = float64((1-sb)*tr.h) + float64(sb*float64(proposals[pj].H))
 		tr.hits++
 		tr.misses = 0
 	}
@@ -309,8 +306,8 @@ func (t *Tracker) Step(proposals []geometry.Box) ([]Report, error) {
 			continue
 		}
 		cx, cy := tr.filter.px, tr.filter.py
-		if cx < float64(t.cfg.Bounds.X)-tr.w || cx > float64(t.cfg.Bounds.MaxX())+tr.w ||
-			cy < float64(t.cfg.Bounds.Y)-tr.h || cy > float64(t.cfg.Bounds.MaxY())+tr.h {
+		if cx < float64(t.bounds.X)-tr.w || cx > float64(t.bounds.MaxX())+tr.w ||
+			cy < float64(t.bounds.Y)-tr.h || cy > float64(t.bounds.MaxY())+tr.h {
 			t.tracks[i] = track{}
 		}
 	}
@@ -323,7 +320,7 @@ func (t *Tracker) Step(proposals []geometry.Box) ([]Report, error) {
 			continue
 		}
 		f := &tr.filter
-		b := geometry.FBox{X: f.px - tr.w/2, Y: f.py - tr.h/2, W: tr.w, H: tr.h}.Round().Clamp(t.cfg.Bounds)
+		b := geometry.FBox{X: f.px - float64(tr.w/2), Y: f.py - float64(tr.h/2), W: tr.w, H: tr.h}.Round().Clamp(t.bounds)
 		if b.Empty() {
 			continue
 		}

@@ -130,6 +130,9 @@ func TestFilterUncertaintyGrowsWithoutMeasurements(t *testing.T) {
 	}
 }
 
+// davis is the DAVIS240 array every test tracks on.
+var davis = geometry.NewBox(0, 0, 240, 180)
+
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
@@ -141,7 +144,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.MeasurementNoise = -1 },
 		func(c *Config) { c.SizeBlend = 1.5 },
 		func(c *Config) { c.MaxMisses = 0 },
-		func(c *Config) { c.Bounds = geometry.Box{} },
 	}
 	for i, mut := range mutations {
 		cfg := DefaultConfig()
@@ -153,7 +155,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestTrackerFollowsObject(t *testing.T) {
-	tr, err := New(DefaultConfig())
+	tr, err := New(DefaultConfig(), davis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +182,7 @@ func TestTrackerFollowsObject(t *testing.T) {
 func TestTrackerSeedsAndExpires(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxMisses = 2
-	tr, err := New(cfg)
+	tr, err := New(cfg, davis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +206,7 @@ func TestTrackerSeedsAndExpires(t *testing.T) {
 func TestTrackerGating(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.GateDistance = 10
-	tr, err := New(cfg)
+	tr, err := New(cfg, davis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +226,7 @@ func TestTrackerGating(t *testing.T) {
 }
 
 func TestTrackerTwoObjects(t *testing.T) {
-	tr, err := New(DefaultConfig())
+	tr, err := New(DefaultConfig(), davis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +251,7 @@ func TestTrackerTwoObjects(t *testing.T) {
 func TestTrackerPoolCap(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxTracks = 1
-	tr, err := New(cfg)
+	tr, err := New(cfg, davis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +274,7 @@ func TestTrackerSingularInnovation(t *testing.T) {
 	// as the dense-matrix filter did.
 	cfg := DefaultConfig()
 	cfg.ProcessNoise, cfg.MeasurementNoise = 1e-14, 1e-14
-	tr, err := New(cfg)
+	tr, err := New(cfg, davis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,18 +291,18 @@ func TestTrackerSingularInnovation(t *testing.T) {
 }
 
 func TestReportsInsideBounds(t *testing.T) {
-	tr, err := New(DefaultConfig())
+	tr, err := New(DefaultConfig(), davis)
 	if err != nil {
 		t.Fatal(err)
 	}
 	edge := geometry.NewBox(225, 60, 14, 12)
 	tr.Step([]geometry.Box{edge})
-	reps, err := tr.Step([]geometry.Box{edge.Translate(5, 0).Clamp(geometry.NewBox(0, 0, 240, 180))})
+	reps, err := tr.Step([]geometry.Box{edge.Translate(5, 0).Clamp(davis)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range reps {
-		if !geometry.NewBox(0, 0, 240, 180).ContainsBox(r.Box) {
+		if !davis.ContainsBox(r.Box) {
 			t.Errorf("report outside bounds: %v", r.Box)
 		}
 	}
@@ -319,7 +321,7 @@ func BenchmarkFilterPredictUpdate(b *testing.B) {
 }
 
 func BenchmarkTrackerStep(b *testing.B) {
-	tr, err := New(DefaultConfig())
+	tr, err := New(DefaultConfig(), davis)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -342,7 +344,7 @@ func TestGreedyAssociationUnderContention(t *testing.T) {
 	// association must still match each track and report both.
 	cfg := DefaultConfig()
 	cfg.GateDistance = 60
-	tr, err := New(cfg)
+	tr, err := New(cfg, davis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +366,7 @@ func TestGreedyAssociationUnderContention(t *testing.T) {
 func TestGreedyAssociationTracksCrossingObjects(t *testing.T) {
 	// Two objects approaching each other: association must keep both
 	// tracks matched every frame, ending with 2 live tracks.
-	tr, err := New(DefaultConfig())
+	tr, err := New(DefaultConfig(), davis)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ import (
 // own boundary: NewSliceSource in one pass at construction, AEDAT by
 // format (unsigned deltas from t = 0), the ingest wire decoder within a
 // batch and NetSource's offer across batches, and the simulator by
-// sorting each window. The Windower checks only each window's first and
+// ordering each tick. The Windower checks only each window's first and
 // last event: a first event before start (a regression across windows)
 // fails the stream with events.ErrUnsorted, and a last event at or past
 // end as outside the window. Disorder inside a window is not detected

@@ -37,9 +37,6 @@ func (s *StoreSink) Consume(snap TrackSnapshot) error {
 // Flush implements Flusher: buffered records are flushed and fsynced.
 func (s *StoreSink) Flush() error { return s.w.Sync() }
 
-// Close seals the store. After Close the sink must not consume again.
-func (s *StoreSink) Close() error { return s.w.Close() }
-
 // ReplayOptions parameterises ReplayStoreWith.
 type ReplayOptions struct {
 	// Run selects which recorded run to replay; 0 means the directory's

@@ -132,9 +132,6 @@ func New(cfg Config, sc *scene.Scene) (*Simulator, error) {
 // Resolution returns the sensor array resolution.
 func (s *Simulator) Resolution() events.Resolution { return s.cfg.Res }
 
-// Cursor returns the end timestamp of the last generated window.
-func (s *Simulator) Cursor() int64 { return s.cursor }
-
 // Events generates the sorted event stream for the window [t0, t1). t0 must
 // equal the current cursor (windows are contiguous) and t1 > t0.
 func (s *Simulator) Events(t0, t1 int64) ([]events.Event, error) {

@@ -88,8 +88,8 @@ func TestContiguousWindowEnforced(t *testing.T) {
 	if _, err := sim.Events(100_000, 200_000); err != nil {
 		t.Errorf("contiguous window should work: %v", err)
 	}
-	if sim.Cursor() != 200_000 {
-		t.Errorf("cursor = %d", sim.Cursor())
+	if sim.cursor != 200_000 {
+		t.Errorf("cursor = %d", sim.cursor)
 	}
 }
 

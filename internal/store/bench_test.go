@@ -74,27 +74,27 @@ const (
 
 var benchDir string
 
-func benchStoreDir(b *testing.B) string {
+func benchStoreDir(tb testing.TB) string {
 	if benchDir != "" {
 		return benchDir
 	}
 	dir, err := os.MkdirTemp("", "ebbiot-store-bench")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	w, err := Open(dir, Options{SegmentBytes: 8 << 20})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for f := 0; f < benchFrames; f++ {
 		for s := 0; s < benchSensors; s++ {
 			if err := w.Append(benchSnap(s, f)); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 	}
 	if err := w.Close(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	benchDir = dir
 	return dir

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -434,7 +435,9 @@ func (s *segStream) close() {
 // see between t0 and t1?"): it yields that sensor's records in frame
 // order. Segments whose metadata shows no wanted sensor, or no record
 // ending after t0, are never opened, and the sparse index seeks past each
-// opened segment's cold prefix.
+// opened segment's cold prefix. A sensor's windows start in order, so the
+// first of its records starting at or after t1 ends its part of the query,
+// and the replay stops reading once every selected sensor's part has ended.
 //
 // The merge is single-pass: every selected segment is opened and read
 // exactly once, with records demultiplexed into per-sensor queues as they
@@ -463,7 +466,7 @@ func (r *Reader) Replay(run uint64, sensors []int, t0, t1 int64) (Iterator, erro
 			continue
 		}
 		m.want[id] = len(m.queues)
-		m.queues = append(m.queues, sensorQueue{sensor: id, pending: true})
+		m.queues = append(m.queues, sensorQueue{sensor: id, pending: true, lastStartUS: math.MinInt64})
 	}
 	m.stream.t0 = t0
 	for _, seg := range rr.segs {
@@ -505,9 +508,14 @@ type sensorQueue struct {
 	lastEndUS int64
 	lastFrame int
 	primed    bool
+	// lastStartUS is the start of the sensor's most recently streamed
+	// record, enqueued or not: starts must not regress, which is what lets
+	// a record starting at or after t1 end the sensor's part of the query.
+	lastStartUS int64
 	// pending means not-yet-consumed segments may still hold this sensor's
-	// records (per the segment metadata); once false it stays false, and
-	// an empty non-pending queue no longer blocks the merge — this is what
+	// records within the query (per the segment metadata, and false once
+	// a record starts at or after t1); once false it stays false, and an
+	// empty non-pending queue no longer blocks the merge — this is what
 	// keeps buffering bounded when a sensor drops out mid-store.
 	pending bool
 }
@@ -657,7 +665,9 @@ func (m *sharedMergeIterator) refreshPending() {
 }
 
 // fill streams records from the segment chain until one matching snapshot
-// is enqueued or the chain is exhausted.
+// is enqueued, a selected sensor's part of the query ends, or the chain is
+// exhausted. Once no selected sensor is pending, nothing left on disk can
+// match: the stream closes and the merge drains what is queued.
 func (m *sharedMergeIterator) fill() error {
 	for {
 		payload, err := m.stream.next()
@@ -676,10 +686,29 @@ func (m *sharedMergeIterator) fill() error {
 			return err
 		}
 		qi, wanted := m.want[sensor]
-		if !wanted || startUS >= m.t1 || endUS <= m.t0 {
+		if !wanted {
 			continue
 		}
 		q := &m.queues[qi]
+		if startUS < q.lastStartUS {
+			return fmt.Errorf("store: sensor %d window starts regress (%d us after %d us): segments disordered or damaged within the run",
+				sensor, startUS, q.lastStartUS)
+		}
+		q.lastStartUS = startUS
+		if startUS >= m.t1 {
+			if q.pending {
+				q.pending = false
+				if m.nonePending() {
+					m.exhausted = true
+					m.stream.close()
+				}
+				return nil
+			}
+			continue
+		}
+		if endUS <= m.t0 {
+			continue
+		}
 		slot := q.pushSlot()
 		if err := decodeSnapshotInto(slot, payload, &m.dec); err != nil {
 			q.unpush()
@@ -697,6 +726,18 @@ func (m *sharedMergeIterator) fill() error {
 		}
 		return nil
 	}
+}
+
+// nonePending reports whether every selected sensor's part of the query
+// has ended.
+func (m *sharedMergeIterator) nonePending() bool {
+	m.refreshPending()
+	for i := range m.queues {
+		if m.queues[i].pending {
+			return false
+		}
+	}
+	return true
 }
 
 func (m *sharedMergeIterator) buffered() int {

@@ -623,6 +623,82 @@ func TestSealedSegmentDamageIsReportedNotRecovered(t *testing.T) {
 	}
 }
 
+// TestReplayStopsAtT1 pins the upper bound of a narrow query on the
+// benchmark store's shape (4 sensors x 25k frames, BenchmarkReplaySensor-
+// Window): the 100-frame window at frame 20,000 yields its 100 snapshots
+// per selected sensor and stops streaming once every selected sensor has a
+// window starting at t1, instead of reading on to the end of the run.
+func TestReplayStopsAtT1(t *testing.T) {
+	r, err := OpenReader(benchStoreDir(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const f0, frames = 20_000, 100
+	const t0, t1 = f0 * 66_000, (f0 + frames) * 66_000
+	for _, sensors := range [][]int{{1}, {0, 1, 2, 3}} {
+		it, err := r.Replay(0, sensors, t0, t1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := collect(t, it)
+		if len(got) != frames*len(sensors) {
+			t.Fatalf("sensors %v: %d snapshots, want %d", sensors, len(got), frames*len(sensors))
+		}
+		for i, s := range got {
+			if want := benchSnap(sensors[i%len(sensors)], f0+i/len(sensors)); !reflect.DeepEqual(s, want) {
+				t.Fatalf("sensors %v: snapshot %d = %+v, want %+v", sensors, i, s, want)
+			}
+		}
+		if st := it.(*sharedMergeIterator).Stats(); st.Records > 600 {
+			t.Fatalf("sensors %v: streamed %d records for a %d-snapshot window", sensors, st.Records, len(got))
+		}
+	}
+}
+
+// TestReplayRejectsStartRegression: a narrow query may stop at the first
+// record starting at or after t1 only because a sensor's window starts
+// never regress, so the demultiplexer fails loudly on one that does.
+func TestReplayRejectsStartRegression(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for f := 0; f < 10; f++ {
+		s := snap(0, f, 66_000)
+		if f == 5 {
+			s.StartUS = 0 // ends and frames still advance
+		}
+		if err := w.Append(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, err := r.Replay(0, nil, 0, math.MaxInt64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	for {
+		_, err := it.Next()
+		if err == io.EOF {
+			t.Fatal("replay accepted a regressing window start")
+		}
+		if err != nil {
+			if !strings.Contains(err.Error(), "starts regress") {
+				t.Fatalf("unexpected error %v", err)
+			}
+			return
+		}
+	}
+}
+
 func TestReplayRejectsMultiRunStore(t *testing.T) {
 	// Two runs in one directory each restart the frame clock; replaying
 	// them interleaved would be a broken timeline, so a selector-less

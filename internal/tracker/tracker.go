@@ -58,8 +58,6 @@ type Config struct {
 	MinHits int
 	// MaxMisses frees a track after this many consecutive unmatched frames.
 	MaxMisses int
-	// Bounds is the sensor array; tracks fully outside are freed.
-	Bounds geometry.Box
 	// ROE optionally discards proposals covered by exclusion zones.
 	ROE *roe.Mask
 	// ROEMaxCover is the coverage fraction above which a proposal is
@@ -68,8 +66,7 @@ type Config struct {
 }
 
 // DefaultConfig returns the parameters used throughout the evaluation:
-// NT = 8, 30% overlap matching, n = 2 occlusion look-ahead, on a DAVIS240
-// array.
+// NT = 8, 30% overlap matching, n = 2 occlusion look-ahead.
 func DefaultConfig() Config {
 	return Config{
 		MaxTrackers:       8,
@@ -81,7 +78,6 @@ func DefaultConfig() Config {
 		OcclusionHandling: true,
 		MinHits:           2,
 		MaxMisses:         3,
-		Bounds:            geometry.NewBox(0, 0, 240, 180),
 		ROEMaxCover:       0.5,
 	}
 }
@@ -109,9 +105,6 @@ func (c Config) Validate() error {
 	if c.MaxMisses < 1 {
 		return fmt.Errorf("tracker: MaxMisses must be >= 1, got %d", c.MaxMisses)
 	}
-	if c.Bounds.Empty() {
-		return fmt.Errorf("tracker: empty bounds")
-	}
 	return nil
 }
 
@@ -132,7 +125,7 @@ func (t *Track) Confirmed(minHits int) bool { return t.valid && t.Hits >= minHit
 
 // predicted returns the track's position advanced k frames.
 func (t *Track) predicted(k float64) geometry.FBox {
-	return t.Box.Translate(t.VX*k, t.VY*k)
+	return t.Box.Translate(float64(t.VX*k), float64(t.VY*k))
 }
 
 // Report is one confirmed track's per-frame output.
@@ -142,9 +135,15 @@ type Report struct {
 	VX, VY float64
 }
 
-// Tracker runs the overlap-based multi-object tracker.
+// Tracker runs the overlap-based multi-object tracker. Every product or
+// quotient that feeds an addition is wrapped in float64(), so no target
+// fuses it into a multiply-add and the tracks' bits are the same on every
+// architecture.
 type Tracker struct {
-	cfg    Config
+	cfg Config
+	// bounds is the sensor array: tracks wholly outside it are freed, and
+	// reports are clamped to it.
+	bounds geometry.Box
 	pool   []Track
 	nextID int
 	// frame counts processed frames.
@@ -154,12 +153,12 @@ type Tracker struct {
 	ops int64
 }
 
-// New returns a Tracker.
-func New(cfg Config) (*Tracker, error) {
+// New returns a Tracker for a sensor array of the given bounds.
+func New(cfg Config, bounds geometry.Box) (*Tracker, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Tracker{cfg: cfg, pool: make([]Track, cfg.MaxTrackers)}, nil
+	return &Tracker{cfg: cfg, bounds: bounds, pool: make([]Track, cfg.MaxTrackers)}, nil
 }
 
 // Config returns the tracker's configuration.
@@ -348,7 +347,7 @@ func (t *Tracker) Step(proposals []geometry.Box) []Report {
 	}
 
 	// Lifecycle: free tracks that left the array.
-	boundsF := geometry.FBoxFrom(t.cfg.Bounds)
+	boundsF := geometry.FBoxFrom(t.bounds)
 	for i := range t.pool {
 		if !t.pool[i].valid {
 			continue
@@ -365,7 +364,7 @@ func (t *Tracker) Step(proposals []geometry.Box) []Report {
 		if !tr.Confirmed(t.cfg.MinHits) {
 			continue
 		}
-		b := tr.Box.Round().Clamp(t.cfg.Bounds)
+		b := tr.Box.Round().Clamp(t.bounds)
 		if b.Empty() {
 			continue
 		}
@@ -408,8 +407,8 @@ func (t *Tracker) occluding(preds []pred, contenders []int) bool {
 			bx0, by0 := tb.Box.Center()
 			ax1, ay1 := ta.predicted(1).Center()
 			bx1, by1 := tb.predicted(1).Center()
-			d0 := (ax0-bx0)*(ax0-bx0) + (ay0-by0)*(ay0-by0)
-			d1 := (ax1-bx1)*(ax1-bx1) + (ay1-by1)*(ay1-by1)
+			d0 := float64((ax0-bx0)*(ax0-bx0)) + float64((ay0-by0)*(ay0-by0))
+			d1 := float64((ax1-bx1)*(ax1-bx1)) + float64((ay1-by1)*(ay1-by1))
 			t.ops += 8
 			if d1 > d0 {
 				return true
@@ -427,21 +426,21 @@ func (t *Tracker) updateTrack(tr *Track, predBox, proposal geometry.FBox) {
 	pcx, pcy := predBox.Center()
 	mcx, mcy := proposal.Center()
 	w := t.cfg.PositionBlend
-	cx := (1-w)*pcx + w*mcx
-	cy := (1-w)*pcy + w*mcy
+	cx := float64((1-w)*pcx) + float64(w*mcx)
+	cy := float64((1-w)*pcy) + float64(w*mcy)
 
 	sw := t.cfg.SizeBlend
-	newW := (1-sw)*tr.Box.W + sw*proposal.W
-	newH := (1-sw)*tr.Box.H + sw*proposal.H
+	newW := float64((1-sw)*tr.Box.W) + float64(sw*proposal.W)
+	newH := float64((1-sw)*tr.Box.H) + float64(sw*proposal.H)
 
 	// Measured velocity from the track's previous center to the corrected
 	// center.
 	ocx, ocy := tr.Box.Center()
 	vw := t.cfg.VelocityBlend
-	tr.VX = (1-vw)*tr.VX + vw*(cx-ocx)
-	tr.VY = (1-vw)*tr.VY + vw*(cy-ocy)
+	tr.VX = float64((1-vw)*tr.VX) + float64(vw*(cx-ocx))
+	tr.VY = float64((1-vw)*tr.VY) + float64(vw*(cy-ocy))
 
-	tr.Box = geometry.FBox{X: cx - newW/2, Y: cy - newH/2, W: newW, H: newH}
+	tr.Box = geometry.FBox{X: cx - float64(newW/2), Y: cy - float64(newH/2), W: newW, H: newH}
 	tr.Hits++
 	tr.Misses = 0
 	tr.Age++

@@ -9,9 +9,12 @@ import (
 	"ebbiot/internal/roe"
 )
 
+// davis is the DAVIS240 array every test tracks on.
+var davis = geometry.NewBox(0, 0, 240, 180)
+
 func mustNew(t *testing.T, cfg Config) *Tracker {
 	t.Helper()
-	tr, err := New(cfg)
+	tr, err := New(cfg, davis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +35,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.VelocityBlend = -1 },
 		func(c *Config) { c.OcclusionSteps = -1 },
 		func(c *Config) { c.MaxMisses = 0 },
-		func(c *Config) { c.Bounds = geometry.Box{} },
 	}
 	for i, mut := range mutations {
 		cfg := DefaultConfig()
@@ -178,7 +180,7 @@ func TestTrackFreedWhenLeavingFrame(t *testing.T) {
 	// Object moving right at 12 px/frame near the right edge.
 	obj := geometry.NewBox(200, 60, 24, 16)
 	for i := 0; i < 4; i++ {
-		tr.Step([]geometry.Box{obj.Translate(8*i, 0).Clamp(tr.Config().Bounds)})
+		tr.Step([]geometry.Box{obj.Translate(8*i, 0).Clamp(davis)})
 	}
 	// Let it coast out of the frame.
 	for i := 0; i < 8; i++ {
@@ -298,9 +300,9 @@ func TestReportsClampedToBounds(t *testing.T) {
 	tr := mustNew(t, DefaultConfig())
 	edge := geometry.NewBox(220, 60, 19, 14)
 	tr.Step([]geometry.Box{edge})
-	reps := tr.Step([]geometry.Box{edge.Translate(6, 0).Clamp(tr.Config().Bounds)})
+	reps := tr.Step([]geometry.Box{edge.Translate(6, 0).Clamp(davis)})
 	for _, r := range reps {
-		if !tr.Config().Bounds.ContainsBox(r.Box) {
+		if !davis.ContainsBox(r.Box) {
 			t.Errorf("report %v outside bounds", r.Box)
 		}
 	}
@@ -346,7 +348,7 @@ func TestStepNoProposalsNoTracks(t *testing.T) {
 }
 
 func BenchmarkStepTwoTracks(b *testing.B) {
-	tr, err := New(DefaultConfig())
+	tr, err := New(DefaultConfig(), davis)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -367,7 +369,7 @@ func TestStepInvariantsProperty(t *testing.T) {
 	// never repeat across distinct live tracks, and velocities stay finite.
 	prop := func(seed []uint16) bool {
 		cfg := DefaultConfig()
-		tr, err := New(cfg)
+		tr, err := New(cfg, davis)
 		if err != nil {
 			return false
 		}
@@ -390,7 +392,7 @@ func TestStepInvariantsProperty(t *testing.T) {
 			}
 			ids := map[int]bool{}
 			for _, r := range reports {
-				if !cfg.Bounds.ContainsBox(r.Box) || r.Box.Empty() {
+				if !davis.ContainsBox(r.Box) || r.Box.Empty() {
 					return false
 				}
 				if ids[r.ID] {
