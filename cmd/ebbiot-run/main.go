@@ -204,8 +204,9 @@ func run() error {
 	fmt.Fprintf(os.Stderr, "kernels: %s\n", imgproc.KernelInfo())
 
 	// Graceful shutdown: the first SIGINT/SIGTERM cancels the run context;
-	// streams stop at the next window boundary, the Runner drains the
-	// fan-in and flushes every sink, and partial stats are printed below.
+	// streams stop at the next window boundary, after handing the sink the
+	// window in flight, the Runner flushes every sink, and partial stats
+	// are printed below.
 	// Once the context is canceled, stop() restores the default signal
 	// disposition, so a second signal kills the process the usual way even
 	// if a sink is wedged.

@@ -240,7 +240,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP ebbiot_run_running Whether a run is in flight.\n# TYPE ebbiot_run_running gauge\nebbiot_run_running %d\n", running)
 	fmt.Fprintf(w, "# HELP ebbiot_run_elapsed_seconds Wall-clock since the run started.\n# TYPE ebbiot_run_elapsed_seconds gauge\nebbiot_run_elapsed_seconds %g\n", float64(snap.ElapsedUS)/1e6)
 	fmt.Fprintf(w, "# HELP ebbiot_sink_seconds_total Cumulative wall-clock inside Sink.Consume.\n# TYPE ebbiot_sink_seconds_total counter\nebbiot_sink_seconds_total %g\n", float64(snap.SinkUS)/1e6)
-	fmt.Fprintf(w, "# HELP ebbiot_sink_lag Snapshots queued in the fan-in channel.\n# TYPE ebbiot_sink_lag gauge\nebbiot_sink_lag %d\n", snap.SinkLag)
+	fmt.Fprintf(w, "# HELP ebbiot_sink_lag Workers waiting to hand a snapshot to the sink.\n# TYPE ebbiot_sink_lag gauge\nebbiot_sink_lag %d\n", snap.SinkLag)
 
 	// Deterministic stream order for scrape friendliness.
 	streams := append([]pipeline.StreamSnapshot(nil), snap.PerStream...)

@@ -174,7 +174,7 @@ func (d DutyCycle) Analyze(activeUS int64) (Report, error) {
 		activeUS = d.FrameUS // processor saturated: no sleep at all
 	}
 	sleep := float64(d.FrameUS-activeUS) / float64(d.FrameUS)
-	avg := d.ActivePowerMW*(1-sleep) + d.SleepPowerMW*sleep
+	avg := float64(d.ActivePowerMW*(1-sleep)) + float64(d.SleepPowerMW*sleep)
 	rep := Report{
 		SleepFraction:   sleep,
 		AvgPowerMW:      avg,

@@ -45,10 +45,10 @@ func (m EventInterruptModel) Analyze() (Report, error) {
 	}
 	// Per second: EventRateHz/batch wake-ups, each costing WakeOverheadUS,
 	// plus EventRateHz * HandlingUS of processing.
-	busyUSPerSec := m.EventRateHz/batch*m.WakeOverheadUS + m.EventRateHz*m.HandlingUS
+	busyUSPerSec := float64(m.EventRateHz/batch*m.WakeOverheadUS) + float64(m.EventRateHz*m.HandlingUS)
 	awake := math.Min(busyUSPerSec/1e6, 1)
 	sleep := 1 - awake
-	avg := m.ActivePowerMW*awake + m.SleepPowerMW*sleep
+	avg := float64(m.ActivePowerMW*awake) + float64(m.SleepPowerMW*sleep)
 	rep := Report{
 		SleepFraction:   sleep,
 		AvgPowerMW:      avg,

@@ -171,8 +171,8 @@ func WeightedAverage(results []RecordingResult) ([]Point, error) {
 				return nil, fmt.Errorf("metrics: recording %q threshold grid mismatch", r.Name)
 			}
 			w := float64(r.TrackWeight) / totalW
-			p += w * r.Points[i].Precision
-			rc += w * r.Points[i].Recall
+			p += float64(w * r.Points[i].Precision)
+			rc += float64(w * r.Points[i].Recall)
 		}
 		out[i] = Point{IoUThreshold: th, Precision: p, Recall: rc}
 	}

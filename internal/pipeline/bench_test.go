@@ -87,7 +87,7 @@ func BenchmarkWindowLoop_Naive(b *testing.B) {
 
 // BenchmarkWindowLoop_Runner replays the identical recording through the
 // streaming runtime: pooled window buffers, windower validation, snapshot
-// deep copy and fan-in included.
+// deep copy and the hand-off to the sink included.
 func BenchmarkWindowLoop_Runner(b *testing.B) {
 	_, aer := benchEvents(b)
 	b.ReportAllocs()

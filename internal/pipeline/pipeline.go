@@ -6,11 +6,12 @@
 //
 // and scales out: a Runner shards N independent sensor streams across M
 // worker goroutines, each worker owning one stream at a time (so every
-// stream's stateful System sees its windows strictly in order), and fans the
-// per-window TrackSnapshots into a single Sink goroutine over a bounded
-// channel. Backpressure is end-to-end — a slow sink blocks the workers
-// rather than buffering unboundedly — and per-stream results are
-// deterministic regardless of worker count.
+// stream's stateful System sees its windows strictly in order). Each worker
+// hands its per-window TrackSnapshots to the one Sink itself, one Consume
+// call at a time, before it pulls the stream's next window. Backpressure is
+// end-to-end — a slow sink blocks the workers waiting for it rather than
+// buffering unboundedly — and per-stream results are deterministic
+// regardless of worker count.
 //
 // The hot per-window path recycles buffers: window event slices come from a
 // sync.Pool shared across streams, and the Systems' EBBI frames are pooled
@@ -59,10 +60,10 @@ import (
 type TrackSnapshot = store.Snapshot
 
 // Observer is a per-stream hook invoked synchronously on the worker
-// goroutine after each window, before the snapshot is fanned in. Because it
-// runs between windows of its own stream, it may inspect the System's
-// window-scoped internals (e.g. core.EBBIOT.LastFrame), which alias buffers
-// that the next window will overwrite.
+// goroutine after each window, before the snapshot is handed to the sink.
+// Because it runs between windows of its own stream, it may inspect the
+// System's window-scoped internals (e.g. core.EBBIOT.LastFrame), which
+// alias buffers that the next window will overwrite.
 type Observer func(snap TrackSnapshot, sys core.System) error
 
 // Tuner is the control plane's hook into a running stream. The worker calls
@@ -123,9 +124,10 @@ type Stats struct {
 	// Boxes is the total reported track boxes across all snapshots.
 	Boxes   int64
 	Elapsed time.Duration
-	// SinkTime is the total wall-clock spent inside Sink.Consume on the
-	// single sink goroutine — the "sink" stage of the per-window timing
-	// breakdown (divide by Windows for the per-window mean).
+	// SinkTime is the total wall-clock spent inside Sink.Consume, summed
+	// over the workers' calls, which never overlap — the "sink" stage of
+	// the per-window timing breakdown (divide by Windows for the
+	// per-window mean).
 	SinkTime time.Duration
 }
 
@@ -145,8 +147,8 @@ func (s Stats) WindowsPerSec() float64 {
 	return float64(s.Windows) / s.Elapsed.Seconds()
 }
 
-// Runner shards sensor streams across workers and fans snapshots into a
-// sink.
+// Runner shards sensor streams across workers, each of which hands its
+// snapshots to one shared sink.
 type Runner struct {
 	cfg    Config
 	status atomic.Pointer[RunStatus]
@@ -166,8 +168,8 @@ func NewRunner(cfg Config) (*Runner, error) {
 	return &Runner{cfg: cfg}, nil
 }
 
-// panicError is a panic recovered from one stream's goroutine chain —
-// source, system, tuner, observer or the sink consuming its snapshot. The
+// panicError is a panic recovered from one stream's worker — source,
+// system, tuner, observer or the sink consuming its snapshot. The
 // supervisor contains it: the stream fails with the stack recorded, the
 // run's other streams are untouched, and the run reports the failure in
 // its aggregate error once everything else has finished.
@@ -181,18 +183,15 @@ func (p *panicError) Error() string {
 	return fmt.Sprintf("pipeline: %s: panic: %v", p.stream, p.val)
 }
 
-// errStreamKilled is runStream's signal that its stream was failed from
-// outside the worker (the sink goroutine contained a panic on one of its
-// snapshots): stop producing, touch nothing else.
-var errStreamKilled = errors.New("pipeline: stream failed externally")
-
 // Run processes every stream to exhaustion and returns aggregate stats. The
-// sink (which may be nil to discard results) is invoked from a single
-// goroutine, so it need not be thread-safe; per-stream snapshots arrive in
-// frame order, interleaving across streams arbitrarily. Once the snapshot
-// stream ends the sink is flushed if it implements Flusher (MultiSink
-// members included). The first error — from a source, System, observer,
-// sink, flush or ctx — cancels the run and is returned.
+// sink (which may be nil to discard results) is called on the worker that
+// made each snapshot, right after its observer, and never concurrently, so
+// it need not be thread-safe; per-stream snapshots arrive in frame order,
+// interleaving across streams arbitrarily, and each reaches the sink before
+// its stream's next window is pulled. Once every worker has finished the
+// sink is flushed if it implements Flusher (MultiSink members included).
+// The first error — from a source, System, observer, sink, flush or ctx —
+// cancels the run and is returned; a sink error ends every stream canceled.
 func (r *Runner) Run(ctx context.Context, streams []Stream, sink Sink) (Stats, error) {
 	if len(streams) == 0 {
 		return Stats{}, fmt.Errorf("pipeline: no streams")
@@ -237,50 +236,32 @@ func (r *Runner) Run(ctx context.Context, streams []Stream, sink Sink) (Stats, e
 	}
 	r.status.Store(status)
 
-	// Two slots per worker: each worker can queue a snapshot while the sink
-	// consumes another, and a stream that runs ahead of the sink still
-	// blocks its worker (backpressure).
-	results := make(chan TrackSnapshot, 2*workers)
-	status.setLag(func() int { return len(results) })
-	work := make(chan int)
-
-	// Single sink consumer: non-thread-safe sinks stay simple. A panic
-	// inside Consume is contained to the snapshot's stream — the stream is
-	// failed with the stack recorded and its worker notices at the next
-	// window boundary, while the other streams keep flowing.
-	consume := func(snap TrackSnapshot) {
-		defer func() {
-			if v := recover(); v != nil {
-				perr := &panicError{stream: snap.Name + ": sink", val: v, stack: debug.Stack()}
-				if ss := status.Stream(snap.Sensor); ss != nil {
-					ss.failPanic(perr, perr.stack)
-				}
-			}
-		}()
+	// The worker that made a snapshot hands it to the sink; sinkMu makes
+	// the calls one at a time, so sinks need no locking, and a slow sink
+	// blocks the workers queued on it (backpressure). A panic in Consume
+	// unwinds through the worker's superviseStream like any other panic of
+	// its stream, and the deferred Unlock lets the other workers go on.
+	var sinkMu sync.Mutex
+	emit := func(snap TrackSnapshot) error {
+		if sink == nil {
+			return nil
+		}
+		status.sinkWaiting.Add(1)
+		sinkMu.Lock()
+		status.sinkWaiting.Add(-1)
+		defer sinkMu.Unlock()
 		t0 := time.Now()
 		err := sink.Consume(snap)
 		status.addSinkTime(time.Since(t0))
 		if err != nil {
+			// The sink's failure is the run's, not this stream's: cancel
+			// the run with it and end this stream canceled like the rest.
 			fail(fmt.Errorf("pipeline: sink: %w", err))
-			// Keep draining so workers never block forever.
+			return ctx.Err()
 		}
+		return nil
 	}
-	var sinkWG sync.WaitGroup
-	sinkWG.Add(1)
-	go func() {
-		defer sinkWG.Done()
-		for snap := range results {
-			if sink == nil {
-				continue
-			}
-			// Skip snapshots of a stream already failed (a prior panic on
-			// it): feeding more would likely panic on the same state again.
-			if ss := status.Stream(snap.Sensor); ss != nil && ss.State() == StreamFailed {
-				continue
-			}
-			consume(snap)
-		}
-	}()
+	work := make(chan int)
 
 	// Progress watchdog: flags running streams that complete no window
 	// within the deadline as stalled (observability only — nothing is
@@ -323,14 +304,11 @@ func (r *Runner) Run(ctx context.Context, streams []Stream, sink Sink) (Stats, e
 				ss := status.Stream(idx)
 				ss.noteProgress(time.Now())
 				ss.setState(StreamRunning)
-				err := r.superviseStream(ctx, idx, &streams[idx], results, ss)
+				err := r.superviseStream(ctx, idx, &streams[idx], emit, ss)
 				var pe *panicError
 				switch {
 				case err == nil:
 					ss.setState(StreamDone)
-				case errors.Is(err, errStreamKilled):
-					// Failed from the sink side; state and stack are
-					// already recorded. The run keeps going.
 				case errors.As(err, &pe):
 					// Contained panic: the stream is failed with its stack,
 					// siblings and the run continue. The failure surfaces
@@ -360,8 +338,6 @@ dispatch:
 	workerWG.Wait()
 	close(wdStop)
 	wdWG.Wait()
-	close(results)
-	sinkWG.Wait()
 
 	// Flush buffering sinks so deferred write errors surface through the
 	// run instead of being dropped; flushing is attempted even on a failed
@@ -392,9 +368,10 @@ dispatch:
 
 // superviseStream runs one stream with panic containment: a panic
 // anywhere in the stream's chain (source, windower, system, tuner,
-// observer) is recovered, recorded on the stream's status with its stack,
-// and returned as a *panicError for the worker to treat as contained.
-func (r *Runner) superviseStream(ctx context.Context, idx int, st *Stream, results chan<- TrackSnapshot, ss *StreamStatus) (err error) {
+// observer, sink) is recovered, recorded on the stream's status with its
+// stack, and returned as a *panicError for the worker to treat as
+// contained.
+func (r *Runner) superviseStream(ctx context.Context, idx int, st *Stream, emit func(TrackSnapshot) error, ss *StreamStatus) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			perr := &panicError{stream: ss.Name(), val: v, stack: debug.Stack()}
@@ -402,7 +379,7 @@ func (r *Runner) superviseStream(ctx context.Context, idx int, st *Stream, resul
 			err = perr
 		}
 	}()
-	return r.runStream(ctx, idx, st, results, ss)
+	return r.runStream(ctx, idx, st, emit, ss)
 }
 
 // Status returns the live view of the current (or most recent) run, nil
@@ -413,8 +390,9 @@ func (r *Runner) Status() *RunStatus { return r.status.Load() }
 // runStream drives one stream's window loop to exhaustion, publishing
 // progress into ss between windows. Each iteration is one window: tune,
 // pull it from the Windower, process it in place in the Windower's buffer,
-// snapshot, emit. The first source error fails the stream.
-func (r *Runner) runStream(ctx context.Context, idx int, st *Stream, results chan<- TrackSnapshot, ss *StreamStatus) error {
+// snapshot, observe, emit to the sink. The first source error fails the
+// stream.
+func (r *Runner) runStream(ctx context.Context, idx int, st *Stream, emit func(TrackSnapshot) error, ss *StreamStatus) error {
 	name := ss.Name()
 	w, err := NewWindower(st.Source, r.cfg.FrameUS)
 	if err != nil {
@@ -434,12 +412,6 @@ func (r *Runner) runStream(ctx context.Context, idx int, st *Stream, results cha
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
-		}
-		// A stream failed from outside the worker (the sink goroutine
-		// contained a panic on one of its snapshots) stops producing here,
-		// at the window boundary, without disturbing the run.
-		if ss.State() == StreamFailed {
-			return errStreamKilled
 		}
 		// Window boundary: let the control plane retune tF or reconfigure
 		// the System before the next window is pulled.
@@ -491,17 +463,14 @@ func (r *Runner) runStream(ctx context.Context, idx int, st *Stream, results cha
 			ss.setStages(timer.StageTimings())
 		}
 		publishSrc()
-		// The observer runs first (it may fail the run), then the fan-in
-		// send.
+		// The observer runs first (it may fail the run), then the sink.
 		if st.Observer != nil {
 			if err := st.Observer(snap, st.System); err != nil {
 				return fmt.Errorf("pipeline: %s: observer: %w", name, err)
 			}
 		}
-		select {
-		case results <- snap:
-		case <-ctx.Done():
-			return ctx.Err()
+		if err := emit(snap); err != nil {
+			return err
 		}
 	}
 }

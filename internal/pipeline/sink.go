@@ -11,9 +11,12 @@ import (
 	"ebbiot/internal/trace"
 )
 
-// Sink consumes the fan-in of TrackSnapshots. Runner invokes Consume from a
-// single goroutine, so implementations need no locking; snapshots are safe
-// to retain (boxes are deep-copied by the worker).
+// Sink consumes the TrackSnapshots of every stream in a run. Runner calls
+// Consume on the worker that made each snapshot, but never two calls at
+// once, so implementations need no locking; each stream's snapshots arrive
+// in frame order, and are safe to retain (boxes are deep-copied by the
+// worker). A slow Consume blocks the workers waiting to call it, and an
+// error from it cancels the run.
 type Sink interface {
 	Consume(snap TrackSnapshot) error
 }

@@ -1,8 +1,10 @@
 package pipeline
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 
 	"ebbiot/internal/aedat"
 	"ebbiot/internal/events"
@@ -110,12 +112,14 @@ func NewSliceSource(evs []events.Event) (*SliceSource, error) {
 	return &SliceSource{evs: evs}, nil
 }
 
-// NextWindow implements EventSource.
+// NextWindow implements EventSource. The window's events are the run
+// before the first event at or after end, found by binary search and
+// copied in one append.
 func (s *SliceSource) NextWindow(buf []events.Event, start, end int64) ([]events.Event, error) {
-	for s.pos < len(s.evs) && s.evs[s.pos].T < end {
-		buf = append(buf, s.evs[s.pos])
-		s.pos++
-	}
+	rest := s.evs[s.pos:]
+	n, _ := slices.BinarySearchFunc(rest, end, func(e events.Event, t int64) int { return cmp.Compare(e.T, t) })
+	buf = append(buf, rest[:n]...)
+	s.pos += n
 	if s.pos == len(s.evs) {
 		return buf, io.EOF
 	}

@@ -311,10 +311,12 @@ type RunStatus struct {
 	bySensor map[int]*StreamStatus
 	errMsg   string
 
-	sinkNS  atomic.Int64
-	done    atomic.Bool
-	endNS   atomic.Int64 // elapsed frozen when the run finishes
-	lagFunc func() int
+	sinkNS atomic.Int64
+	// sinkWaiting counts the workers waiting to hand a snapshot to the
+	// sink (the Runner's; a replay's drain loop never waits).
+	sinkWaiting atomic.Int64
+	done        atomic.Bool
+	endNS       atomic.Int64 // elapsed frozen when the run finishes
 }
 
 // StatusSnapshot is the JSON view of a whole run at one moment.
@@ -333,7 +335,7 @@ type StatusSnapshot struct {
 	// Stalls totals the per-stream watchdog trips.
 	Stalls int64 `json:"stalls,omitempty"`
 	// SinkUS is cumulative wall-clock inside Sink.Consume; SinkLag is the
-	// number of snapshots queued in the fan-in channel right now.
+	// number of workers waiting to hand a snapshot to the sink right now.
 	SinkUS        int64            `json:"sink_us"`
 	SinkLag       int              `json:"sink_lag"`
 	EventsPerSec  float64          `json:"events_per_sec"`
@@ -458,16 +460,13 @@ func (r *RunStatus) Snapshot() StatusSnapshot {
 		Workers:   int(r.workers.Load()),
 		ElapsedUS: elapsed.Microseconds(),
 		SinkUS:    time.Duration(r.sinkNS.Load()).Microseconds(),
+		SinkLag:   int(r.sinkWaiting.Load()),
 	}
 	r.mu.RLock()
 	snap.Error = r.errMsg
 	streams := make([]*StreamStatus, len(r.streams))
 	copy(streams, r.streams)
-	lag := r.lagFunc
 	r.mu.RUnlock()
-	if lag != nil {
-		snap.SinkLag = lag()
-	}
 	snap.Streams = len(streams)
 	snap.PerStream = make([]StreamSnapshot, 0, len(streams))
 	for _, st := range streams {
@@ -484,13 +483,6 @@ func (r *RunStatus) Snapshot() StatusSnapshot {
 		snap.WindowsPerSec = float64(snap.Windows) / secs
 	}
 	return snap
-}
-
-// setLag installs the fan-in queue-length probe.
-func (r *RunStatus) setLag(f func() int) {
-	r.mu.Lock()
-	r.lagFunc = f
-	r.mu.Unlock()
 }
 
 // Stats collapses the live status into the end-of-run aggregate form.

@@ -99,7 +99,7 @@ type replayStream struct {
 }
 
 // drainStore pumps a store iterator into a sink, mirroring Runner.Run's
-// consumer-side contract: single goroutine, sink flushed at the end,
+// consumer-side contract: one Consume at a time, sink flushed at the end,
 // first error wins. With opts.Speed > 0 delivery is paced on the recorded
 // EndUS clock. With opts.Status non-nil per-sensor progress is published
 // live, each sensor's StreamStatus resolved once, and every Consume timed;

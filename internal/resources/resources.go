@@ -8,6 +8,10 @@
 // implementations in internal/imgproc, internal/filter, internal/tracker
 // and internal/ebms carry live counters so these closed forms can be
 // cross-checked against measured counts.
+//
+// Every product or quotient that feeds an addition, here or in a caller
+// that inlines the model, is wrapped in float64(), so no target fuses it
+// into a multiply-add and the figures have the same bits everywhere.
 package resources
 
 import (
@@ -102,7 +106,7 @@ func (p Params) EventsPerFrame() float64 {
 // frame — the median filter's counter increments on active pixels plus a
 // comparison and the frame-memory write per pixel.
 func (p Params) EBBIComputes() float64 {
-	return (p.Alpha*float64(p.P*p.P) + 2) * float64(p.A*p.B)
+	return float64((float64(p.Alpha*float64(p.P*p.P)) + 2) * float64(p.A*p.B))
 }
 
 // EBBIMemoryBits returns M_EBBI of Eq. 1: two binary frames (raw +
@@ -114,13 +118,13 @@ func (p Params) EBBIMemoryBits() float64 {
 // NNFiltComputes returns C_NN-filt of Eq. 2: per event, 2(p^2 - 1)
 // comparisons and increments plus one Bt-bit timestamp write.
 func (p Params) NNFiltComputes() float64 {
-	return (2*float64(p.P*p.P-1) + float64(p.Bt)) * p.EventsPerFrame()
+	return float64((2*float64(p.P*p.P-1) + float64(p.Bt)) * p.EventsPerFrame())
 }
 
 // NNFiltMemoryBits returns M_NN-filt of Eq. 2: one Bt-bit timestamp per
 // pixel.
 func (p Params) NNFiltMemoryBits() float64 {
-	return float64(p.Bt) * float64(p.A*p.B)
+	return float64(float64(p.Bt) * float64(p.A*p.B))
 }
 
 // RPNComputes returns C_RPN of Eq. 5: one pass over the full frame to build
@@ -139,9 +143,9 @@ func (p Params) RPNComputes() float64 {
 // ceil(log2(s1 s2)) bits per entry plus the two histograms at their
 // worst-case bit widths.
 func (p Params) RPNMemoryBits() float64 {
-	scaled := float64(p.A*p.B) / float64(p.S1*p.S2) * ceilLog2(p.S1*p.S2)
-	hx := float64(p.A) / float64(p.S1) * ceilLog2(p.B*p.S1)
-	hy := float64(p.B) / float64(p.S2) * ceilLog2(p.A*p.S2)
+	scaled := float64(float64(p.A*p.B) / float64(p.S1*p.S2) * ceilLog2(p.S1*p.S2))
+	hx := float64(float64(p.A) / float64(p.S1) * ceilLog2(p.B*p.S1))
+	hy := float64(float64(p.B) / float64(p.S2) * ceilLog2(p.A*p.S2))
 	return scaled + hx + hy
 }
 
@@ -166,7 +170,7 @@ func DefaultOTParams() OTParams {
 
 // OTComputes returns C_OT of Eq. 6: 134 NT^2 + sum_j gamma_j N_j.
 func (p Params) OTComputes(ot OTParams) float64 {
-	return 134*p.NT*p.NT + ot.Gamma3*ot.N3 + ot.Gamma4*ot.N4 + ot.Gamma5*ot.N5
+	return float64(134*p.NT*p.NT) + float64(ot.Gamma3*ot.N3) + float64(ot.Gamma4*ot.N4) + float64(ot.Gamma5*ot.N5)
 }
 
 // OTMemoryBits returns the overlap tracker's register footprint: per
@@ -188,7 +192,7 @@ func (p Params) OTMemoryBits() float64 {
 // 4m^3 + 6m^2 n + 4mn^2 + 4n^3 + 3n^2. The paper evaluates it at
 // n = m = 2 NT.
 func KFComputes(n, m float64) float64 {
-	return 4*m*m*m + 6*m*m*n + 4*m*n*n + 4*n*n*n + 3*n*n
+	return float64(4*m*m*m) + float64(6*m*m*n) + float64(4*m*n*n) + float64(4*n*n*n) + float64(3*n*n)
 }
 
 // KFComputesPaper evaluates Eq. 7 at n = m = 2 NT.
@@ -203,7 +207,7 @@ func (p Params) KFComputesPaper() float64 {
 // n = m = 4 this is ~1.2 kB, matching the paper's ~1.1 kB estimate.
 func KFMemoryBits(n, m int) float64 {
 	words := n + 3*n*n + 2*m*n + 2*m*m + m + n*n + m*n
-	return float64(words) * 64
+	return float64(float64(words) * 64)
 }
 
 // KFMemoryBitsPaper evaluates KFMemoryBits at n = m = 2 NT.
@@ -219,12 +223,12 @@ func (p Params) KFMemoryBitsPaper() float64 {
 // per frame, where NF is the NN-filtered event rate per frame. At the
 // paper's constants this is ~252 kops/frame.
 func (p Params) EBMSComputes() float64 {
-	return p.NF * (9*p.CL*p.CL + (169+16*p.GammaMerge)*p.CL + 11)
+	return float64(p.NF * (float64(9*p.CL*p.CL) + float64((169+float64(16*p.GammaMerge))*p.CL) + 11))
 }
 
 // EBMSMemoryBits returns M_EBMS of Eq. 8: 408 CLmax + 56 bits.
 func (p Params) EBMSMemoryBits() float64 {
-	return 408*float64(p.CLMax) + 56
+	return float64(408*float64(p.CLMax)) + 56
 }
 
 // ceilLog2 returns ceil(log2(v)) as a float.

@@ -118,7 +118,7 @@ func Generate(spec TrafficSpec) (*Scene, error) {
 		for {
 			t += laneRng.ExpFloat64() / lane.ArrivalRateHz
 			if spec.MinGapUS > 0 {
-				t += float64(spec.MinGapUS) / 1e6 * laneRng.Float64()
+				t += float64(float64(spec.MinGapUS) / 1e6 * laneRng.Float64())
 			}
 			kind := pickKind(laneRng, mix)
 			prof, ok := profiles[kind]
@@ -184,7 +184,7 @@ func Generate(spec TrafficSpec) (*Scene, error) {
 }
 
 func scaleDim(v int, scale float64) int {
-	s := int(float64(v)*scale + 0.5)
+	s := int(float64(float64(v)*scale) + 0.5)
 	if s < 2 {
 		s = 2
 	}

@@ -114,10 +114,11 @@ type Object struct {
 func (o *Object) Active(tUS int64) bool { return tUS >= o.EnterUS && tUS < o.ExitUS }
 
 // BoxAt returns the object's sub-pixel box at time t. The caller must check
-// Active; BoxAt extrapolates outside the active interval.
+// Active; BoxAt extrapolates outside the active interval. The displacement
+// is rounded before the addition (float64()) so no target fuses the two.
 func (o *Object) BoxAt(tUS int64) geometry.FBox {
 	dt := float64(tUS-o.EnterUS) / 1e6
-	return geometry.FBox{X: o.X0 + o.VX*dt, Y: float64(o.LaneY), W: float64(o.W), H: float64(o.H)}
+	return geometry.FBox{X: o.X0 + float64(o.VX*dt), Y: float64(o.LaneY), W: float64(o.W), H: float64(o.H)}
 }
 
 // State is an object's instantaneous kinematic state.

@@ -442,10 +442,12 @@ func (s *segStream) close() {
 // The merge is single-pass: every selected segment is opened and read
 // exactly once, with records demultiplexed into per-sensor queues as they
 // stream by, whatever the number of sensors (ReplayStats exposes the
-// counters). The queues buffer only the on-disk interleaving skew between
-// sensors, which the recording Runner bounds by its fan-in queue depth;
-// replaying a store whose sensors were written in long disjoint stretches
-// trades that memory for reading each byte once.
+// counters). The queues buffer the on-disk interleaving skew between
+// sensors, and nothing bounds that skew: a Runner with fewer workers than
+// streams records some streams whole before others start (four sensors on
+// two workers write streams 0 and 1, then 2 and 3), so replaying such a
+// store queues a whole stream's records, trading that memory for reading
+// each byte once.
 func (r *Reader) Replay(run uint64, sensors []int, t0, t1 int64) (Iterator, error) {
 	rr, err := r.selectRun(run)
 	if err != nil {

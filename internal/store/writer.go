@@ -12,7 +12,8 @@ import (
 
 // Writer appends snapshots to a store directory, rotating segments by
 // size and fsyncing at the configured cadence. It is safe for concurrent
-// use, though the pipeline invokes it from the single sink goroutine.
+// use, though the pipeline never calls it concurrently: the Runner hands
+// the sink one snapshot at a time.
 //
 // Every Open starts a new run: a fresh manifest (run-%08d.mf) claims the
 // run's segments in order, and each sealed segment's Merkle root is

@@ -78,13 +78,16 @@ func (r *Rand) Intn(n int) int {
 }
 
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
+// The quotient is rounded by float64(), as is every product in this
+// package that feeds an addition, so no target fuses it into a caller's
+// multiply-add: the draws have the same bits on every architecture.
 func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Range returns a uniform float64 in [lo, hi).
 func (r *Rand) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // IntRange returns a uniform integer in [lo, hi]. It panics if hi < lo.
@@ -165,7 +168,7 @@ func (r *Rand) Poisson(mean float64) int {
 		return 0
 	}
 	if mean > 30 {
-		v := mean + math.Sqrt(mean)*r.NormFloat64()
+		v := mean + float64(math.Sqrt(mean)*r.NormFloat64())
 		if v < 0 {
 			return 0
 		}
